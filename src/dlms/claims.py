@@ -10,6 +10,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .metrics import convergence_iteration, steady_state_variance
+from .network import combine
 from .scenarios import (
     AVERAGING,
     COOPERATIVE,
@@ -56,6 +57,16 @@ def _norm(v):
     return math.sqrt(sum(x * x for x in v))
 
 
+def _psis(record, adaptive, row):
+    """Combined intermediates psi(i) = combine(row, w(i-1)), with w(0) = w0."""
+    prev = [list(cfg.w0) for cfg in adaptive]
+    out = []
+    for i in range(record.iterations):
+        out.append(combine(row, prev))
+        prev = [record.ws[cfg.id][i] for cfg in adaptive]
+    return out
+
+
 def verify_claim(scenario, claim, records=None):
     if claim == "merge":
         return verify_merge(scenario, records)
@@ -71,8 +82,9 @@ def verify_claim(scenario, claim, records=None):
 def verify_merge(scenario, records=None):
     """Equal-trust cooperative agents merge and track the averaging agent.
 
-    Checks (1) the combined intermediates of the cooperative agents are
-    exactly equal at every iteration (their trust rows coincide), and
+    Checks (1) the combined intermediates of the cooperative agents,
+    recomputed from the recorded weights, are exactly equal at every
+    iteration (their trust rows coincide), and
     (2) the ensemble-mean gap between each cooperative agent and the
     averaging agent stays below 5% of the mean initial distance from
     iteration 10 onward.
@@ -89,11 +101,11 @@ def verify_merge(scenario, records=None):
     if records is None:
         records = run(scenario)
 
+    rows = {cfg.id: row for cfg, row in zip(adaptive, scenario.trust.rows)}
     psi_equal = all(
-        rec.psis[coop[0]][i] == rec.psis[other][i]
+        _psis(rec, adaptive, rows[coop[0]]) == _psis(rec, adaptive, rows[other])
         for rec in records
         for other in coop[1:]
-        for i in range(rec.iterations)
     )
 
     w0s = [cfg.w0 for cfg in adaptive]

@@ -22,7 +22,6 @@ class RunRecord:
     agents: list
     run_index: int = 0
     ws: dict = field(default_factory=dict)
-    psis: dict = field(default_factory=dict)
     es: dict = field(default_factory=dict)
 
     @property

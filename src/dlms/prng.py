@@ -1,8 +1,8 @@
 """Portable seeded random source: SplitMix64 with Box-Muller Gaussians.
 
 Everything downstream (signal synthesis, ensemble seeding) draws from
-RandomStream, so a fixed seed gives a bit-identical simulation on any
-platform with IEEE-754 doubles.
+these streams, so a fixed seed gives a bit-identical simulation on any
+platform with IEEE-754 doubles and the same libm.
 """
 
 import math
@@ -73,3 +73,37 @@ def derive_seed(base, index):
     for _ in range(index):
         out = stream.next_u64()
     return out
+
+
+def gaussian_block(seeds, count):
+    """The first ``count`` standard Gaussians of RandomStream(seed), per seed.
+
+    Returns a float64 array of shape [len(seeds), count] holding exactly the
+    values that repeated ``next_gaussian()`` calls return. SplitMix64 is
+    counter based (output k is mix(seed + k*gamma)), so whole streams are
+    drawn at once. The logarithm goes through ``math.log`` one element at a
+    time because ``numpy.log`` is not always correctly rounded and then
+    differs from libm in the last bit; cos, sin and sqrt agree.
+    """
+    import numpy as np
+
+    pairs = (count + 1) // 2
+    k = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
+    z = np.asarray(seeds, dtype=np.uint64)[:, None] + k * np.uint64(_GAMMA)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    z >>= np.uint64(11)
+    z += np.uint64(1)
+    u = z.astype(np.float64) * _INV_2_53
+    del z
+    u1, u2 = u[:, 0::2], u[:, 1::2]
+    log_u1 = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
+    r = np.sqrt(-2.0 * log_u1.reshape(u1.shape))
+    theta = _TWO_PI * u2
+    out = np.empty(u.shape)
+    out[:, 0::2] = r * np.cos(theta)
+    out[:, 1::2] = r * np.sin(theta)
+    return out[:, :count]

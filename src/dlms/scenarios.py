@@ -5,11 +5,10 @@ experiments: cooperative agents a and b, standalone twins c and d fed the
 same signal realizations, and a follower e averaging c and d.
 """
 
-import os
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, replace
 
-from .errors import ConfigError, DivergenceError, ParseError
+from .errors import ConfigError, ParseError
 from .metrics import (
     MetricsReport,
     RunRecord,
@@ -19,9 +18,8 @@ from .metrics import (
     msd_series,
     steady_state_variance,
 )
-from .network import AgentState, TrustMatrix, cta_iteration
-from .prng import RandomStream, derive_seed
-from .signals import GaussianParams, generate_sample
+from .network import TrustMatrix
+from .signals import GaussianParams
 
 COOPERATIVE = "cooperative"
 STANDALONE = "standalone"
@@ -29,8 +27,6 @@ AVERAGING = "averaging"
 
 _KINDS = (COOPERATIVE, STANDALONE, AVERAGING)
 _SEED_MASK = (1 << 64) - 1
-
-WORKERS_ENV = "DLMS_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -73,6 +69,11 @@ class Scenario:
         return [cfg for cfg in self.agents if cfg.kind == AVERAGING]
 
 
+def _check_finite(name, values):
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name} must be finite, got {', '.join(map(repr, values))}")
+
+
 def validate(scenario):
     """Check every scenario invariant; raise ConfigError naming the field."""
     if scenario.iterations < 1:
@@ -86,6 +87,7 @@ def validate(scenario):
     m = len(scenario.w_opt)
     if m < 1:
         raise ConfigError("w_opt must have at least one component")
+    _check_finite("w_opt", scenario.w_opt)
 
     ids = [cfg.id for cfg in scenario.agents]
     if len(set(ids)) != len(ids):
@@ -107,13 +109,19 @@ def validate(scenario):
                     raise ConfigError(
                         f"agent {cfg.id}: source {src!r} is not an adaptive agent")
         else:
-            if cfg.mu is None or cfg.mu < 0:
-                raise ConfigError(f"agent {cfg.id}: mu must be >= 0, got {cfg.mu}")
+            if cfg.mu is None or not 0 <= cfg.mu < math.inf:
+                raise ConfigError(
+                    f"agent {cfg.id}: mu must be finite and >= 0, got {cfg.mu}")
             if cfg.w0 is None or len(cfg.w0) != m:
                 raise ConfigError(
                     f"agent {cfg.id}: w0 must have {m} components, got {cfg.w0}")
+            _check_finite(f"agent {cfg.id}: w0", cfg.w0)
             if cfg.input is None or cfg.noise is None:
                 raise ConfigError(f"agent {cfg.id}: input and noise statistics required")
+            for name in ("input", "noise"):
+                params = getattr(cfg, name)
+                _check_finite(f"agent {cfg.id}: {name}_mean", (params.mean,))
+                _check_finite(f"agent {cfg.id}: {name}_sd", (params.sd,))
             if cfg.sources:
                 raise ConfigError(f"agent {cfg.id}: only averaging agents take sources")
         if cfg.counterpart is not None:
@@ -385,115 +393,15 @@ def serialize(scenario):
 # Orchestration
 # ---------------------------------------------------------------------------
 
-def _stream_owners(scenario):
-    """Stream-owner index (position in scenario.agents) per adaptive agent."""
-    position = {cfg.id: i for i, cfg in enumerate(scenario.agents)}
-    owners = []
-    for cfg in scenario.adaptive_agents():
-        owner = cfg.counterpart if cfg.counterpart is not None else cfg.id
-        owners.append(position[owner])
-    return owners
-
-
-def run_single(scenario, run_index):
-    """Execute one run of the scenario; returns its RunRecord.
-
-    Per-agent streams are seeded with derive_seed(seed XOR run_index, k)
-    where k is the stream owner's position in the agent list; twins share
-    their counterpart's stream owner and therefore its exact samples.
-    """
-    adaptive = scenario.adaptive_agents()
-    averaging = scenario.averaging_agents()
-    adaptive_index = {cfg.id: i for i, cfg in enumerate(adaptive)}
-    averaging_sources = [
-        tuple(adaptive_index[s] for s in cfg.sources) for cfg in averaging
-    ]
-    owners = _stream_owners(scenario)
-    owner_params = {}
-    for cfg, owner in zip(adaptive, owners):
-        owner_params.setdefault(owner, (cfg.input, cfg.noise))
-    base = (scenario.seed ^ run_index) & _SEED_MASK
-    streams = {
-        owner: RandomStream(derive_seed(base, owner)) for owner in owner_params
-    }
-
-    states = [AgentState(w=list(cfg.w0), psi=list(cfg.w0), e=0.0) for cfg in adaptive]
-    for sources in averaging_sources:
-        w = [sum(states[b].w[j] for b in sources) / len(sources)
-             for j in range(len(scenario.w_opt))]
-        states.append(AgentState(w=w, psi=list(w), e=0.0))
-
-    ordered_ids = [cfg.id for cfg in adaptive] + [cfg.id for cfg in averaging]
-    record = RunRecord(
-        seed=scenario.seed,
-        w_opt=list(scenario.w_opt),
-        agents=ordered_ids,
-        run_index=run_index,
-        ws={aid: [] for aid in ordered_ids},
-        psis={aid: [] for aid in ordered_ids},
-        es={aid: [] for aid in ordered_ids},
-    )
-
-    mus = [cfg.mu for cfg in adaptive]
-    w_opt = scenario.w_opt
-    for i in range(1, scenario.iterations + 1):
-        group_samples = {
-            owner: generate_sample(streams[owner], w_opt, inp, noise)
-            for owner, (inp, noise) in owner_params.items()
-        }
-        samples = [group_samples[owner] for owner in owners]
-        try:
-            states = cta_iteration(states, scenario.trust, samples, mus,
-                                   averaging_sources)
-        except DivergenceError as exc:
-            agent_id = adaptive[exc.agent].id if exc.agent is not None else None
-            raise DivergenceError(
-                f"divergence at run {run_index}, iteration {i}, "
-                f"agent {agent_id}: {exc}",
-                agent=agent_id, iteration=i, run=run_index) from exc
-        for aid, st in zip(ordered_ids, states):
-            record.ws[aid].append(list(st.w))
-            record.psis[aid].append(list(st.psi))
-            record.es[aid].append(st.e)
-    return record
-
-
-def _run_single_tagged(args):
-    scenario, run_index = args
-    try:
-        return "ok", run_single(scenario, run_index)
-    except DivergenceError as exc:
-        return "diverged", (str(exc), exc.agent, exc.iteration, exc.run)
-
-
-def run(scenario, workers=None):
+def run(scenario):
     """Execute the full ensemble; returns one RunRecord per run, in run order.
 
-    ``workers`` defaults to the DLMS_WORKERS environment variable (or 1).
     On divergence the raised error carries the records of the runs that
     completed before the divergent one.
     """
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    records = []
-    if workers > 1:
-        tasks = [(scenario, r) for r in range(scenario.ensemble)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            for status, payload in pool.map(_run_single_tagged, tasks):
-                if status == "diverged":
-                    message, agent, iteration, run_index = payload
-                    raise DivergenceError(message, agent=agent,
-                                          iteration=iteration, run=run_index,
-                                          completed=records)
-                records.append(payload)
-    else:
-        for r in range(scenario.ensemble):
-            try:
-                records.append(run_single(scenario, r))
-            except DivergenceError as exc:
-                exc.completed = records
-                raise
-    return records
+    from .engine import run_ensemble  # numpy loads with the first run, not at import
+
+    return run_ensemble(scenario)
 
 
 def scenario_band(scenario):
@@ -517,7 +425,6 @@ def mean_record(records):
             [sum(rec.ws[aid][i][j] for rec in records) / n for j in range(m)]
             for i in range(length)
         ]
-        mean.psis[aid] = mean.ws[aid]
         mean.es[aid] = [sum(rec.es[aid][i] for rec in records) / n
                         for i in range(length)]
     return mean

@@ -1,4 +1,8 @@
-"""Per-agent signal synthesis: linear model with additive Gaussian noise."""
+"""Per-agent signal model y = w_opt . x + q with Gaussian x and q.
+
+The ensemble engine synthesizes whole runs of samples at once; SignalSample
+is one time instant, as ``network.cta_iteration`` consumes it.
+"""
 
 from dataclasses import dataclass
 
@@ -29,19 +33,3 @@ class SignalSample:
     y: float
     q: float
 
-
-def generate_sample(stream, w_opt, input_params, noise_params):
-    """Draw one (x, y) pair from y = w_opt . x + q.
-
-    Consumes exactly len(w_opt) + 1 Gaussian deviates from the stream,
-    x components first, then q.
-    """
-    if len(w_opt) < 1:
-        raise ConfigError("w_opt must have at least one component")
-    x = tuple(
-        stream.next_gaussian(input_params.mean, input_params.sd)
-        for _ in w_opt
-    )
-    q = stream.next_gaussian(noise_params.mean, noise_params.sd)
-    y = sum(wi * xi for wi, xi in zip(w_opt, x)) + q
-    return SignalSample(x=x, y=y, q=q)

@@ -1,4 +1,10 @@
 import csv
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from dlms.cli import main, metrics_path
 
@@ -61,6 +67,49 @@ def test_invalid_override_is_usage_error(tmp_path):
                    "--out", str(tmp_path / "x.csv")) == 2
     assert run_cli("run", "table1", "--set", "nobody.mu=0.1",
                    "--out", str(tmp_path / "x.csv")) == 2
+
+
+@pytest.mark.parametrize("override, field", [
+    (("--set", "a.mu=nan"), "a: mu"),
+    (("--set", "a.mu=inf"), "a: mu"),
+    (("--w-opt", "inf"), "w_opt"),
+    (("--set", "c.w0=-inf"), "c: w0"),
+    (("--set", "b.input_mean=nan"), "b: input_mean"),
+    (("--set", "b.input_sd=inf"), "b: input_sd"),
+    (("--set", "d.noise_mean=-inf"), "d: noise_mean"),
+    (("--set", "d.noise_sd=nan"), "d: noise_sd"),
+    (("--set", "trust.a.a=nan"), "trust coefficient nan"),
+])
+def test_non_finite_value_is_usage_error(tmp_path, capsys, override, field):
+    code = run_cli("run", "table1", "--iterations", "5", "--ensemble", "1",
+                   *override, "--out", str(tmp_path / "x.csv"))
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
+def test_setup_does_not_import_numpy(tmp_path):
+    """Loading and overriding a scenario stays numpy-free: numpy is only
+    imported when an ensemble runs."""
+    from dlms.scenarios import builtin, serialize
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(serialize(builtin("table3")))
+    probe = (
+        "import sys\n"
+        "from dlms.cli import apply_overrides, build_parser, load_scenario\n"
+        "for argv in sys.argv[1:]:\n"
+        "    args = build_parser().parse_args(argv.split())\n"
+        "    apply_overrides(load_scenario(args.scenario), args)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe,
+         "verify table1 delay --set trust.a.a=0.9 --set trust.a.b=0.1",
+         f"run {cfg} --out x.csv --seed 3 --set a.mu=0.1"],
+        capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "[]\n"
 
 
 def test_trust_override(tmp_path):

@@ -1,0 +1,185 @@
+"""The vectorized ensemble engine against the scalar reference in oracle.py.
+
+Records are compared through repr, so a sign of zero or a last-bit
+difference anywhere in a trajectory fails the comparison.
+"""
+
+import dataclasses
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import dlms.cli
+import oracle
+from dlms import engine
+from dlms.claims import _psis
+from dlms.errors import DivergenceError
+from dlms.network import TrustMatrix
+from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
+from dlms.signals import GaussianParams
+
+
+def _bits(records):
+    return [(r.run_index, r.agents, repr(r.ws), repr(r.es)) for r in records]
+
+
+def _outcome(run_fn, scenario):
+    """Records of a run, or the error and the records completed before it."""
+    try:
+        return _bits(run_fn(scenario)), None
+    except DivergenceError as exc:
+        return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
+
+
+@pytest.mark.parametrize("name", builtin_names())
+def test_builtins_match_oracle(name):
+    s = dataclasses.replace(builtin(name), iterations=300, ensemble=4)
+    assert _bits(run(s)) == _bits(oracle.run(s))
+
+
+def test_psis_recomputed_from_weights_match_oracle():
+    s = dataclasses.replace(builtin("table5"), iterations=200, ensemble=2)
+    adaptive = s.adaptive_agents()
+    for rec, ref in zip(run(s), oracle.run(s)):
+        for cfg, row in zip(adaptive, s.trust.rows):
+            assert repr(_psis(rec, adaptive, row)) == repr(ref.psis[cfg.id])
+
+
+def test_signed_zeros_match_oracle():
+    """Zero targets, signed-zero means with zero sd, and a twin listed before
+    its counterpart whose statistics differ from it only in the sign of zero."""
+    pos, neg = GaussianParams(0.0, 0.0), GaussianParams(-0.0, 0.0)
+    agents = (
+        AgentConfig("t", "standalone", mu=0.5, w0=(-0.0,), input=neg, noise=neg,
+                    counterpart="a"),
+        AgentConfig("a", "cooperative", mu=0.5, w0=(-0.0,), input=pos, noise=pos),
+        AgentConfig("b", "cooperative", mu=0.5, w0=(-0.0,),
+                    input=GaussianParams(0.0, 1.0), noise=neg),
+        AgentConfig("e", "averaging", sources=("t",)),
+    )
+    trust = TrustMatrix(((1.0, 0.0, 0.0), (0.0, 0.5, 0.5), (0.0, 0.0, 1.0)))
+    for w_opt in ((0.0,), (-0.0,)):
+        s = Scenario(agents=agents, trust=trust, w_opt=w_opt, iterations=20,
+                     ensemble=2)
+        assert _bits(run(s)) == _bits(oracle.run(s))
+
+
+_FLOAT = st.floats(-3.0, 3.0)
+_STATS = st.builds(GaussianParams,
+                   st.one_of(st.sampled_from([0.0, -0.0, -0.5]), st.floats(-1.0, 1.0)),
+                   st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
+_MU = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+
+
+def _trust_row(draw, n):
+    """A row with exact 1.0s, exact zeros, a uniform or a normalized support."""
+    kind = draw(st.sampled_from(["one", "uniform", "weighted"]))
+    if kind == "one":
+        j = draw(st.integers(0, n - 1))
+        return tuple(1.0 if b == j else 0.0 for b in range(n))
+    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+    if kind == "uniform":
+        weights = {b: 1.0 for b in support}
+    else:
+        weights = {b: draw(st.floats(0.01, 1.0)) for b in support}
+    total = sum(weights.values())
+    return tuple(weights[b] / total if b in weights else 0.0 for b in range(n))
+
+
+@st.composite
+def scenarios(draw):
+    m = draw(st.integers(1, 4))
+    vector = st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1.0]), _FLOAT),
+                      min_size=m, max_size=m).map(tuple)
+    agents = []
+    for k in range(draw(st.integers(1, 4))):
+        inp, noise = draw(_STATS), draw(_STATS)
+        agents.append(AgentConfig(f"a{k}", "cooperative", mu=draw(_MU), w0=draw(vector),
+                                  input=inp, noise=noise))
+        if draw(st.booleans()):
+            agents.append(AgentConfig(f"t{k}", "standalone", mu=draw(_MU),
+                                      w0=draw(vector), input=inp, noise=noise,
+                                      counterpart=f"a{k}"))
+    if draw(st.booleans()):
+        agents.append(AgentConfig("solo", "standalone", mu=draw(_MU), w0=draw(vector),
+                                  input=draw(_STATS), noise=draw(_STATS)))
+    adaptive_ids = [cfg.id for cfg in agents]
+    for k in range(draw(st.integers(0, 2))):
+        sources = draw(st.lists(st.sampled_from(adaptive_ids), min_size=1,
+                                max_size=3, unique=True))
+        agents.append(AgentConfig(f"avg{k}", "averaging", sources=tuple(sources)))
+    agents = draw(st.permutations(agents))
+    adaptive = [cfg for cfg in agents if cfg.is_adaptive()]
+    n = len(adaptive)
+    rows = [_trust_row(draw, n) if cfg.kind == "cooperative"
+            else tuple(1.0 if b == a else 0.0 for b in range(n))
+            for a, cfg in enumerate(adaptive)]
+    return Scenario(agents=tuple(agents), trust=TrustMatrix(tuple(rows)),
+                    w_opt=draw(vector), iterations=draw(st.integers(1, 40)),
+                    seed=draw(st.integers(0, (1 << 64) - 1)),
+                    ensemble=draw(st.integers(1, 3)))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios())
+def test_generated_scenarios_match_oracle(scenario):
+    assert _outcome(run, scenario) == _outcome(oracle.run, scenario)
+
+
+def _unstable(iterations, ensemble, input_sd):
+    """table1 with mu=2.5 on every adaptive agent and the given input sd."""
+    s = builtin("table1")
+    agents = tuple(
+        cfg if not cfg.is_adaptive()
+        else dataclasses.replace(cfg, mu=2.5, input=GaussianParams(0.0, input_sd))
+        for cfg in s.agents)
+    return dataclasses.replace(s, agents=agents, iterations=iterations,
+                               ensemble=ensemble)
+
+
+@pytest.mark.parametrize("input_sd, message", [
+    (1.0, "divergence at run 2, iteration 101, agent c: weight estimate diverged"),
+    (1e308, "divergence at run 0, iteration 1, agent a: non-finite prediction error"),
+])
+def test_divergence_matches_oracle(input_sd, message):
+    s = _unstable(200, 4, input_sd)
+    errors = []
+    for run_fn in (run, oracle.run):
+        with pytest.raises(DivergenceError) as excinfo:
+            run_fn(s)
+        errors.append(excinfo.value)
+    engine, scalar = errors
+    assert str(engine).startswith(message)
+    assert ((str(engine), engine.run, engine.iteration, engine.agent)
+            == (str(scalar), scalar.run, scalar.iteration, scalar.agent))
+    assert _bits(engine.completed) == _bits(scalar.completed)
+
+
+def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
+    args = ["run", "table1", "--iterations", "200", "--ensemble", "4"]
+    for aid in "abcd":
+        args += ["--set", f"{aid}.mu=2.5", "--set", f"{aid}.input_sd=1.0"]
+    outputs = []
+    for name, run_fn in (("engine", run), ("oracle", oracle.run)):
+        monkeypatch.setattr(dlms.cli, "run", run_fn)
+        out = tmp_path / name / "d.csv"
+        out.parent.mkdir()
+        assert dlms.cli.main([*args, "--out", str(out)]) == 3
+        outputs.append((out.read_bytes(),
+                        out.with_name("d.error.json").read_text()))
+    assert outputs[0] == outputs[1]
+    csv_bytes, manifest = outputs[0]
+    assert csv_bytes.count(b"\n") == 1 + 2 * 200 * 5  # header + 2 completed runs
+    assert json.loads(manifest)["completed_runs"] == 2
+
+
+@pytest.mark.parametrize("scenario", [
+    dataclasses.replace(builtin("table3"), iterations=200, ensemble=5),
+    _unstable(200, 4, 1.0),  # diverges in run 2, the second chunk
+], ids=["table3", "divergent"])
+def test_chunks_of_two_runs_match_oracle(monkeypatch, scenario):
+    # 2 streams x 200 iterations x 2 draws per iteration = 800 draws per run
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", 1600)
+    assert _outcome(run, scenario) == _outcome(oracle.run, scenario)

@@ -19,7 +19,6 @@ def _record(trajs, w_opt=(2.0,)):
     return RunRecord(
         seed=0, w_opt=list(w_opt), agents=agents,
         ws={a: [[v] for v in t] for a, t in trajs.items()},
-        psis={a: [[v] for v in t] for a, t in trajs.items()},
         es={a: [0.0] * len(t) for a, t in trajs.items()},
     )
 
@@ -104,7 +103,7 @@ class TestCrossingIteration:
     def test_vector_weights_rejected(self):
         rec = RunRecord(seed=0, w_opt=[1.0, 1.0], agents=["p", "q"],
                         ws={"p": [[0.0, 0.0]], "q": [[1.0, 1.0]]},
-                        psis={}, es={})
+                        es={})
         with pytest.raises(ConfigError):
             crossing_iteration(rec, "p", "q")
 

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from dlms.errors import ConfigError
-from dlms.prng import RandomStream, derive_seed
+from dlms.prng import RandomStream, derive_seed, gaussian_block
 
 
 def test_splitmix64_seed0_golden():
@@ -97,3 +97,13 @@ def test_derive_seed_deterministic_and_distinct():
     assert derive_seed(42, 0) == derive_seed(42, 0)
     seeds = {derive_seed(42, k) for k in range(16)}
     assert len(seeds) == 16
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 7, 2000])
+def test_gaussian_block_is_the_stream_bit_for_bit(count):
+    seeds = [0, 1, 42, (1 << 64) - 1, derive_seed(7, 3)]
+    block = gaussian_block(seeds, count)
+    assert block.shape == (len(seeds), count)
+    for seed, row in zip(seeds, block):
+        stream = RandomStream(seed)
+        assert repr(row.tolist()) == repr([stream.next_gaussian() for _ in range(count)])

