@@ -2,7 +2,7 @@
 using the combine-then-adapt diffusion strategy."""
 
 from .errors import ConfigError, DivergenceError, ParseError
-from .metrics import MetricsReport, RunRecord
+from .metrics import EnsembleRecord, MetricsReport
 from .network import AgentState, TrustMatrix
 from .prng import RandomStream
 from .scenarios import AgentConfig, Scenario, builtin, parse, run, serialize
@@ -13,11 +13,11 @@ __all__ = [
     "AgentState",
     "ConfigError",
     "DivergenceError",
+    "EnsembleRecord",
     "GaussianParams",
     "MetricsReport",
     "ParseError",
     "RandomStream",
-    "RunRecord",
     "Scenario",
     "SignalSample",
     "TrustMatrix",

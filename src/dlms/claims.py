@@ -9,8 +9,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .metrics import convergence_iteration, steady_state_variance
-from .network import combine
+from .metrics import convergence_iteration, steady_state_variance, sum_in_order
 from .scenarios import (
     AVERAGING,
     COOPERATIVE,
@@ -53,38 +52,31 @@ def _single_averaging_id(scenario):
     return ids[0]
 
 
-def _norm(v):
-    return math.sqrt(sum(x * x for x in v))
+def _gap(record, p, q):
+    """Distance |w_p - w_q| between two agents' estimates per run and iteration."""
+    import numpy as np
+
+    d = record.w(p) - record.w(q)
+    return np.sqrt(sum_in_order(d * d, axis=-1))
 
 
-def _psis(record, adaptive, row):
-    """Combined intermediates psi(i) = combine(row, w(i-1)), with w(0) = w0."""
-    prev = [list(cfg.w0) for cfg in adaptive]
-    out = []
-    for i in range(record.iterations):
-        out.append(combine(row, prev))
-        prev = [record.ws[cfg.id][i] for cfg in adaptive]
-    return out
-
-
-def verify_claim(scenario, claim, records=None):
+def verify_claim(scenario, claim, record=None):
     if claim == "merge":
-        return verify_merge(scenario, records)
+        return verify_merge(scenario, record)
     if claim == "speedup":
-        return verify_speedup(scenario, records)
+        return verify_speedup(scenario, record)
     if claim == "delay":
         return verify_delay(scenario)
     if claim == "stabilize":
-        return verify_stabilize(scenario, records)
+        return verify_stabilize(scenario, record)
     raise ConfigError(f"unknown claim {claim!r}; valid claims: {', '.join(CLAIMS)}")
 
 
-def verify_merge(scenario, records=None):
+def verify_merge(scenario, record=None):
     """Equal-trust cooperative agents merge and track the averaging agent.
 
-    Checks (1) the combined intermediates of the cooperative agents,
-    recomputed from the recorded weights, are exactly equal at every
-    iteration (their trust rows coincide), and
+    Checks (1) the cooperative agents' trust rows are identical, so their
+    combined intermediates are equal at every iteration, and
     (2) the ensemble-mean gap between each cooperative agent and the
     averaging agent stays below 5% of the mean initial distance from
     iteration 10 onward.
@@ -98,42 +90,29 @@ def verify_merge(scenario, records=None):
     if any(row != coop_rows[0] for row in coop_rows[1:]):
         raise ConfigError("merge claim needs identical cooperative trust rows")
     avg_id = _single_averaging_id(scenario)
-    if records is None:
-        records = run(scenario)
-
-    rows = {cfg.id: row for cfg, row in zip(adaptive, scenario.trust.rows)}
-    psi_equal = all(
-        _psis(rec, adaptive, rows[coop[0]]) == _psis(rec, adaptive, rows[other])
-        for rec in records
-        for other in coop[1:]
-    )
+    if record is None:
+        record = run(scenario)
 
     w0s = [cfg.w0 for cfg in adaptive]
-    mean_w0 = [sum(w0[j] for w0 in w0s) / len(w0s)
+    mean_w0 = [sum_in_order(w0[j] for w0 in w0s) / len(w0s)
                for j in range(len(scenario.w_opt))]
-    threshold = MERGE_BAND_FRACTION * _norm(
-        [oj - mj for oj, mj in zip(scenario.w_opt, mean_w0)])
+    threshold = MERGE_BAND_FRACTION * math.sqrt(sum_in_order(
+        (oj - mj) * (oj - mj) for oj, mj in zip(scenario.w_opt, mean_w0)))
 
-    n = len(records)
-    length = records[0].iterations
     worst_gap = 0.0
     for aid in coop:
-        for i in range(MERGE_START_ITERATION - 1, length):
-            gap = sum(
-                _norm([wj - ej for wj, ej in
-                       zip(rec.ws[aid][i], rec.ws[avg_id][i])])
-                for rec in records
-            ) / n
-            worst_gap = max(worst_gap, gap)
-    passed = psi_equal and worst_gap < threshold
-    return ClaimResult("merge", passed, {
-        "psi_equal": psi_equal,
+        gaps = sum_in_order(_gap(record, aid, avg_id)) / len(record)
+        worst_gap = max([worst_gap, *gaps[MERGE_START_ITERATION - 1:].tolist()])
+    return ClaimResult("merge", worst_gap < threshold, {
+        # psi(i) = combine(row, w(i-1)) is the same function of the same
+        # weights for every cooperative agent: their rows were checked equal
+        "psi_equal": True,
         "worst_mean_gap": worst_gap,
         "threshold": threshold,
     })
 
 
-def verify_speedup(scenario, records=None):
+def verify_speedup(scenario, record=None):
     """Cooperative agents converge before the averaging reference agent."""
     coop = _cooperative_ids(scenario)
     if len(coop) < 2:
@@ -142,22 +121,17 @@ def verify_speedup(scenario, records=None):
     if len(mus) < 2:
         raise ConfigError("speedup claim needs heterogeneous learning rates")
     avg_id = _single_averaging_id(scenario)
-    if records is None:
-        records = run(scenario)
+    if record is None:
+        record = run(scenario)
     band = scenario_band(scenario)
 
-    wins = 0
-    for rec in records:
-        limit = convergence_iteration(rec, avg_id, band)
-        limit = math.inf if limit is None else limit
-        ok = True
-        for aid in coop:
-            conv = convergence_iteration(rec, aid, band)
-            if conv is None or not conv < limit:
-                ok = False
-                break
-        wins += ok
-    fraction = wins / len(records)
+    limits = convergence_iteration(record, avg_id, band)
+    convs = zip(*(convergence_iteration(record, aid, band) for aid in coop))
+    wins = sum(
+        all(conv is not None and conv < (math.inf if limit is None else limit)
+            for conv in run_convs)
+        for limit, run_convs in zip(limits, convs))
+    fraction = wins / len(record)
     return ClaimResult("speedup", fraction >= PAIRED_PASS_FRACTION, {
         "win_fraction": fraction,
         "required": PAIRED_PASS_FRACTION,
@@ -165,20 +139,18 @@ def verify_speedup(scenario, records=None):
     })
 
 
-def merge_iteration(record, coop_ids, w_opt, band_fraction=DELAY_BAND_FRACTION):
-    """First iteration where all cooperative estimates agree within the band."""
-    threshold = band_fraction * _norm(w_opt)
-    length = record.iterations
-    for i in range(length):
-        spread = max(
-            _norm([pj - qj for pj, qj in
-                   zip(record.ws[p][i], record.ws[q][i])])
-            for k, p in enumerate(coop_ids)
-            for q in coop_ids[k + 1:]
-        )
-        if spread < threshold:
-            return i + 1
-    return None
+def merge_iteration(record, coop_ids, band_fraction=DELAY_BAND_FRACTION):
+    """Per run, the first iteration where all cooperative estimates agree
+    within the band, or None."""
+    import numpy as np
+
+    threshold = band_fraction * math.sqrt(sum_in_order(x * x for x in record.w_opt))
+    spread = np.maximum.reduce([_gap(record, p, q)
+                                for k, p in enumerate(coop_ids)
+                                for q in coop_ids[k + 1:]])
+    merged = spread < threshold
+    return [i + 1 if hit else None
+            for hit, i in zip(merged.any(axis=1).tolist(), merged.argmax(axis=1).tolist())]
 
 
 def balanced_variant(scenario):
@@ -212,21 +184,14 @@ def verify_delay(scenario):
         raise ConfigError(
             "delay claim needs selfish trust; the scenario's cooperative "
             "rows are already balanced")
-    selfish_records = run(scenario)
-    balanced_records = run(balanced)
+    selfish_iters = merge_iteration(run(scenario), coop)
+    balanced_iters = merge_iteration(run(balanced), coop)
 
     horizon = scenario.iterations + 1
-    wins = 0
-    selfish_iters = []
-    balanced_iters = []
-    for rec_s, rec_b in zip(selfish_records, balanced_records):
-        it_s = merge_iteration(rec_s, coop, scenario.w_opt)
-        it_b = merge_iteration(rec_b, coop, scenario.w_opt)
-        selfish_iters.append(it_s)
-        balanced_iters.append(it_b)
-        wins += (it_s if it_s is not None else horizon) > \
-                (it_b if it_b is not None else horizon)
-    fraction = wins / len(selfish_records)
+    wins = sum((it_s if it_s is not None else horizon) >
+               (it_b if it_b is not None else horizon)
+               for it_s, it_b in zip(selfish_iters, balanced_iters))
+    fraction = wins / len(selfish_iters)
     med = sorted(x if x is not None else horizon for x in selfish_iters)
     med_b = sorted(x if x is not None else horizon for x in balanced_iters)
     return ClaimResult("delay", fraction >= PAIRED_PASS_FRACTION, {
@@ -237,7 +202,7 @@ def verify_delay(scenario):
     })
 
 
-def verify_stabilize(scenario, records=None):
+def verify_stabilize(scenario, record=None):
     """Cooperation damps the steady-state jitter of the noisiest agent.
 
     Compares the cooperative agent with the largest noise deviation against
@@ -253,14 +218,12 @@ def verify_stabilize(scenario, records=None):
         raise ConfigError(
             f"stabilize claim needs a standalone twin of agent {noisy.id!r}")
     twin = twins[0]
-    if records is None:
-        records = run(scenario)
+    if record is None:
+        record = run(scenario)
 
-    wins = sum(
-        steady_state_variance(rec, noisy.id) < steady_state_variance(rec, twin.id)
-        for rec in records
-    )
-    fraction = wins / len(records)
+    wins = sum(coop < solo for coop, solo in zip(
+        steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id)))
+    fraction = wins / len(record)
     return ClaimResult("stabilize", fraction >= STABILIZE_PASS_FRACTION, {
         "win_fraction": fraction,
         "required": STABILIZE_PASS_FRACTION,

@@ -118,22 +118,22 @@ def _fmt(value):
     return repr(float(value))
 
 
-def write_trajectories(path, scenario, records):
+def write_trajectories(path, scenario, record):
     m = len(scenario.w_opt)
     header = (["run", "iteration", "agent"]
               + [f"w{j}" for j in range(m)] + ["e", "dist_opt"])
+    order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
+    ids = [record.agents[a] for a in order]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for rec in records:
-            for i in range(rec.iterations):
-                for aid in sorted(rec.agents):
-                    w = rec.ws[aid][i]
-                    dist = sum((wj - oj) ** 2 for wj, oj in zip(w, rec.w_opt)) ** 0.5
-                    writer.writerow(
-                        [rec.run_index, i + 1, aid]
-                        + [_fmt(wj) for wj in w]
-                        + [_fmt(rec.es[aid][i]), _fmt(dist)])
+        for r, run_index in enumerate(record.runs):
+            rows = zip(record.ws[r][:, order].tolist(), record.es[r][:, order].tolist(),
+                       record.sq_dist[r][:, order].tolist())
+            for i, (ws, es, sq) in enumerate(rows, start=1):
+                for aid, w, e, d in zip(ids, ws, es, sq):
+                    writer.writerow([run_index, i, aid, *map(repr, w), repr(e),
+                                     repr(d ** 0.5)])
 
 
 def metrics_path(out):
@@ -141,8 +141,8 @@ def metrics_path(out):
     return out.with_name(out.stem + ".metrics" + (out.suffix or ".csv"))
 
 
-def write_metrics(path, scenario, records):
-    report = compute_report(scenario, records)
+def write_metrics(path, scenario, record):
+    report = compute_report(scenario, record)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "agent", "iteration", "value"])
@@ -167,7 +167,7 @@ def cmd_run(args):
     scenario = apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
     try:
-        records = run(scenario)
+        record = run(scenario)
     except DivergenceError as exc:
         if exc.completed:
             write_trajectories(out, scenario, exc.completed)
@@ -182,8 +182,8 @@ def cmd_run(args):
         }, indent=2) + "\n")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
-    write_trajectories(out, scenario, records)
-    write_metrics(metrics_path(out), scenario, records)
+    write_trajectories(out, scenario, record)
+    write_metrics(metrics_path(out), scenario, record)
     print(f"wrote {out} and {metrics_path(out)}")
     return EXIT_OK
 

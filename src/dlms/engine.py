@@ -12,6 +12,9 @@ the same order, so trajectories are bit-identical to it:
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
 
+Each chunk of runs is copied into one EnsembleRecord laid out [run,
+iteration, agent, weight component], where the averaging agents are added.
+
 No matrix products are used, because BLAS may reorder the sums.
 """
 
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .filters import DIVERGENCE_BOUND
-from .metrics import RunRecord
+from .metrics import EnsembleRecord
 from .prng import derive_seed, gaussian_block
 
 # Gaussian draws per chunk of runs; bounds the size of the engine's arrays.
@@ -34,29 +37,45 @@ def _stream_owners(scenario):
 
 
 def run_ensemble(scenario):
-    """Every run of the scenario, in run order, as RunRecords.
+    """Every run of the scenario, in run order, as one EnsembleRecord.
 
     Runs are simulated in chunks of a fixed number of Gaussian draws. On
     divergence it raises DivergenceError naming the first divergent run, its
     first divergent iteration and the lowest adaptive agent that diverged
-    there; ``completed`` holds the records of the runs before it.
+    there; ``completed`` is the record of the runs before it.
     """
+    adaptive = scenario.adaptive_agents()
+    averaging = scenario.averaging_agents()
+    n = len(adaptive)
+    ids = [cfg.id for cfg in adaptive + averaging]
+    index = {aid: a for a, aid in enumerate(ids)}
+    m = len(scenario.w_opt)
+    shape = (scenario.ensemble, scenario.iterations, len(ids))
+    record = EnsembleRecord(seed=scenario.seed, w_opt=tuple(scenario.w_opt), agents=ids,
+                            runs=list(range(scenario.ensemble)),
+                            ws=np.empty(shape + (m,)), es=np.zeros(shape))
     streams = len(set(_stream_owners(scenario)))
-    draws_per_run = streams * scenario.iterations * (len(scenario.w_opt) + 1)
-    chunk = max(1, _CHUNK_DRAWS // draws_per_run)
-    records = []
+    chunk = max(1, _CHUNK_DRAWS // (streams * scenario.iterations * (m + 1)))
     for start in range(0, scenario.ensemble, chunk):
         runs = range(start, min(start + chunk, scenario.ensemble))
         # divergent runs carry inf/nan through the rest of the loop
         with np.errstate(all="ignore"):
             ws, es = _simulate(scenario, runs)
             error = _first_divergence(scenario, runs, ws, es)
-            kept = len(runs) if error is None else error.run - start
-            records += _records(scenario, runs[:kept], ws, es)
+            stop = runs.stop if error is None else error.run
+            block = record.ws[start:stop]
+            block[:, :, :n] = ws[:, :stop - start].transpose(1, 0, 2, 3)
+            record.es[start:stop, :, :n] = es[:, :stop - start].transpose(1, 0, 2)
+            for a, cfg in enumerate(averaging, start=n):
+                first, *rest = (index[s] for s in cfg.sources)
+                total = block[:, :, first]
+                for b in rest:
+                    total = total + block[:, :, b]
+                block[:, :, a] = total / len(cfg.sources)
         if error is not None:
-            error.completed = records
+            error.completed = record.head(stop)
             raise error
-    return records
+    return record
 
 
 def _signals(scenario, runs):
@@ -157,29 +176,3 @@ def _first_divergence(scenario, runs, ws, es):
         f"divergence at run {run_index}, iteration {i + 1}, "
         f"agent {agent_id}: {detail}",
         agent=agent_id, iteration=i + 1, run=run_index)
-
-
-def _records(scenario, runs, ws, es):
-    """RunRecords of the first len(runs) runs of the chunk's arrays."""
-    adaptive = scenario.adaptive_agents()
-    index = {cfg.id: a for a, cfg in enumerate(adaptive)}
-    averages = []
-    for cfg in scenario.averaging_agents():
-        first, *rest = (index[s] for s in cfg.sources)
-        total = ws[:, :len(runs), first]
-        for b in rest:
-            total = total + ws[:, :len(runs), b]
-        averages.append((cfg.id, total / len(cfg.sources)))
-    ids = [cfg.id for cfg in adaptive] + [aid for aid, _ in averages]
-    records = []
-    for r, run_index in enumerate(runs):
-        rec = RunRecord(seed=scenario.seed, w_opt=list(scenario.w_opt),
-                        agents=list(ids), run_index=run_index)
-        for a, cfg in enumerate(adaptive):
-            rec.ws[cfg.id] = ws[:, r, a].tolist()
-            rec.es[cfg.id] = es[:, r, a].tolist()
-        for aid, w in averages:
-            rec.ws[aid] = w[:, r].tolist()
-            rec.es[aid] = [0.0] * scenario.iterations
-        records.append(rec)
-    return records

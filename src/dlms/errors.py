@@ -19,8 +19,9 @@ class DivergenceError(RuntimeError):
     """A weight estimate became non-finite or exceeded the divergence bound.
 
     Carries enough context to identify the offending run/agent/iteration.
-    ``completed`` holds the RunRecords of ensemble runs that finished before
-    the divergent one; partial records of the divergent run are discarded.
+    ``completed`` is the EnsembleRecord of the ensemble runs that finished
+    before the divergent one (the first ``run`` runs, possibly none); the
+    divergent run's partial trajectory is discarded.
     """
 
     def __init__(self, message, agent=None, iteration=None, run=None, completed=None):
@@ -28,4 +29,4 @@ class DivergenceError(RuntimeError):
         self.agent = agent
         self.iteration = iteration
         self.run = run
-        self.completed = completed if completed is not None else []
+        self.completed = completed

@@ -1,9 +1,4 @@
-"""Single-agent estimation math.
-
-``lms_step`` is the adaptation used inside the diffusion loop. ``cost`` and
-``batch_gd_step`` are reference operations kept for gradient checks; the
-simulator never calls them.
-"""
+"""Single-agent estimation math: the LMS adaptation of the diffusion loop."""
 
 import math
 
@@ -13,38 +8,13 @@ DIVERGENCE_BOUND = 1e12
 
 
 def predict(w, x):
-    """Linear prediction w . x."""
+    """Linear prediction w . x, added left to right from 0.0."""
     if len(w) != len(x):
         raise ConfigError(f"length mismatch: weights {len(w)}, input {len(x)}")
-    return sum(wi * xi for wi, xi in zip(w, x))
-
-
-def cost(w, xs, ys):
-    """Mean squared residual cost (1/2L) * sum((y_k - w.x_k)^2)."""
-    if len(xs) == 0:
-        raise ConfigError("empty dataset")
-    if len(xs) != len(ys):
-        raise ConfigError(f"length mismatch: {len(xs)} inputs, {len(ys)} targets")
     total = 0.0
-    for x, y in zip(xs, ys):
-        r = y - predict(w, x)
-        total += r * r
-    return total / (2 * len(xs))
-
-
-def batch_gd_step(w, xs, ys, mu):
-    """One batch gradient-descent step on the mean squared residual cost."""
-    if mu <= 0:
-        raise ConfigError(f"batch step size must be positive, got {mu}")
-    if len(xs) == 0:
-        raise ConfigError("empty dataset")
-    grad = [0.0] * len(w)
-    for x, y in zip(xs, ys):
-        r = y - predict(w, x)
-        for j, xj in enumerate(x):
-            grad[j] += r * xj
-    inv_l = 1.0 / len(xs)
-    return [wj + mu * inv_l * gj for wj, gj in zip(w, grad)]
+    for wi, xi in zip(w, x):
+        total += wi * xi
+    return total
 
 
 def lms_step(psi, x, y, mu):

@@ -1,8 +1,20 @@
-"""Trajectory post-processing: MSD, steady-state variance, convergence and
-crossing detection, and the analytic variance of a trusted weighted sum."""
+"""Ensemble records and their reductions: MSD, steady-state variance,
+convergence and crossing detection.
+
+Every reduction adds in run order and left to right along iterations and
+weight components, and squares distances with Python's float power (the C
+library's ``pow``). numpy's own sums add pairwise and Python 3.12's ``sum``
+compensates; numpy's ``x**2`` and ``pow`` round differently from libm's
+``pow``. Any of them would change the last bit of the reported metrics.
+numpy is imported inside the functions, so loading a scenario stays
+numpy-free.
+"""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add
 
 from .errors import ConfigError
 
@@ -10,31 +22,70 @@ STEADY_STATE_WINDOW = 0.2
 CONVERGENCE_BAND_FRACTION = 0.1
 
 
-@dataclass
-class RunRecord:
-    """Per-iteration, per-agent trajectory of one simulation run.
+def sum_in_order(values, axis=0):
+    """0.0 + v[0] + v[1] + ... along ``axis``, one addition at a time.
 
-    Iteration i of the horizon [1, L] is stored at list index i-1.
+    Takes any iterable of floats, or an array summed along ``axis``.
+    """
+    if axis:
+        import numpy as np
+
+        values = np.moveaxis(values, axis, 0)
+    return reduce(add, values, 0.0)
+
+
+def square(a):
+    """Element-wise ``x ** 2`` of an array, with Python's float power."""
+    import numpy as np
+
+    return np.fromiter(map(pow, a.ravel().tolist(), repeat(2)),
+                       np.float64, a.size).reshape(a.shape)
+
+
+@dataclass(eq=False)
+class EnsembleRecord:
+    """Trajectories of a set of runs of one scenario, as numpy arrays.
+
+    ``ws[r, i, a]`` is the estimate (M components) of agent ``agents[a]``
+    after iteration i+1 of run ``runs[r]``; ``es[r, i, a]`` is its prediction
+    error. Adaptive agents come first, in scenario order, then the averaging
+    agents, whose error is 0.0.
     """
 
     seed: int
-    w_opt: list
+    w_opt: tuple
     agents: list
-    run_index: int = 0
-    ws: dict = field(default_factory=dict)
-    es: dict = field(default_factory=dict)
+    runs: list
+    ws: object  # float64 [R, L, A, M]
+    es: object  # float64 [R, L, A]
+
+    def __len__(self):
+        return len(self.runs)
 
     @property
     def iterations(self):
-        return len(self.ws[self.agents[0]]) if self.agents else 0
+        return self.ws.shape[1]
 
-    def dist_opt(self, agent):
-        """Euclidean distance |w(i) - w_opt| per iteration."""
-        wo = self.w_opt
-        return [
-            math.sqrt(sum((wj - oj) ** 2 for wj, oj in zip(w, wo)))
-            for w in self.ws[agent]
-        ]
+    def w(self, agent):
+        """Estimates [R, L, M] of one agent."""
+        return self.ws[:, :, self.agents.index(agent)]
+
+    def head(self, k):
+        """Record of the first k runs."""
+        return replace(self, runs=self.runs[:k], ws=self.ws[:k], es=self.es[:k])
+
+    @cached_property
+    def sq_dist(self):
+        """Squared distance |w - w_opt|^2 per run, iteration and agent [R, L, A]."""
+        import numpy as np
+
+        return sum_in_order(square(self.ws - np.array(self.w_opt)), axis=-1)
+
+    def dist(self, agent):
+        """Distance |w - w_opt| of one agent [R, L]."""
+        import numpy as np
+
+        return np.sqrt(self.sq_dist[:, :, self.agents.index(agent)])
 
 
 @dataclass
@@ -47,96 +98,71 @@ class MetricsReport:
     crossing_iter: dict
 
 
-def msd_series(records, agent):
+def msd_series(record, agent):
     """Ensemble-mean squared distance |w(i) - w_opt|^2, one value per iteration."""
-    if not records:
-        raise ConfigError("empty record list")
-    length = records[0].iterations
-    out = [0.0] * length
-    for rec in records:
-        wo = rec.w_opt
-        traj = rec.ws[agent]
-        if len(traj) != length:
-            raise ConfigError("records disagree on horizon length")
-        for i, w in enumerate(traj):
-            out[i] += sum((wj - oj) ** 2 for wj, oj in zip(w, wo))
-    n = len(records)
-    return [v / n for v in out]
+    if not len(record):
+        raise ConfigError("empty ensemble")
+    sq = record.sq_dist[:, :, record.agents.index(agent)]
+    return (sum_in_order(sq) / len(record)).tolist()
 
 
 def steady_state_variance(record, agent, window_fraction=STEADY_STATE_WINDOW):
-    """Sample variance of the estimate over the final window of the horizon.
+    """Sample variance of the estimate over the final window of the horizon,
+    one value per run.
 
     For vector weights the per-component sample variances are summed.
     """
     if not 0 < window_fraction <= 1:
         raise ConfigError(f"window fraction {window_fraction} outside (0, 1]")
-    traj = record.ws[agent]
-    window = traj[len(traj) - math.ceil(window_fraction * len(traj)):]
-    n = len(window)
+    length = record.iterations
+    window = record.w(agent)[:, length - math.ceil(window_fraction * length):]
+    n = window.shape[1]
     if n < 2:
         raise ConfigError(f"steady-state window of {n} samples is too short")
-    m = len(record.w_opt)
-    total = 0.0
-    for j in range(m):
-        comp = [w[j] for w in window]
-        mean = sum(comp) / n
-        total += sum((c - mean) ** 2 for c in comp) / (n - 1)
-    return total
+    mean = sum_in_order(window, axis=1) / n
+    var = sum_in_order(square(window - mean[:, None]), axis=1) / (n - 1)
+    return sum_in_order(var, axis=-1).tolist()
 
 
 def convergence_iteration(record, agent, band):
-    """Smallest i such that |w(j) - w_opt| <= band for every j >= i.
+    """Per run, the smallest i such that |w(j) - w_opt| <= band for every j >= i.
 
-    Returns None when the trajectory is not inside the band at the horizon
-    end (never converged, or left the band again).
+    A run's entry is None when its trajectory is not inside the band at the
+    horizon end (never converged, or left the band again).
     """
     if band <= 0:
         raise ConfigError(f"convergence band must be positive, got {band}")
-    dists = record.dist_opt(agent)
-    last_violation = None
-    for i in range(len(dists) - 1, -1, -1):
-        if dists[i] > band:
-            last_violation = i
-            break
-    if last_violation is None:
-        return 1
-    if last_violation == len(dists) - 1:
-        return None
-    return last_violation + 2
+    outside = record.dist(agent) > band
+    last = record.iterations - 1
+    # index of the last iteration outside the band
+    violations = last - outside[:, ::-1].argmax(axis=1)
+    return [1 if not any_out else None if v == last else v + 2
+            for any_out, v in zip(outside.any(axis=1).tolist(), violations.tolist())]
 
 
 def crossing_iteration(record, agent_p, agent_q):
-    """First iteration where the distance-to-optimum ordering of p and q flips.
+    """Per run, the first iteration where the distance-to-optimum ordering of
+    p and q flips.
 
-    Defined for scalar weights only. Returns None if the agents start tied
-    or the initial ordering never reverses.
+    Defined for scalar weights only. A run's entry is None if the agents
+    start tied or the initial ordering never reverses.
     """
     if len(record.w_opt) != 1:
         raise ConfigError("crossing detection requires scalar weights (M=1)")
-    dp = record.dist_opt(agent_p)
-    dq = record.dist_opt(agent_q)
-    initial = dp[0] - dq[0]
-    if initial == 0.0:
-        return None
-    for i in range(1, len(dp)):
-        if initial * (dp[i] - dq[i]) < 0:
-            return i + 1
-    return None
-
-
-def weighted_sum_variance(s_ab, s_ba, var_x, var_y, cov_xy=0.0):
-    """Variance of z = s_ab*x + s_ba*y."""
-    if var_x < 0 or var_y < 0:
-        raise ConfigError("variances must be non-negative")
-    return s_ab * s_ab * var_x + s_ba * s_ba * var_y + 2.0 * s_ab * s_ba * cov_xy
+    if record.iterations < 2:
+        return [None] * len(record)
+    diff = record.dist(agent_p) - record.dist(agent_q)
+    # a tie at the start (0.0 * d) never counts as a flip
+    flipped = diff[:, :1] * diff[:, 1:] < 0
+    return [k + 2 if hit else None for hit, k in
+            zip(flipped.any(axis=1).tolist(), flipped.argmax(axis=1).tolist())]
 
 
 def default_band(w0s, w_opt, fraction=CONVERGENCE_BAND_FRACTION):
     """Convergence band relative to the mean initial distance from w_opt."""
     m = len(w_opt)
-    mean_w0 = [sum(w0[j] for w0 in w0s) / len(w0s) for j in range(m)]
-    dist = math.sqrt(sum((mj - oj) ** 2 for mj, oj in zip(mean_w0, w_opt)))
+    mean_w0 = [sum_in_order(w0[j] for w0 in w0s) / len(w0s) for j in range(m)]
+    dist = math.sqrt(sum_in_order((mj - oj) ** 2 for mj, oj in zip(mean_w0, w_opt)))
     if dist == 0.0:
         raise ConfigError("mean initial weight equals w_opt; band undefined")
     return fraction * dist

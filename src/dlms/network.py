@@ -59,11 +59,9 @@ def combine(trust_row, previous_weights):
     """Convex combination sum_b s_ab * w_b(i-1) over the neighbourhood.
 
     Zero coefficients are skipped, so an identity row returns the agent's own
-    previous weight bit-exactly.
+    previous weight bit-exactly. The row is not rechecked here: TrustMatrix
+    validates its rows once.
     """
-    total = sum(trust_row)
-    if abs(total - 1.0) > ROW_SUM_TOL:
-        raise ConfigError(f"trust row sum {total} != 1")
     out = None
     for s, w in zip(trust_row, previous_weights):
         if s == 0.0:
@@ -74,17 +72,6 @@ def combine(trust_row, previous_weights):
             for j, wj in enumerate(w):
                 out[j] += s * wj
     return out
-
-
-def pairwise_combine(w_a, w_b, s_ab):
-    """Two-agent combine written as w_a + s_ab*(w_b - w_a)."""
-    if not 0.0 <= s_ab <= 1.0:
-        raise ConfigError(f"trust coefficient {s_ab} outside [0, 1]")
-    if s_ab == 0.0:
-        return list(w_a)
-    if s_ab == 1.0:
-        return list(w_b)
-    return [aj + s_ab * (bj - aj) for aj, bj in zip(w_a, w_b)]
 
 
 def averaging_update(sources):

@@ -11,12 +11,12 @@ from dataclasses import dataclass, replace
 from .errors import ConfigError, ParseError
 from .metrics import (
     MetricsReport,
-    RunRecord,
     convergence_iteration,
     crossing_iteration,
     default_band,
     msd_series,
     steady_state_variance,
+    sum_in_order,
 )
 from .network import TrustMatrix
 from .signals import GaussianParams
@@ -90,6 +90,11 @@ def validate(scenario):
     _check_finite("w_opt", scenario.w_opt)
 
     ids = [cfg.id for cfg in scenario.agents]
+    for aid in ids:
+        # such ids break the config format or the --set AGENT.FIELD syntax
+        if not aid or aid.startswith("[") or any(c.isspace() or c in ",#." for c in aid):
+            raise ConfigError(f"agent id {aid!r} must be non-empty, must not start "
+                              "with '[' and must not contain whitespace, ',', '#' or '.'")
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate agent ids: {ids}")
     by_id = {cfg.id: cfg for cfg in scenario.agents}
@@ -230,6 +235,13 @@ def _parse_vector(text, line):
         raise ParseError(f"invalid vector {text!r}", line) from None
 
 
+def _add_entry(entries, key, value, lineno, name):
+    """entries[key] = (value, lineno); a key given twice is a ParseError."""
+    if key in entries:
+        raise ParseError(f"duplicate {name}, first given on line {entries[key][1]}", lineno)
+    entries[key] = (value, lineno)
+
+
 def parse(config_text):
     """Parse the line-oriented scenario config format.
 
@@ -238,7 +250,7 @@ def parse(config_text):
     """
     network = {}
     agent_sections = []
-    trust_entries = []
+    trust_entries = {}
     section = None
 
     for lineno, raw in enumerate(config_text.splitlines(), start=1):
@@ -266,7 +278,8 @@ def parse(config_text):
                 coeff = float(parts[2])
             except ValueError:
                 raise ParseError(f"invalid trust coefficient {parts[2]!r}", lineno) from None
-            trust_entries.append((parts[0], parts[1], coeff, lineno))
+            _add_entry(trust_entries, (parts[0], parts[1]), coeff, lineno,
+                       f"trust entry {parts[0]} -> {parts[1]}")
             continue
         if "=" not in text:
             raise ParseError(f"expected key=value, got {text!r}", lineno)
@@ -276,11 +289,11 @@ def parse(config_text):
         if section == "network":
             if key not in _NETWORK_KEYS:
                 raise ParseError(f"unknown network key {key!r}", lineno)
-            network[key] = (value, lineno)
+            _add_entry(network, key, value, lineno, f"network key {key!r}")
         else:
             if key not in _AGENT_KEYS:
                 raise ParseError(f"unknown agent key {key!r}", lineno)
-            agent_sections[-1][key] = (value, lineno)
+            _add_entry(agent_sections[-1], key, value, lineno, f"agent key {key!r}")
 
     def net_value(key, default, conv):
         if key not in network:
@@ -335,7 +348,7 @@ def parse(config_text):
     n = len(adaptive_ids)
     rows = [[0.0] * n for _ in range(n)]
     listed = set()
-    for src, dst, coeff, lineno in trust_entries:
+    for (src, dst), (coeff, lineno) in trust_entries.items():
         if src not in index or dst not in index:
             raise ParseError(f"trust entry names unknown adaptive agent "
                              f"{src!r} -> {dst!r}", lineno)
@@ -394,10 +407,10 @@ def serialize(scenario):
 # ---------------------------------------------------------------------------
 
 def run(scenario):
-    """Execute the full ensemble; returns one RunRecord per run, in run order.
+    """Execute the full ensemble; returns its EnsembleRecord, runs in order.
 
-    On divergence the raised error carries the records of the runs that
-    completed before the divergent one.
+    On divergence the raised error's ``completed`` is the record of the runs
+    that finished before the divergent one.
     """
     from .engine import run_ensemble  # numpy loads with the first run, not at import
 
@@ -410,52 +423,39 @@ def scenario_band(scenario):
                         scenario.w_opt)
 
 
-def mean_record(records):
-    """Ensemble-mean trajectory, packaged as a RunRecord for the detectors."""
-    if not records:
-        raise ConfigError("empty record list")
-    first = records[0]
-    n = len(records)
-    length = first.iterations
-    m = len(first.w_opt)
-    mean = RunRecord(seed=first.seed, w_opt=list(first.w_opt),
-                     agents=list(first.agents))
-    for aid in first.agents:
-        mean.ws[aid] = [
-            [sum(rec.ws[aid][i][j] for rec in records) / n for j in range(m)]
-            for i in range(length)
-        ]
-        mean.es[aid] = [sum(rec.es[aid][i] for rec in records) / n
-                        for i in range(length)]
-    return mean
+def mean_record(record):
+    """Ensemble-mean trajectory, as a one-run record for the detectors."""
+    if not len(record):
+        raise ConfigError("empty ensemble")
+    n = len(record)
+    return replace(record, runs=[0], ws=(sum_in_order(record.ws) / n)[None],
+                   es=(sum_in_order(record.es) / n)[None])
 
 
-def compute_report(scenario, records):
+def compute_report(scenario, record):
     """MetricsReport over an ensemble.
 
     Convergence and crossing detection run on the ensemble-mean trajectory;
     steady-state variance is the mean of the per-run variances.
     """
-    mean = mean_record(records)
-    agents = mean.agents
-    msd = {aid: msd_series(records, aid) for aid in agents}
+    mean = mean_record(record)
+    agents = record.agents
+    msd = {aid: msd_series(record, aid) for aid in agents}
     try:
-        ss_var = {
-            aid: sum(steady_state_variance(rec, aid) for rec in records) / len(records)
-            for aid in agents
-        }
+        ss_var = {aid: sum_in_order(steady_state_variance(record, aid)) / len(record)
+                  for aid in agents}
     except ConfigError:
         # horizon too short for the steady-state window
         ss_var = {aid: None for aid in agents}
     try:
         band = scenario_band(scenario)
-        conv = {aid: convergence_iteration(mean, aid, band) for aid in agents}
+        conv = {aid: convergence_iteration(mean, aid, band)[0] for aid in agents}
     except ConfigError:
         conv = {aid: None for aid in agents}
     crossings = {}
     if len(scenario.w_opt) == 1:
         for i, p in enumerate(agents):
             for q in agents[i + 1:]:
-                crossings[(p, q)] = crossing_iteration(mean, p, q)
+                crossings[(p, q)] = crossing_iteration(mean, p, q)[0]
     return MetricsReport(msd=msd, steady_state_var=ss_var,
                          convergence_iter=conv, crossing_iter=crossings)

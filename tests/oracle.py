@@ -1,16 +1,20 @@
-"""Scalar reference simulator for the vectorized ensemble engine.
+"""Scalar reference simulator for the vectorized ensemble engine, and
+reference operations that only tests use.
 
 ``run_single`` advances one run through ``network.cta_iteration`` with one
 ``generate_sample`` per stream owner and iteration; ``run`` chains the runs
-of an ensemble. Tests require the engine to reproduce it bit for bit. It sums
-with the builtin ``sum``, which adds left to right up to Python 3.11 (3.12
-compensates the rounding), so for M >= 2 it is the reference on Python <= 3.11.
+of an ensemble. Tests require the engine to reproduce it bit for bit. Every
+sum adds left to right from 0.0, as Python 3.11's builtin ``sum`` does
+(3.12 compensates the rounding).
 """
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from dlms.errors import ConfigError, DivergenceError
-from dlms.metrics import RunRecord
+from dlms.filters import predict
+from dlms.metrics import EnsembleRecord
 from dlms.network import AgentState, cta_iteration
 from dlms.prng import RandomStream, derive_seed
 from dlms.signals import SignalSample
@@ -19,10 +23,31 @@ _SEED_MASK = (1 << 64) - 1
 
 
 @dataclass
-class OracleRecord(RunRecord):
-    """RunRecord that also keeps every combined intermediate psi."""
+class OracleRecord:
+    """One run as per-agent lists: ws[agent][i] is the estimate after
+    iteration i+1, es[agent][i] its prediction error."""
 
-    psis: dict = field(default_factory=dict)
+    seed: int
+    w_opt: list
+    agents: list
+    run_index: int = 0
+    ws: dict = field(default_factory=dict)
+    es: dict = field(default_factory=dict)
+
+
+def as_ensemble_record(scenario, records):
+    """The oracle's records as the engine's EnsembleRecord."""
+    agents = ([cfg.id for cfg in scenario.adaptive_agents()]
+              + [cfg.id for cfg in scenario.averaging_agents()])
+    shape = (len(records), scenario.iterations, len(agents), len(scenario.w_opt))
+    ws = [[[rec.ws[aid][i] for aid in agents] for i in range(scenario.iterations)]
+          for rec in records]
+    es = [[[rec.es[aid][i] for aid in agents] for i in range(scenario.iterations)]
+          for rec in records]
+    return EnsembleRecord(seed=scenario.seed, w_opt=tuple(scenario.w_opt), agents=agents,
+                          runs=[rec.run_index for rec in records],
+                          ws=np.array(ws, dtype=np.float64).reshape(shape),
+                          es=np.array(es, dtype=np.float64).reshape(shape[:3]))
 
 
 def generate_sample(stream, w_opt, input_params, noise_params):
@@ -38,7 +63,10 @@ def generate_sample(stream, w_opt, input_params, noise_params):
         for _ in w_opt
     )
     q = stream.next_gaussian(noise_params.mean, noise_params.sd)
-    y = sum(wi * xi for wi, xi in zip(w_opt, x)) + q
+    y = 0.0
+    for wi, xi in zip(w_opt, x):
+        y += wi * xi
+    y += q
     return SignalSample(x=x, y=y, q=q)
 
 
@@ -53,7 +81,7 @@ def _stream_owners(scenario):
 
 
 def run_single(scenario, run_index):
-    """Execute one run of the scenario; returns its RunRecord.
+    """Execute one run of the scenario; returns its OracleRecord.
 
     Per-agent streams are seeded with derive_seed(seed XOR run_index, k)
     where k is the stream owner's position in the agent list; twins share
@@ -76,8 +104,10 @@ def run_single(scenario, run_index):
 
     states = [AgentState(w=list(cfg.w0), psi=list(cfg.w0), e=0.0) for cfg in adaptive]
     for sources in averaging_sources:
-        w = [sum(states[b].w[j] for b in sources) / len(sources)
-             for j in range(len(scenario.w_opt))]
+        w = [0.0] * len(scenario.w_opt)
+        for b in sources:
+            w = [wj + sj for wj, sj in zip(w, states[b].w)]
+        w = [wj / len(sources) for wj in w]
         states.append(AgentState(w=w, psi=list(w), e=0.0))
 
     ordered_ids = [cfg.id for cfg in adaptive] + [cfg.id for cfg in averaging]
@@ -87,7 +117,6 @@ def run_single(scenario, run_index):
         agents=ordered_ids,
         run_index=run_index,
         ws={aid: [] for aid in ordered_ids},
-        psis={aid: [] for aid in ordered_ids},
         es={aid: [] for aid in ordered_ids},
     )
 
@@ -110,7 +139,6 @@ def run_single(scenario, run_index):
                 agent=agent_id, iteration=i, run=run_index) from exc
         for aid, st in zip(ordered_ids, states):
             record.ws[aid].append(list(st.w))
-            record.psis[aid].append(list(st.psi))
             record.es[aid].append(st.e)
     return record
 
@@ -125,3 +153,49 @@ def run(scenario):
             exc.completed = records
             raise
     return records
+
+
+def cost(w, xs, ys):
+    """Mean squared residual cost (1/2L) * sum((y_k - w.x_k)^2)."""
+    if len(xs) == 0:
+        raise ConfigError("empty dataset")
+    if len(xs) != len(ys):
+        raise ConfigError(f"length mismatch: {len(xs)} inputs, {len(ys)} targets")
+    total = 0.0
+    for x, y in zip(xs, ys):
+        r = y - predict(w, x)
+        total += r * r
+    return total / (2 * len(xs))
+
+
+def batch_gd_step(w, xs, ys, mu):
+    """One batch gradient-descent step on the mean squared residual cost."""
+    if mu <= 0:
+        raise ConfigError(f"batch step size must be positive, got {mu}")
+    if len(xs) == 0:
+        raise ConfigError("empty dataset")
+    grad = [0.0] * len(w)
+    for x, y in zip(xs, ys):
+        r = y - predict(w, x)
+        for j, xj in enumerate(x):
+            grad[j] += r * xj
+    inv_l = 1.0 / len(xs)
+    return [wj + mu * inv_l * gj for wj, gj in zip(w, grad)]
+
+
+def pairwise_combine(w_a, w_b, s_ab):
+    """Two-agent combine written as w_a + s_ab*(w_b - w_a)."""
+    if not 0.0 <= s_ab <= 1.0:
+        raise ConfigError(f"trust coefficient {s_ab} outside [0, 1]")
+    if s_ab == 0.0:
+        return list(w_a)
+    if s_ab == 1.0:
+        return list(w_b)
+    return [aj + s_ab * (bj - aj) for aj, bj in zip(w_a, w_b)]
+
+
+def weighted_sum_variance(s_ab, s_ba, var_x, var_y, cov_xy=0.0):
+    """Variance of z = s_ab*x + s_ba*y."""
+    if var_x < 0 or var_y < 0:
+        raise ConfigError("variances must be non-negative")
+    return s_ab * s_ab * var_x + s_ba * s_ba * var_y + 2.0 * s_ab * s_ba * cov_xy

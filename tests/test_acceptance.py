@@ -13,9 +13,8 @@ import pytest
 
 from dlms.claims import merge_iteration, verify_merge, verify_speedup, verify_stabilize
 from dlms.errors import DivergenceError
-from dlms.filters import batch_gd_step, cost
-from dlms.metrics import crossing_iteration, weighted_sum_variance
-from dlms.network import TrustMatrix, combine, cta_iteration, pairwise_combine
+from dlms.metrics import crossing_iteration
+from dlms.network import TrustMatrix, combine, cta_iteration
 from dlms.network import AgentState
 from dlms.prng import RandomStream
 from dlms.scenarios import (
@@ -28,6 +27,7 @@ from dlms.scenarios import (
     with_trust,
 )
 from dlms.signals import GaussianParams, SignalSample
+from oracle import batch_gd_step, cost, pairwise_combine, weighted_sum_variance
 
 
 def report(criterion, passed, detail=""):
@@ -64,9 +64,10 @@ def test_c01_identity_trust_reduction():
         return Scenario(agents=agents, trust=TrustMatrix.identity(2),
                         w_opt=(2.0,), iterations=1000, seed=7, ensemble=1)
 
-    coop = run(scenario("cooperative"))[0]
-    solo = run(scenario("standalone"))[0]
-    identical = coop.ws == solo.ws and coop.es == solo.es
+    coop = run(scenario("cooperative"))
+    solo = run(scenario("standalone"))
+    identical = (coop.ws.tolist() == solo.ws.tolist()
+                 and coop.es.tolist() == solo.es.tolist())
     report(1, identical, "identity-trust CTA == standalone LMS, bit-exact")
 
 
@@ -85,11 +86,8 @@ def test_c02_pairwise_combine_equivalence():
 
 def test_c03_averaging_agent_exact(ensembles):
     exact = all(
-        rec.ws["e"][i] == [(c + d) / 2 for c, d in
-                           zip(rec.ws["c"][i], rec.ws["d"][i])]
-        for records in ensembles.values()
-        for rec in records
-        for i in range(rec.iterations)
+        (record.w("e") == (record.w("c") + record.w("d")) / 2).all()
+        for record in ensembles.values()
     )
     report(3, exact, "w_e(i) == (w_c(i)+w_d(i))/2 in every builtin run")
 
@@ -107,7 +105,7 @@ def test_c04_hand_trace_oracle():
 
 
 def test_c05_merge(ensembles):
-    result = verify_merge(builtin("table1"), records=ensembles["table1"])
+    result = verify_merge(builtin("table1"), record=ensembles["table1"])
     report(5, result.passed,
            f"psi_equal={result.details['psi_equal']}, "
            f"mean gap {result.details['worst_mean_gap']:.4f} "
@@ -115,28 +113,28 @@ def test_c05_merge(ensembles):
 
 
 def test_c06_speedup(ensembles):
-    result = verify_speedup(builtin("table2"), records=ensembles["table2"])
+    result = verify_speedup(builtin("table2"), record=ensembles["table2"])
     report(6, result.passed,
            f"coop converge before averaging agent in "
            f"{result.details['win_fraction']:.0%} of runs (need >= 90%)")
 
 
 def test_c07_crossing(ensembles):
-    records = ensembles["table4"]
-    crossings = [crossing_iteration(rec, "c", "d") for rec in records]
-    exist_fraction = sum(c is not None for c in crossings) / len(records)
+    record = ensembles["table4"]
+    crossings = crossing_iteration(record, "c", "d")
+    exist_fraction = sum(c is not None for c in crossings) / len(record)
 
-    def coop_below_onward(rec):
-        da, db, de = rec.dist_opt("a"), rec.dist_opt("b"), rec.dist_opt("e")
+    def coop_below_onward(r):
+        da, db, de = (record.dist(aid)[r].tolist() for aid in "abe")
         onset = None
-        for i in range(rec.iterations - 1, -1, -1):
+        for i in range(record.iterations - 1, -1, -1):
             if not (da[i] < de[i] and db[i] < de[i]):
                 break
             onset = i
         return onset
 
     below_fraction = sum(
-        coop_below_onward(rec) is not None for rec in records) / len(records)
+        coop_below_onward(r) is not None for r in range(len(record))) / len(record)
     median_cross = statistics.median(c for c in crossings if c is not None)
     passed = exist_fraction >= 0.90 and below_fraction >= 0.90
     report(7, passed,
@@ -148,12 +146,10 @@ def test_c07_crossing(ensembles):
 def test_c08_delay(ensembles, selfish_records):
     balanced_records = ensembles["table1"]
     coop = ["a", "b"]
-    w_opt = (2.0,)
     horizon = 1001
     wins = 0
-    for rec_s, rec_b in zip(selfish_records, balanced_records):
-        it_s = merge_iteration(rec_s, coop, w_opt)
-        it_b = merge_iteration(rec_b, coop, w_opt)
+    for it_s, it_b in zip(merge_iteration(selfish_records, coop),
+                          merge_iteration(balanced_records, coop)):
         wins += (it_s or horizon) > (it_b or horizon)
     fraction = wins / len(selfish_records)
     report(8, fraction >= 0.90,
@@ -162,7 +158,7 @@ def test_c08_delay(ensembles, selfish_records):
 
 
 def test_c09_stabilization(ensembles):
-    result = verify_stabilize(builtin("table5"), records=ensembles["table5"])
+    result = verify_stabilize(builtin("table5"), record=ensembles["table5"])
     report(9, result.passed,
            f"var(cooperative b) < var(standalone twin d) in "
            f"{result.details['win_fraction']:.0%} of runs (need >= 95%)")
@@ -243,10 +239,10 @@ def test_c13_stability_boundary():
     except DivergenceError:
         diverged = True
     # mu*E[x^2] = 0.5: must converge into the default band
-    rec = run(_scalar_scenario(0.5, 1000))[0]
+    rec = run(_scalar_scenario(0.5, 1000))
     from dlms.metrics import convergence_iteration
     band = scenario_band(_scalar_scenario(0.5, 1000))
-    conv = convergence_iteration(rec, "solo", band)
+    conv = convergence_iteration(rec, "solo", band)[0]
     report(13, diverged and conv is not None,
            f"mu*E[x^2]=2.5 diverges (detected); mu*E[x^2]=0.5 converges "
            f"at iteration {conv}")

@@ -112,6 +112,14 @@ def test_setup_does_not_import_numpy(tmp_path):
     assert result.stdout == "[]\n"
 
 
+def test_agent_id_that_breaks_the_format_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "dotted.cfg"
+    cfg.write_text("[network]\niterations = 5\nensemble = 1\n"
+                   "[agent]\nid = x.y\nkind = standalone\nw0 = 0\n")
+    assert run_cli("run", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+    assert "agent id 'x.y'" in capsys.readouterr().err
+
+
 def test_trust_override(tmp_path):
     out = tmp_path / "t.csv"
     assert run_cli("run", "table1", "--iterations", "5", "--ensemble", "1",

@@ -8,20 +8,30 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings
 
 import dlms.cli
 import oracle
 from dlms import engine
-from dlms.claims import _psis
 from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
 from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
 from dlms.signals import GaussianParams
+from strategies import scenarios
 
 
 def _bits(records):
-    return [(r.run_index, r.agents, repr(r.ws), repr(r.es)) for r in records]
+    """Per run: index, agents and the repr of its per-agent ws and es lists.
+
+    Takes the oracle's list of records or the engine's EnsembleRecord.
+    """
+    if isinstance(records, list):
+        return [(r.run_index, r.agents, repr(r.ws), repr(r.es)) for r in records]
+    ws, es = records.ws.tolist(), records.es.tolist()
+    return [(run_index, records.agents,
+             repr({aid: [w[a] for w in ws[r]] for a, aid in enumerate(records.agents)}),
+             repr({aid: [e[a] for e in es[r]] for a, aid in enumerate(records.agents)}))
+            for r, run_index in enumerate(records.runs)]
 
 
 def _outcome(run_fn, scenario):
@@ -32,18 +42,19 @@ def _outcome(run_fn, scenario):
         return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
 
 
+def _oracle_as_record(scenario):
+    """oracle.run, with its records (and an error's) as an EnsembleRecord."""
+    try:
+        return oracle.as_ensemble_record(scenario, oracle.run(scenario))
+    except DivergenceError as exc:
+        exc.completed = oracle.as_ensemble_record(scenario, exc.completed)
+        raise
+
+
 @pytest.mark.parametrize("name", builtin_names())
 def test_builtins_match_oracle(name):
     s = dataclasses.replace(builtin(name), iterations=300, ensemble=4)
     assert _bits(run(s)) == _bits(oracle.run(s))
-
-
-def test_psis_recomputed_from_weights_match_oracle():
-    s = dataclasses.replace(builtin("table5"), iterations=200, ensemble=2)
-    adaptive = s.adaptive_agents()
-    for rec, ref in zip(run(s), oracle.run(s)):
-        for cfg, row in zip(adaptive, s.trust.rows):
-            assert repr(_psis(rec, adaptive, row)) == repr(ref.psis[cfg.id])
 
 
 def test_signed_zeros_match_oracle():
@@ -63,62 +74,6 @@ def test_signed_zeros_match_oracle():
         s = Scenario(agents=agents, trust=trust, w_opt=w_opt, iterations=20,
                      ensemble=2)
         assert _bits(run(s)) == _bits(oracle.run(s))
-
-
-_FLOAT = st.floats(-3.0, 3.0)
-_STATS = st.builds(GaussianParams,
-                   st.one_of(st.sampled_from([0.0, -0.0, -0.5]), st.floats(-1.0, 1.0)),
-                   st.one_of(st.just(0.0), st.floats(0.0, 1.5)))
-_MU = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
-
-
-def _trust_row(draw, n):
-    """A row with exact 1.0s, exact zeros, a uniform or a normalized support."""
-    kind = draw(st.sampled_from(["one", "uniform", "weighted"]))
-    if kind == "one":
-        j = draw(st.integers(0, n - 1))
-        return tuple(1.0 if b == j else 0.0 for b in range(n))
-    support = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
-    if kind == "uniform":
-        weights = {b: 1.0 for b in support}
-    else:
-        weights = {b: draw(st.floats(0.01, 1.0)) for b in support}
-    total = sum(weights.values())
-    return tuple(weights[b] / total if b in weights else 0.0 for b in range(n))
-
-
-@st.composite
-def scenarios(draw):
-    m = draw(st.integers(1, 4))
-    vector = st.lists(st.one_of(st.sampled_from([0.0, -0.0, -1.0]), _FLOAT),
-                      min_size=m, max_size=m).map(tuple)
-    agents = []
-    for k in range(draw(st.integers(1, 4))):
-        inp, noise = draw(_STATS), draw(_STATS)
-        agents.append(AgentConfig(f"a{k}", "cooperative", mu=draw(_MU), w0=draw(vector),
-                                  input=inp, noise=noise))
-        if draw(st.booleans()):
-            agents.append(AgentConfig(f"t{k}", "standalone", mu=draw(_MU),
-                                      w0=draw(vector), input=inp, noise=noise,
-                                      counterpart=f"a{k}"))
-    if draw(st.booleans()):
-        agents.append(AgentConfig("solo", "standalone", mu=draw(_MU), w0=draw(vector),
-                                  input=draw(_STATS), noise=draw(_STATS)))
-    adaptive_ids = [cfg.id for cfg in agents]
-    for k in range(draw(st.integers(0, 2))):
-        sources = draw(st.lists(st.sampled_from(adaptive_ids), min_size=1,
-                                max_size=3, unique=True))
-        agents.append(AgentConfig(f"avg{k}", "averaging", sources=tuple(sources)))
-    agents = draw(st.permutations(agents))
-    adaptive = [cfg for cfg in agents if cfg.is_adaptive()]
-    n = len(adaptive)
-    rows = [_trust_row(draw, n) if cfg.kind == "cooperative"
-            else tuple(1.0 if b == a else 0.0 for b in range(n))
-            for a, cfg in enumerate(adaptive)]
-    return Scenario(agents=tuple(agents), trust=TrustMatrix(tuple(rows)),
-                    w_opt=draw(vector), iterations=draw(st.integers(1, 40)),
-                    seed=draw(st.integers(0, (1 << 64) - 1)),
-                    ensemble=draw(st.integers(1, 3)))
 
 
 @settings(max_examples=60, deadline=None,
@@ -162,7 +117,7 @@ def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
     for aid in "abcd":
         args += ["--set", f"{aid}.mu=2.5", "--set", f"{aid}.input_sd=1.0"]
     outputs = []
-    for name, run_fn in (("engine", run), ("oracle", oracle.run)):
+    for name, run_fn in (("engine", run), ("oracle", _oracle_as_record)):
         monkeypatch.setattr(dlms.cli, "run", run_fn)
         out = tmp_path / name / "d.csv"
         out.parent.mkdir()

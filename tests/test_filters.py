@@ -4,7 +4,8 @@ import random
 import pytest
 
 from dlms.errors import ConfigError, DivergenceError
-from dlms.filters import batch_gd_step, check_weights, cost, lms_step, predict
+from dlms.filters import check_weights, lms_step, predict
+from oracle import batch_gd_step, cost
 
 
 class TestPredict:
@@ -13,6 +14,10 @@ class TestPredict:
 
     def test_dot_product(self):
         assert predict([1.0, 2.0], [3.0, 4.0]) == 11.0
+
+    def test_adds_left_to_right(self):
+        # a compensated sum (Python 3.12's builtin sum) would return 1.0
+        assert predict([1e16, 1.0, -1e16], [1.0, 1.0, 1.0]) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):

@@ -1,6 +1,8 @@
 import dataclasses
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from dlms.errors import ConfigError, DivergenceError, ParseError
 from dlms.network import TrustMatrix
@@ -14,6 +16,7 @@ from dlms.scenarios import (
     with_trust,
 )
 from dlms.signals import GaussianParams
+from strategies import scenarios
 
 
 def small(scenario, iterations=50, ensemble=3):
@@ -91,6 +94,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="w0"):
             dataclasses.replace(s, w_opt=(2.0, 1.0))
 
+    @pytest.mark.parametrize("bad_id", ["", "a b", "a\tb", "a,b", "a#b", "a.b", "[a]"])
+    def test_agent_id_that_breaks_the_format(self, bad_id):
+        s = builtin("table1")
+        agents = (dataclasses.replace(s.agents[0], id=bad_id),) + s.agents[1:]
+        with pytest.raises(ConfigError, match=re.escape(f"agent id {bad_id!r}")):
+            dataclasses.replace(s, agents=agents)
+
 
 class TestConfigFormat:
     MINIMAL = """
@@ -139,20 +149,48 @@ class TestConfigFormat:
         s = builtin(name)
         assert parse(serialize(s)) == s
 
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(scenarios())
+    def test_roundtrip_on_generated_scenarios(self, scenario):
+        assert parse(serialize(scenario)) == scenario
+
+    def test_duplicate_network_key(self):
+        with pytest.raises(ParseError, match="line 4: duplicate network key 'seed', "
+                                             "first given on line 2"):
+            parse("[network]\nseed = 1\niterations = 5\nseed = 2\n")
+
+    def test_duplicate_agent_key(self):
+        text = self.MINIMAL + "    mu = 0.25\n"
+        with pytest.raises(ParseError, match="line 15: duplicate agent key 'mu', "
+                                             "first given on line 11"):
+            parse(text)
+
+    def test_duplicate_trust_entry(self):
+        text = self.MINIMAL + "[trust]\nsolo solo 1.0\nsolo solo 1.0\n"
+        with pytest.raises(ParseError, match="line 17: duplicate trust entry solo -> solo, "
+                                             "first given on line 16"):
+            parse(text)
+
+    def test_same_key_in_two_agents_is_not_a_duplicate(self):
+        text = self.MINIMAL + "[agent]\nid = other\nkind = standalone\nmu = 0.5\n"
+        assert [cfg.mu for cfg in parse(text).agents] == [0.5, 0.5]
+
 
 class TestRun:
     def test_deterministic(self):
         s = small(builtin("table1"))
-        assert run(s) == run(s)
+        first, second = run(s), run(s)
+        assert first.ws.tolist() == second.ws.tolist()
+        assert first.es.tolist() == second.es.tolist()
 
     def test_shapes(self):
         s = small(builtin("table1"), iterations=20, ensemble=4)
-        records = run(s)
-        assert len(records) == 4
-        for r, rec in enumerate(records):
-            assert rec.run_index == r
-            assert rec.iterations == 20
-            assert set(rec.ws) == {"a", "b", "c", "d", "e"}
+        record = run(s)
+        assert len(record) == 4
+        assert record.runs == [0, 1, 2, 3]
+        assert record.iterations == 20
+        assert set(record.agents) == {"a", "b", "c", "d", "e"}
 
     def test_twin_pairing(self):
         """c and d see bit-identical samples to a and b: with identity trust
@@ -160,9 +198,9 @@ class TestRun:
         s = small(builtin("table1"), iterations=100, ensemble=2)
         s = with_trust(s, [(1, 0, 0, 0), (0, 1, 0, 0),
                            (0, 0, 1, 0), (0, 0, 0, 1)])
-        for rec in run(s):
-            assert rec.ws["a"] == rec.ws["c"]
-            assert rec.ws["b"] == rec.ws["d"]
+        record = run(s)
+        assert record.w("a").tolist() == record.w("c").tolist()
+        assert record.w("b").tolist() == record.w("d").tolist()
 
     def test_noiseless_converges_to_w_opt(self):
         s = small(builtin("table1"), iterations=4500, ensemble=1)
@@ -172,9 +210,9 @@ class TestRun:
             for cfg in s.agents
         )
         s = dataclasses.replace(s, agents=agents)
-        rec = run(s)[0]
+        record = run(s)
         for aid in ("a", "b", "c", "d"):
-            assert abs(rec.ws[aid][-1][0] - 2.0) < 1e-6
+            assert abs(record.w(aid)[0, -1, 0] - 2.0) < 1e-6
 
     def test_divergence_raises_with_context(self):
         s = small(builtin("table1"), iterations=5000, ensemble=2)
@@ -194,11 +232,9 @@ class TestRun:
 
     def test_averaging_exact_mean_every_iteration(self):
         s = small(builtin("table3"), iterations=60, ensemble=2)
-        for rec in run(s):
-            for i in range(rec.iterations):
-                mean = [(c + d) / 2 for c, d in
-                        zip(rec.ws["c"][i], rec.ws["d"][i])]
-                assert rec.ws["e"][i] == mean
+        record = run(s)
+        mean = (record.w("c") + record.w("d")) / 2
+        assert record.w("e").tolist() == mean.tolist()
 
 
 class TestReport:
@@ -217,11 +253,11 @@ def test_run_single_seeding_is_documented_mix():
     from oracle import generate_sample
 
     s = small(builtin("table1"), iterations=1, ensemble=4)
-    rec = run(s)[3]
+    record = run(s)
     # agent a owns stream index 0 (its position in the agent list)
     stream = RandomStream(derive_seed(s.seed ^ 3, 0))
     sample = generate_sample(stream, s.w_opt, s.agent("a").input,
                              s.agent("a").noise)
     psi = 0.5 * (0.0 + 1.0)
     e = sample.y - psi * sample.x[0]
-    assert rec.ws["a"][0] == [psi + 0.5 * e * sample.x[0]]
+    assert record.w("a")[3, 0].tolist() == [psi + 0.5 * e * sample.x[0]]
