@@ -5,9 +5,11 @@ reference operations that only tests use.
 ``generate_sample`` per stream owner and iteration; ``run`` chains the runs
 of an ensemble. Tests require the engine to reproduce it bit for bit. Every
 sum adds left to right from 0.0, as Python 3.11's builtin ``sum`` does
-(3.12 compensates the rounding).
+(3.12 compensates the rounding). ``write_trajectories`` is the row-by-row
+``csv.writer`` form of the trajectory CSV that ``dlms run`` writes.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -199,3 +201,21 @@ def weighted_sum_variance(s_ab, s_ba, var_x, var_y, cov_xy=0.0):
     if var_x < 0 or var_y < 0:
         raise ConfigError("variances must be non-negative")
     return s_ab * s_ab * var_x + s_ba * s_ba * var_y + 2.0 * s_ab * s_ba * cov_xy
+
+
+def write_trajectories(path, scenario, record):
+    m = len(scenario.w_opt)
+    header = (["run", "iteration", "agent"]
+              + [f"w{j}" for j in range(m)] + ["e", "dist_opt"])
+    order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
+    ids = [record.agents[a] for a in order]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for r, run_index in enumerate(record.runs):
+            rows = zip(record.ws[r][:, order].tolist(), record.es[r][:, order].tolist(),
+                       record.sq_dist[r][:, order].tolist())
+            for i, (ws, es, sq) in enumerate(rows, start=1):
+                for aid, w, e, d in zip(ids, ws, es, sq):
+                    writer.writerow([run_index, i, aid, *map(repr, w), repr(e),
+                                     repr(d ** 0.5)])

@@ -2,11 +2,19 @@ import csv
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from dlms.cli import main, metrics_path
+import oracle
+from dlms.cli import main, metrics_path, write_trajectories
+from dlms.errors import DivergenceError
+from dlms.scenarios import run
+from strategies import scenarios
 
 
 def run_cli(*argv):
@@ -44,6 +52,35 @@ def test_trajectory_csv_shape_and_roundtrip(tmp_path):
     # sorted by run, then iteration, then agent id
     keys = [(int(r["run"]), int(r["iteration"]), r["agent"]) for r in rows]
     assert keys == sorted(keys)
+
+
+# valid agent ids that csv.writer quotes, that hold '%', that are not ASCII,
+# and whose sort order differs from a case-insensitive or numeric one
+_IDS = ('x"y', "p%q", "'", "é", "B", "a", "a10", "a2", "%s", '""', "%%", "Z9")
+
+
+def _renamed(scenario, names):
+    new = dict(zip((cfg.id for cfg in scenario.agents), names))
+    return replace(scenario, agents=tuple(
+        replace(cfg, id=new[cfg.id], counterpart=new.get(cfg.counterpart),
+                sources=tuple(new[src] for src in cfg.sources))
+        for cfg in scenario.agents))
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenarios(), st.permutations(_IDS))
+def test_trajectory_writer_matches_oracle(scenario, names):
+    scenario = _renamed(scenario, names)
+    try:
+        record = run(scenario)
+    except DivergenceError as exc:
+        record = exc.completed
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
+        write_trajectories(ours, scenario, record)
+        oracle.write_trajectories(ref, scenario, record)
+        assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_metrics_csv_has_convergence_iters(tmp_path):

@@ -27,6 +27,18 @@ REDUCED = {
 # table1 at its full size (100 runs x 1000 iterations, seed 42)
 FULL_TABLE1 = ("dd98c82532f3961c1525acd34a1a203443ce1c0231b09e48ec8036fa7338ee80",
                "41871d50a7027d41f14e851fb6882e424b4435ed6584ae676831c4bf9decf56a")
+# the other builtins at their full size, computed with the row-by-row
+# csv.writer form of the trajectory writer
+FULL = {
+    "table2": ("cebf166ebd64997aa731b63b05a31919dbdaad2570dea9aa3332b1a1ee7dca26",
+               "68df7a7e1d3478150421edeb0b0d162b63a449d7ddfc24be4d87d1e8bf2060a8"),
+    "table3": ("903993ac20ac9a9375997b74881a31371b119f992872a6e46834ae67d0dc967f",
+               "9458f203aa8cff85eaf617268d158da64bedaa791cb0b51abc67b59d4ccbfc89"),
+    "table4": ("88cbd219cc382942c2c1f1be4fbd390fcf033c22f7788412d54fe1a4136c42e4",
+               "2313685e2660117f7e463b6fa1b03d17cd167b5a48c80b2658dca516ebd950e2"),
+    "table5": ("c5b151988023e8af8ebbf2b3af05c56213030c5330b7b13d68b82316bc8b4622",
+               "f93f0a8e9f186ea325dcc32ae488d5ac3f00bbaec28711b291bb93b8952a45be"),
+}
 
 
 def _digests(tmp_path, *args):
@@ -44,3 +56,8 @@ def test_reduced_builtin_digests(tmp_path, name):
 
 def test_full_table1_digests(tmp_path):
     assert _digests(tmp_path, "table1") == FULL_TABLE1
+
+
+@pytest.mark.parametrize("name", sorted(FULL))
+def test_full_builtin_digests(tmp_path, name):
+    assert _digests(tmp_path, name) == FULL[name]
