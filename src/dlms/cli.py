@@ -6,9 +6,11 @@ Exit codes: 0 success/pass, 1 verification fail, 2 usage/config error,
 
 import argparse
 import csv
+import io
 import json
 import sys
 from dataclasses import replace
+from itertools import repeat
 from pathlib import Path
 
 from .claims import CLAIMS, verify_claim
@@ -118,22 +120,36 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _csv_field(text):
+    """``text`` as csv.writer writes it as one field, quoted only if it must be."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow([text])
+    return buf.getvalue()[:-2]
+
+
 def write_trajectories(path, scenario, record):
+    """Write the trajectory CSV, one row per run, iteration and agent id in
+    sorted order, formatting each run with one ``%`` template."""
     m = len(scenario.w_opt)
-    header = (["run", "iteration", "agent"]
-              + [f"w{j}" for j in range(m)] + ["e", "dist_opt"])
+    width = m + 2
+    header = ["run", "iteration", "agent", *(f"w{j}" for j in range(m)), "e", "dist_opt"]
     order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
-    ids = [record.agents[a] for a in order]
+    ids = [_csv_field(record.agents[a]).replace("%", "%%") for a in order]
+    fields = ",%r" * width + "\r\n"
+    # each run joins these with its index: "" then ",i,agent,%r,...\r\n" per row
+    rows = ["", *(f",{i},{aid}{fields}"
+                  for i in range(1, record.iterations + 1) for aid in ids)]
+    vals = [None] * ((len(rows) - 1) * width)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(header) + "\r\n")
         for r, run_index in enumerate(record.runs):
-            rows = zip(record.ws[r][:, order].tolist(), record.es[r][:, order].tolist(),
-                       record.sq_dist[r][:, order].tolist())
-            for i, (ws, es, sq) in enumerate(rows, start=1):
-                for aid, w, e, d in zip(ids, ws, es, sq):
-                    writer.writerow([run_index, i, aid, *map(repr, w), repr(e),
-                                     repr(d ** 0.5)])
+            ws = record.ws[r][:, order]
+            for j in range(m):
+                vals[j::width] = ws[:, :, j].ravel().tolist()
+            vals[m::width] = record.es[r][:, order].ravel().tolist()
+            vals[m + 1::width] = map(pow, record.sq_dist[r][:, order].ravel().tolist(),
+                                     repeat(0.5))
+            fh.write(str(run_index).join(rows) % tuple(vals))
 
 
 def metrics_path(out):
