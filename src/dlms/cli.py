@@ -17,14 +17,16 @@ from .claims import CLAIMS, verify_claim
 from .errors import ConfigError, DivergenceError, ParseError
 from .network import TrustMatrix
 from .scenarios import (
+    AGENT_FIELDS,
     builtin,
     builtin_names,
     builtin_summary,
     compute_report,
     parse,
+    parse_vector,
     run,
+    set_agent_field,
 )
-from .signals import GaussianParams
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -33,39 +35,29 @@ EXIT_DIVERGENCE = 3
 
 
 def load_scenario(ref):
-    """Resolve a builtin name or a config file path."""
+    """Resolve a builtin name or a config file path (read as UTF-8)."""
     if ref in builtin_names():
         return builtin(ref)
     path = Path(ref)
     if not path.exists():
         raise ConfigError(f"no such builtin or config file: {ref}")
-    return parse(path.read_text())
-
-
-def _parse_vector(text):
-    return tuple(float(p) for p in text.split(","))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {ref} is not UTF-8 text: byte {exc.start} "
+                          f"({exc.object[exc.start]:#04x}) does not decode") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {ref}: {exc.strerror}") from None
+    return parse(text)
 
 
 def _set_agent_field(agents, agent_id, key, value):
     for i, cfg in enumerate(agents):
-        if cfg.id != agent_id:
-            continue
-        if key == "mu":
-            cfg = replace(cfg, mu=float(value))
-        elif key == "w0":
-            cfg = replace(cfg, w0=_parse_vector(value))
-        elif key in ("input_mean", "input_sd"):
-            kwargs = {key.removeprefix("input_"): float(value)}
-            cfg = replace(cfg, input=GaussianParams(**{**vars(cfg.input), **kwargs}))
-        elif key in ("noise_mean", "noise_sd"):
-            kwargs = {key.removeprefix("noise_"): float(value)}
-            cfg = replace(cfg, noise=GaussianParams(**{**vars(cfg.noise), **kwargs}))
-        elif key == "counterpart":
-            cfg = replace(cfg, counterpart=value or None)
-        else:
-            raise ConfigError(f"unknown agent override key {key!r}")
-        agents[i] = cfg
-        return
+        if cfg.id == agent_id:
+            if key not in AGENT_FIELDS:
+                raise ConfigError(f"unknown agent override key {key!r}")
+            agents[i] = set_agent_field(cfg, key, value)
+            return
     raise ConfigError(f"override names unknown agent {agent_id!r}")
 
 
@@ -89,7 +81,10 @@ def apply_overrides(scenario, args):
     if args.ensemble is not None:
         updates["ensemble"] = args.ensemble
     if args.w_opt is not None:
-        updates["w_opt"] = _parse_vector(args.w_opt)
+        try:
+            updates["w_opt"] = parse_vector(args.w_opt)
+        except ValueError as exc:
+            raise ConfigError(f"invalid --w-opt {args.w_opt!r}: {exc}") from None
 
     agents = list(scenario.agents)
     rows = [list(r) for r in scenario.trust.rows]
@@ -140,7 +135,7 @@ def write_trajectories(path, scenario, record):
     rows = ["", *(f",{i},{aid}{fields}"
                   for i in range(1, record.iterations + 1) for aid in ids)]
     vals = [None] * ((len(rows) - 1) * width)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for r, run_index in enumerate(record.runs):
             ws = record.ws[r][:, order]
@@ -157,9 +152,14 @@ def metrics_path(out):
     return out.with_name(out.stem + ".metrics" + (out.suffix or ".csv"))
 
 
+def error_path(out):
+    out = Path(out)
+    return out.with_name(out.stem + ".error.json")
+
+
 def write_metrics(path, scenario, record):
     report = compute_report(scenario, record)
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "agent", "iteration", "value"])
         for aid in sorted(report.msd):
@@ -179,27 +179,37 @@ def write_metrics(path, scenario, record):
                              "" if cross is None else cross])
 
 
+def _remove_stale(out, written):
+    """Delete the outputs an earlier run left that this outcome does not write."""
+    for path in (out, metrics_path(out), error_path(out)):
+        if path not in written:
+            path.unlink(missing_ok=True)
+
+
 def cmd_run(args):
     scenario = apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
     try:
         record = run(scenario)
     except DivergenceError as exc:
+        written = [error_path(out)]
         if exc.completed:
             write_trajectories(out, scenario, exc.completed)
-        manifest = out.with_name(out.stem + ".error.json")
-        manifest.write_text(json.dumps({
+            written.append(out)
+        _remove_stale(out, written)
+        error_path(out).write_text(json.dumps({
             "error": "divergence",
             "message": str(exc),
             "run": exc.run,
             "agent": exc.agent,
             "iteration": exc.iteration,
             "completed_runs": len(exc.completed),
-        }, indent=2) + "\n")
+        }, indent=2) + "\n", encoding="utf-8")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DIVERGENCE
     write_trajectories(out, scenario, record)
     write_metrics(metrics_path(out), scenario, record)
+    _remove_stale(out, [out, metrics_path(out)])
     print(f"wrote {out} and {metrics_path(out)}")
     return EXIT_OK
 

@@ -224,15 +224,41 @@ def with_trust(scenario, rows):
 # ---------------------------------------------------------------------------
 
 _NETWORK_KEYS = {"w_opt", "iterations", "seed", "ensemble"}
-_AGENT_KEYS = {"id", "kind", "mu", "w0", "input_mean", "input_sd",
-               "noise_mean", "noise_sd", "counterpart", "sources"}
 
 
-def _parse_vector(text, line):
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise ParseError(f"invalid vector {text!r}", line) from None
+def parse_vector(text):
+    """A comma-separated vector of floats; ValueError if a part is no float."""
+    return tuple(float(p) for p in text.split(","))
+
+
+# The agent keys a config section and ``--set AGENT.FIELD`` share:
+# key -> (AgentConfig field, GaussianParams field or None, converter).
+AGENT_FIELDS = {
+    "mu": ("mu", None, float),
+    "w0": ("w0", None, parse_vector),
+    "input_mean": ("input", "mean", float),
+    "input_sd": ("input", "sd", float),
+    "noise_mean": ("noise", "mean", float),
+    "noise_sd": ("noise", "sd", float),
+    "counterpart": ("counterpart", None, lambda text: text or None),
+}
+_AGENT_KEYS = {"id", "kind", "sources", *AGENT_FIELDS}
+
+
+def set_agent_field(cfg, key, text):
+    """``cfg`` with the AGENT_FIELDS key ``key`` set from its text value.
+
+    Raises ValueError if the text does not convert, ConfigError if the agent
+    has no signal statistics to set.
+    """
+    name, part, convert = AGENT_FIELDS[key]
+    value = convert(text)
+    if part is not None:
+        params = getattr(cfg, name)
+        if params is None:
+            raise ConfigError(f"agent {cfg.id}: {cfg.kind} agents take no {name}")
+        value = replace(params, **{part: value})
+    return replace(cfg, **{name: value})
 
 
 def _add_entry(entries, key, value, lineno, name):
@@ -304,44 +330,32 @@ def parse(config_text):
         except ValueError:
             raise ParseError(f"invalid {key} value {value!r}", lineno) from None
 
-    w_opt = net_value("w_opt", (2.0,), lambda v: _parse_vector(v, network["w_opt"][1]))
+    w_opt = net_value("w_opt", (2.0,), parse_vector)
     iterations = net_value("iterations", 1000, int)
     seed = net_value("seed", 42, int)
     ensemble = net_value("ensemble", 100, int)
 
     agents = []
     for sect in agent_sections:
-        def a_value(key, default=None, conv=str, sect=sect):
-            if key not in sect:
-                return default
-            value, lineno = sect[key]
-            try:
-                return conv(value)
-            except ValueError:
-                raise ParseError(f"invalid {key} value {value!r}", lineno) from None
-
-        agent_id = a_value("id")
-        if agent_id is None:
+        text = {key: value for key, (value, _) in sect.items()}
+        if "id" not in text:
             raise ParseError("agent section missing id",
                              next(iter(sect.values()))[1] if sect else 0)
-        kind = a_value("kind", COOPERATIVE)
+        kind = text.get("kind", COOPERATIVE)
         if kind == AVERAGING:
-            sources = a_value("sources", "", str)
-            agents.append(AgentConfig(
-                agent_id, kind,
-                sources=tuple(s for s in sources.replace(",", " ").split() if s)))
-        else:
-            w0_text, w0_line = sect.get("w0", ("0", 0))
-            agents.append(AgentConfig(
-                agent_id, kind,
-                mu=a_value("mu", 0.5, float),
-                w0=_parse_vector(w0_text, w0_line),
-                input=GaussianParams(a_value("input_mean", 0.0, float),
-                                     a_value("input_sd", 1.0, float)),
-                noise=GaussianParams(a_value("noise_mean", 0.0, float),
-                                     a_value("noise_sd", 0.0, float)),
-                counterpart=a_value("counterpart"),
-            ))
+            sources = text.get("sources", "").replace(",", " ").split()
+            agents.append(AgentConfig(text["id"], kind, sources=tuple(sources)))
+            continue
+        cfg = AgentConfig(text["id"], kind, mu=0.5, w0=(0.0,),
+                          input=GaussianParams(0.0, 1.0), noise=GaussianParams(0.0, 0.0))
+        for key in AGENT_FIELDS:
+            if key in sect:
+                value, lineno = sect[key]
+                try:
+                    cfg = set_agent_field(cfg, key, value)
+                except ValueError:
+                    raise ParseError(f"invalid {key} value {value!r}", lineno) from None
+        agents.append(cfg)
 
     adaptive_ids = [cfg.id for cfg in agents if cfg.is_adaptive()]
     index = {aid: i for i, aid in enumerate(adaptive_ids)}

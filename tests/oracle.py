@@ -209,7 +209,7 @@ def write_trajectories(path, scenario, record):
               + [f"w{j}" for j in range(m)] + ["e", "dist_opt"])
     order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
     ids = [record.agents[a] for a in order]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         for r, run_index in enumerate(record.runs):

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from dlms.cli import main, metrics_path, write_trajectories
+from dlms.cli import error_path, main, metrics_path, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.scenarios import run
 from strategies import scenarios
@@ -97,12 +97,20 @@ def test_metrics_csv_has_convergence_iters(tmp_path):
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert run_cli("run", "missing.cfg", "--out", str(tmp_path / "x.csv")) == 2
     assert "missing.cfg" in capsys.readouterr().err
+    assert run_cli("run", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 2
+    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
 
 
 def test_invalid_override_is_usage_error(tmp_path):
     assert run_cli("run", "table1", "--set", "a.noise_sd=-1",
                    "--out", str(tmp_path / "x.csv")) == 2
     assert run_cli("run", "table1", "--set", "nobody.mu=0.1",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert run_cli("run", "table1", "--set", "a.sources=c",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert run_cli("run", "table1", "--set", "e.input_mean=1",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert run_cli("run", "table1", "--w-opt", "2,x",
                    "--out", str(tmp_path / "x.csv")) == 2
 
 
@@ -179,6 +187,68 @@ def test_divergence_exit_code_and_manifest(tmp_path, capsys):
     manifest = out.with_name(out.stem + ".error.json")
     assert manifest.exists()
     assert "divergence" in manifest.read_text()
+
+
+DIVERGE_IN_RUN_0 = ("--iterations", "5000", "--ensemble", "1",
+                   "--set", "a.mu=2.5", "--set", "c.mu=2.5",
+                   "--set", "a.input_sd=1.0", "--set", "b.input_sd=1.0",
+                   "--set", "c.input_sd=1.0", "--set", "d.input_sd=1.0")
+# every adaptive agent at mu=2.5 and input sd 1: runs 0 and 1 complete
+DIVERGE_IN_RUN_2 = ("--iterations", "200", "--ensemble", "4",
+                    *(arg for aid in "abcd" for arg in
+                      ("--set", f"{aid}.mu=2.5", "--set", f"{aid}.input_sd=1.0")))
+SMALL = ("--iterations", "5", "--ensemble", "2")
+
+
+def _outputs(out):
+    return [path.exists() for path in (out, metrics_path(out), error_path(out))]
+
+
+def test_success_removes_an_earlier_error_manifest(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "table1", *DIVERGE_IN_RUN_2, "--out", str(out)) == 3
+    assert _outputs(out) == [True, False, True]
+    assert run_cli("run", "table1", *SMALL, "--out", str(out)) == 0
+    assert _outputs(out) == [True, True, False]
+
+
+def test_divergence_removes_earlier_metrics(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "table1", *SMALL, "--out", str(out)) == 0
+    assert run_cli("run", "table1", *DIVERGE_IN_RUN_2, "--out", str(out)) == 3
+    assert _outputs(out) == [True, False, True]
+    assert out.read_bytes().count(b"\n") == 1 + 2 * 200 * 5  # the 2 completed runs
+
+
+def test_divergence_in_the_first_run_removes_earlier_outputs(tmp_path):
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "table1", *SMALL, "--out", str(out)) == 0
+    assert run_cli("run", "table1", *DIVERGE_IN_RUN_0, "--out", str(out)) == 3
+    assert _outputs(out) == [False, False, True]
+
+
+def test_files_are_utf8_under_an_ascii_locale(tmp_path):
+    """Config and outputs are UTF-8 whatever the locale's encoding is."""
+    cfg = tmp_path / "e.cfg"
+    cfg.write_bytes("[network]\niterations = 3\nensemble = 1\n"
+                    "[agent]\nid = é\nkind = standalone\nw0 = 0\n".encode())
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"[network]\n# \xff\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUTF8": "0",
+           "PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONIOENCODING": ""}
+
+    def dlms(*argv):
+        return subprocess.run([sys.executable, "-m", "dlms.cli", *argv],
+                              capture_output=True, env=env, cwd=tmp_path)
+
+    result = dlms("run", "e.cfg", "--out", "e.csv")
+    assert (result.returncode, result.stderr) == (0, b"")
+    assert (tmp_path / "e.csv").read_bytes().splitlines()[1].startswith("0,1,é,".encode())
+    assert "\nmsd,é,1,".encode() in (tmp_path / "e.metrics.csv").read_bytes()
+    result = dlms("run", "bad.cfg", "--out", "bad.csv")
+    assert result.returncode == 2
+    assert b"config file bad.cfg is not UTF-8 text: byte 12 (0xff)" in result.stderr
 
 
 def test_config_file_roundtrip(tmp_path):

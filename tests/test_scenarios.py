@@ -134,6 +134,20 @@ class TestConfigFormat:
         with pytest.raises(ParseError, match="line 1"):
             parse("orphan = 1\n")
 
+    @pytest.mark.parametrize("line, replacement, message", [
+        ("w_opt = 2.0", "w_opt = 2,x", "line 3: invalid w_opt value '2,x'"),
+        ("mu = 0.5", "mu = fast", "line 11: invalid mu value 'fast'"),
+        ("w0 = 0", "w0 = 0,", "line 12: invalid w0 value '0,'"),
+        ("noise_sd = 0.03", "noise_sd = -0.03", "line 14: invalid noise_sd value '-0.03'"),
+    ])
+    def test_invalid_value_names_its_line(self, line, replacement, message):
+        with pytest.raises(ParseError, match=re.escape(message)):
+            parse(self.MINIMAL.replace(line, replacement))
+
+    def test_empty_counterpart_means_none(self):
+        """As with --set AGENT.counterpart=, an empty value sets no counterpart."""
+        assert parse(self.MINIMAL + "    counterpart =\n").agents[0].counterpart is None
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="frobnicate"):
             parse("[network]\nfrobnicate = 1\n")
