@@ -176,19 +176,6 @@ def test_trust_override(tmp_path):
                    "--out", str(out)) == 2
 
 
-def test_divergence_exit_code_and_manifest(tmp_path, capsys):
-    out = tmp_path / "d.csv"
-    code = run_cli("run", "table1", "--iterations", "5000", "--ensemble", "1",
-                   "--set", "a.mu=2.5", "--set", "c.mu=2.5",
-                   "--set", "a.input_sd=1.0", "--set", "b.input_sd=1.0",
-                   "--set", "c.input_sd=1.0", "--set", "d.input_sd=1.0",
-                   "--out", str(out))
-    assert code == 3
-    manifest = out.with_name(out.stem + ".error.json")
-    assert manifest.exists()
-    assert "divergence" in manifest.read_text()
-
-
 DIVERGE_IN_RUN_0 = ("--iterations", "5000", "--ensemble", "1",
                    "--set", "a.mu=2.5", "--set", "c.mu=2.5",
                    "--set", "a.input_sd=1.0", "--set", "b.input_sd=1.0",
@@ -198,6 +185,15 @@ DIVERGE_IN_RUN_2 = ("--iterations", "200", "--ensemble", "4",
                     *(arg for aid in "abcd" for arg in
                       ("--set", f"{aid}.mu=2.5", "--set", f"{aid}.input_sd=1.0")))
 SMALL = ("--iterations", "5", "--ensemble", "2")
+
+
+def test_divergence_exit_code_and_manifest(tmp_path, capsys):
+    out = tmp_path / "d.csv"
+    code = run_cli("run", "table1", *DIVERGE_IN_RUN_0, "--out", str(out))
+    assert code == 3
+    manifest = out.with_name(out.stem + ".error.json")
+    assert manifest.exists()
+    assert "divergence" in manifest.read_text()
 
 
 def _outputs(out):
