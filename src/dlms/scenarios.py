@@ -337,16 +337,16 @@ def parse(config_text):
 
     agents = []
     for sect in agent_sections:
-        text = {key: value for key, (value, _) in sect.items()}
-        if "id" not in text:
+        values = {key: value for key, (value, _) in sect.items()}
+        if "id" not in values:
             raise ParseError("agent section missing id",
                              next(iter(sect.values()))[1] if sect else 0)
-        kind = text.get("kind", COOPERATIVE)
+        kind = values.get("kind", COOPERATIVE)
         if kind == AVERAGING:
-            sources = text.get("sources", "").replace(",", " ").split()
-            agents.append(AgentConfig(text["id"], kind, sources=tuple(sources)))
+            sources = values.get("sources", "").replace(",", " ").split()
+            agents.append(AgentConfig(values["id"], kind, sources=tuple(sources)))
             continue
-        cfg = AgentConfig(text["id"], kind, mu=0.5, w0=(0.0,),
+        cfg = AgentConfig(values["id"], kind, mu=0.5, w0=(0.0,),
                           input=GaussianParams(0.0, 1.0), noise=GaussianParams(0.0, 0.0))
         for key in AGENT_FIELDS:
             if key in sect:
