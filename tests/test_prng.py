@@ -99,6 +99,13 @@ def test_derive_seed_deterministic_and_distinct():
     assert len(seeds) == 16
 
 
+@pytest.mark.parametrize("base", [0, 1, 42, (1 << 64) - 1, 0x9C4F2B1D3E5A7F61])
+def test_derive_seed_is_the_next_output_of_the_base_stream(base):
+    stream = RandomStream(base)
+    assert [derive_seed(base, k) for k in range(257)] == \
+        [stream.next_u64() for _ in range(257)]
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 2000])
 def test_gaussian_block_is_the_stream_bit_for_bit(count):
     seeds = [0, 1, 42, (1 << 64) - 1, derive_seed(7, 3)]
