@@ -9,7 +9,12 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .metrics import convergence_iteration, steady_state_variance, sum_in_order
+from .metrics import (
+    convergence_iteration,
+    default_band,
+    steady_state_variance,
+    sum_in_order,
+)
 from .scenarios import (
     AVERAGING,
     COOPERATIVE,
@@ -40,8 +45,11 @@ class ClaimResult:
         return f"{status} {self.claim}: " + ", ".join(parts)
 
 
-def _cooperative_ids(scenario):
-    return [cfg.id for cfg in scenario.agents if cfg.kind == COOPERATIVE]
+def _cooperative_ids(scenario, claim):
+    ids = [cfg.id for cfg in scenario.agents if cfg.kind == COOPERATIVE]
+    if len(ids) < 2:
+        raise ConfigError(f"{claim} claim needs at least two cooperative agents")
+    return ids
 
 
 def _single_averaging_id(scenario):
@@ -81,32 +89,23 @@ def verify_merge(scenario, record=None):
     averaging agent stays below 5% of the mean initial distance from
     iteration 10 onward.
     """
-    coop = _cooperative_ids(scenario)
-    if len(coop) < 2:
-        raise ConfigError("merge claim needs at least two cooperative agents")
+    coop = _cooperative_ids(scenario, "merge")
     adaptive = scenario.adaptive_agents()
     coop_rows = [scenario.trust.rows[i] for i, cfg in enumerate(adaptive)
                  if cfg.kind == COOPERATIVE]
     if any(row != coop_rows[0] for row in coop_rows[1:]):
         raise ConfigError("merge claim needs identical cooperative trust rows")
     avg_id = _single_averaging_id(scenario)
+    threshold = default_band([cfg.w0 for cfg in adaptive], scenario.w_opt,
+                             MERGE_BAND_FRACTION)
     if record is None:
         record = run(scenario)
-
-    w0s = [cfg.w0 for cfg in adaptive]
-    mean_w0 = [sum_in_order(w0[j] for w0 in w0s) / len(w0s)
-               for j in range(len(scenario.w_opt))]
-    threshold = MERGE_BAND_FRACTION * math.sqrt(sum_in_order(
-        (oj - mj) * (oj - mj) for oj, mj in zip(scenario.w_opt, mean_w0)))
 
     worst_gap = 0.0
     for aid in coop:
         gaps = sum_in_order(_gap(record, aid, avg_id)) / len(record)
         worst_gap = max([worst_gap, *gaps[MERGE_START_ITERATION - 1:].tolist()])
     return ClaimResult("merge", worst_gap < threshold, {
-        # psi(i) = combine(row, w(i-1)) is the same function of the same
-        # weights for every cooperative agent: their rows were checked equal
-        "psi_equal": True,
         "worst_mean_gap": worst_gap,
         "threshold": threshold,
     })
@@ -114,16 +113,14 @@ def verify_merge(scenario, record=None):
 
 def verify_speedup(scenario, record=None):
     """Cooperative agents converge before the averaging reference agent."""
-    coop = _cooperative_ids(scenario)
-    if len(coop) < 2:
-        raise ConfigError("speedup claim needs at least two cooperative agents")
+    coop = _cooperative_ids(scenario, "speedup")
     mus = {cfg.mu for cfg in scenario.agents if cfg.kind == COOPERATIVE}
     if len(mus) < 2:
         raise ConfigError("speedup claim needs heterogeneous learning rates")
     avg_id = _single_averaging_id(scenario)
+    band = scenario_band(scenario)
     if record is None:
         record = run(scenario)
-    band = scenario_band(scenario)
 
     limits = convergence_iteration(record, avg_id, band)
     convs = zip(*(convergence_iteration(record, aid, band) for aid in coop))
@@ -139,12 +136,12 @@ def verify_speedup(scenario, record=None):
     })
 
 
-def merge_iteration(record, coop_ids, band_fraction=DELAY_BAND_FRACTION):
+def merge_iteration(record, coop_ids):
     """Per run, the first iteration where all cooperative estimates agree
-    within the band, or None."""
+    within DELAY_BAND_FRACTION of |w_opt|, or None."""
     import numpy as np
 
-    threshold = band_fraction * math.sqrt(sum_in_order(x * x for x in record.w_opt))
+    threshold = DELAY_BAND_FRACTION * math.sqrt(sum_in_order(x * x for x in record.w_opt))
     spread = np.maximum.reduce([_gap(record, p, q)
                                 for k, p in enumerate(coop_ids)
                                 for q in coop_ids[k + 1:]])
@@ -176,29 +173,24 @@ def verify_delay(scenario):
     seeds; the selfish network must merge strictly later in at least 90% of
     paired runs.
     """
-    coop = _cooperative_ids(scenario)
-    if len(coop) < 2:
-        raise ConfigError("delay claim needs at least two cooperative agents")
+    coop = _cooperative_ids(scenario, "delay")
     balanced = balanced_variant(scenario)
     if balanced.trust == scenario.trust:
         raise ConfigError(
             "delay claim needs selfish trust; the scenario's cooperative "
             "rows are already balanced")
-    selfish_iters = merge_iteration(run(scenario), coop)
-    balanced_iters = merge_iteration(run(balanced), coop)
-
+    # a run that never merges counts as merging just after the horizon
     horizon = scenario.iterations + 1
-    wins = sum((it_s if it_s is not None else horizon) >
-               (it_b if it_b is not None else horizon)
-               for it_s, it_b in zip(selfish_iters, balanced_iters))
+    selfish_iters, balanced_iters = (
+        [horizon if it is None else it for it in merge_iteration(run(s), coop)]
+        for s in (scenario, balanced))
+    wins = sum(s > b for s, b in zip(selfish_iters, balanced_iters))
     fraction = wins / len(selfish_iters)
-    med = sorted(x if x is not None else horizon for x in selfish_iters)
-    med_b = sorted(x if x is not None else horizon for x in balanced_iters)
     return ClaimResult("delay", fraction >= PAIRED_PASS_FRACTION, {
         "win_fraction": fraction,
         "required": PAIRED_PASS_FRACTION,
-        "median_selfish_merge": med[len(med) // 2],
-        "median_balanced_merge": med_b[len(med_b) // 2],
+        "median_selfish_merge": sorted(selfish_iters)[len(selfish_iters) // 2],
+        "median_balanced_merge": sorted(balanced_iters)[len(balanced_iters) // 2],
     })
 
 

@@ -26,6 +26,7 @@ from .scenarios import (
     parse_vector,
     run,
     set_agent_field,
+    set_trust,
 )
 
 EXIT_OK = 0
@@ -61,25 +62,10 @@ def _set_agent_field(agents, agent_id, key, value):
     raise ConfigError(f"override names unknown agent {agent_id!r}")
 
 
-def _set_trust(rows, adaptive_ids, src, dst, value):
-    try:
-        a, b = adaptive_ids.index(src), adaptive_ids.index(dst)
-    except ValueError:
-        raise ConfigError(
-            f"trust override names unknown adaptive agent {src!r} -> {dst!r}"
-        ) from None
-    rows[a][b] = float(value)
-
-
 def apply_overrides(scenario, args):
     """Apply all CLI overrides, then validate the resulting scenario once."""
-    updates = {}
-    if args.seed is not None:
-        updates["seed"] = args.seed
-    if args.iterations is not None:
-        updates["iterations"] = args.iterations
-    if args.ensemble is not None:
-        updates["ensemble"] = args.ensemble
+    updates = {key: getattr(args, key) for key in ("seed", "iterations", "ensemble")
+               if getattr(args, key) is not None}
     if args.w_opt is not None:
         try:
             updates["w_opt"] = parse_vector(args.w_opt)
@@ -96,7 +82,7 @@ def apply_overrides(scenario, args):
         parts = key.strip().split(".")
         try:
             if parts[0] == "trust" and len(parts) == 3:
-                _set_trust(rows, adaptive_ids, parts[1], parts[2], value)
+                set_trust(rows, adaptive_ids, parts[1], parts[2], value)
             elif len(parts) == 2:
                 _set_agent_field(agents, parts[0], parts[1], value)
             else:
@@ -137,14 +123,14 @@ def write_trajectories(path, scenario, record):
     vals = [None] * ((len(rows) - 1) * width)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
-        for r, run_index in enumerate(record.runs):
+        for r in range(len(record)):
             ws = record.ws[r][:, order]
             for j in range(m):
                 vals[j::width] = ws[:, :, j].ravel().tolist()
             vals[m::width] = record.es[r][:, order].ravel().tolist()
             vals[m + 1::width] = map(pow, record.sq_dist[r][:, order].ravel().tolist(),
                                      repeat(0.5))
-            fh.write(str(run_index).join(rows) % tuple(vals))
+            fh.write(str(r).join(rows) % tuple(vals))
 
 
 def metrics_path(out):

@@ -51,8 +51,7 @@ def run_ensemble(scenario):
     index = {aid: a for a, aid in enumerate(ids)}
     m = len(scenario.w_opt)
     shape = (scenario.ensemble, scenario.iterations, len(ids))
-    record = EnsembleRecord(seed=scenario.seed, w_opt=tuple(scenario.w_opt), agents=ids,
-                            runs=list(range(scenario.ensemble)),
+    record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
                             ws=np.empty(shape + (m,)), es=np.zeros(shape))
     streams = len(set(_stream_owners(scenario)))
     chunk = max(1, _CHUNK_DRAWS // (streams * scenario.iterations * (m + 1)))

@@ -47,20 +47,18 @@ class EnsembleRecord:
     """Trajectories of a set of runs of one scenario, as numpy arrays.
 
     ``ws[r, i, a]`` is the estimate (M components) of agent ``agents[a]``
-    after iteration i+1 of run ``runs[r]``; ``es[r, i, a]`` is its prediction
+    after iteration i+1 of run r; ``es[r, i, a]`` is its prediction
     error. Adaptive agents come first, in scenario order, then the averaging
     agents, whose error is 0.0.
     """
 
-    seed: int
     w_opt: tuple
     agents: list
-    runs: list
     ws: object  # float64 [R, L, A, M]
     es: object  # float64 [R, L, A]
 
     def __len__(self):
-        return len(self.runs)
+        return len(self.ws)
 
     @property
     def iterations(self):
@@ -72,7 +70,7 @@ class EnsembleRecord:
 
     def head(self, k):
         """Record of the first k runs."""
-        return replace(self, runs=self.runs[:k], ws=self.ws[:k], es=self.es[:k])
+        return replace(self, ws=self.ws[:k], es=self.es[:k])
 
     @cached_property
     def sq_dist(self):
@@ -106,16 +104,14 @@ def msd_series(record, agent):
     return (sum_in_order(sq) / len(record)).tolist()
 
 
-def steady_state_variance(record, agent, window_fraction=STEADY_STATE_WINDOW):
-    """Sample variance of the estimate over the final window of the horizon,
-    one value per run.
+def steady_state_variance(record, agent):
+    """Sample variance of the estimate over the final STEADY_STATE_WINDOW of
+    the horizon, one value per run.
 
     For vector weights the per-component sample variances are summed.
     """
-    if not 0 < window_fraction <= 1:
-        raise ConfigError(f"window fraction {window_fraction} outside (0, 1]")
     length = record.iterations
-    window = record.w(agent)[:, length - math.ceil(window_fraction * length):]
+    window = record.w(agent)[:, length - math.ceil(STEADY_STATE_WINDOW * length):]
     n = window.shape[1]
     if n < 2:
         raise ConfigError(f"steady-state window of {n} samples is too short")

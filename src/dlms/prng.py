@@ -18,6 +18,18 @@ _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 1.0 / (1 << 53)
 
 
+def _mix(z):
+    """SplitMix64 finalizer of a Python int, or in place of a uint64 array."""
+    z ^= z >> 30
+    z *= _MIX1
+    z &= _MASK64
+    z ^= z >> 27
+    z *= _MIX2
+    z &= _MASK64
+    z ^= z >> 31
+    return z
+
+
 class RandomStream:
     """Single-owner deterministic random stream.
 
@@ -35,10 +47,7 @@ class RandomStream:
     def next_u64(self):
         """Advance the SplitMix64 recurrence and return the finalized value."""
         self.state = (self.state + _GAMMA) & _MASK64
-        z = self.state
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-        return z ^ (z >> 31)
+        return _mix(self.state)
 
     def next_uniform(self):
         """Uniform double in (0, 1]: ((u64 >> 11) + 1) / 2^53."""
@@ -64,15 +73,12 @@ def derive_seed(base, index):
     """Derive a child seed from (base, index) by SplitMix64 mixing.
 
     The child seed is the (index+1)-th SplitMix64 output of a stream seeded
-    with ``base``. Used for per-run, per-agent ensemble streams.
+    with ``base``, mix(base + (index+1)*gamma). Used for per-run, per-agent
+    ensemble streams.
     """
     if index < 0:
         raise ConfigError(f"negative stream index: {index}")
-    stream = RandomStream(base)
-    out = stream.next_u64()
-    for _ in range(index):
-        out = stream.next_u64()
-    return out
+    return _mix((base + (index + 1) * _GAMMA) & _MASK64)
 
 
 def gaussian_block(seeds, count):
@@ -89,12 +95,7 @@ def gaussian_block(seeds, count):
 
     pairs = (count + 1) // 2
     k = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    z = np.asarray(seeds, dtype=np.uint64)[:, None] + k * np.uint64(_GAMMA)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
+    z = _mix(np.asarray(seeds, dtype=np.uint64)[:, None] + k * np.uint64(_GAMMA))
     z >>= np.uint64(11)
     z += np.uint64(1)
     u = z.astype(np.float64) * _INV_2_53

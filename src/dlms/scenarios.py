@@ -177,21 +177,20 @@ def builtin_names():
     return list(_BUILTIN_PARAMS)
 
 
-def builtin_summary(name):
-    try:
-        return _BUILTIN_PARAMS[name][7]
-    except KeyError:
+def _builtin_params(name):
+    if name not in _BUILTIN_PARAMS:
         raise ConfigError(
-            f"unknown builtin {name!r}; valid names: {', '.join(_BUILTIN_PARAMS)}"
-        ) from None
+            f"unknown builtin {name!r}; valid names: {', '.join(_BUILTIN_PARAMS)}")
+    return _BUILTIN_PARAMS[name]
+
+
+def builtin_summary(name):
+    return _builtin_params(name)[7]
 
 
 def builtin(name):
     """Five-agent scenario for one of the builtin experiment tables."""
-    if name not in _BUILTIN_PARAMS:
-        raise ConfigError(
-            f"unknown builtin {name!r}; valid names: {', '.join(_BUILTIN_PARAMS)}")
-    mu_a, mu_b, w0_a, w0_b, s_self, nsd_a, nsd_b, _ = _BUILTIN_PARAMS[name]
+    mu_a, mu_b, w0_a, w0_b, s_self, nsd_a, nsd_b, _ = _builtin_params(name)
     inp = GaussianParams(0.0, INPUT_SD)
     noise_a = GaussianParams(0.0, nsd_a)
     noise_b = GaussianParams(0.0, nsd_b)
@@ -259,6 +258,13 @@ def set_agent_field(cfg, key, text):
             raise ConfigError(f"agent {cfg.id}: {cfg.kind} agents take no {name}")
         value = replace(params, **{part: value})
     return replace(cfg, **{name: value})
+
+
+def set_trust(rows, adaptive_ids, src, dst, coeff):
+    """rows[src][dst] = float(coeff) by adaptive agent id; ConfigError for an unknown id."""
+    if src not in adaptive_ids or dst not in adaptive_ids:
+        raise ConfigError(f"trust entry names unknown adaptive agent {src!r} -> {dst!r}")
+    rows[adaptive_ids.index(src)][adaptive_ids.index(dst)] = float(coeff)
 
 
 def _add_entry(entries, key, value, lineno, name):
@@ -358,18 +364,16 @@ def parse(config_text):
         agents.append(cfg)
 
     adaptive_ids = [cfg.id for cfg in agents if cfg.is_adaptive()]
-    index = {aid: i for i, aid in enumerate(adaptive_ids)}
     n = len(adaptive_ids)
     rows = [[0.0] * n for _ in range(n)]
-    listed = set()
     for (src, dst), (coeff, lineno) in trust_entries.items():
-        if src not in index or dst not in index:
-            raise ParseError(f"trust entry names unknown adaptive agent "
-                             f"{src!r} -> {dst!r}", lineno)
-        rows[index[src]][index[dst]] = coeff
-        listed.add(src)
+        try:
+            set_trust(rows, adaptive_ids, src, dst, coeff)
+        except ConfigError as exc:
+            raise ParseError(str(exc), lineno) from None
     # rows with no trust entries default to identity (standalone-style)
-    for aid, i in index.items():
+    listed = {src for src, _ in trust_entries}
+    for i, aid in enumerate(adaptive_ids):
         if aid not in listed:
             rows[i][i] = 1.0
 
@@ -442,7 +446,7 @@ def mean_record(record):
     if not len(record):
         raise ConfigError("empty ensemble")
     n = len(record)
-    return replace(record, runs=[0], ws=(sum_in_order(record.ws) / n)[None],
+    return replace(record, ws=(sum_in_order(record.ws) / n)[None],
                    es=(sum_in_order(record.es) / n)[None])
 
 

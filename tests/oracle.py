@@ -46,8 +46,7 @@ def as_ensemble_record(scenario, records):
           for rec in records]
     es = [[[rec.es[aid][i] for aid in agents] for i in range(scenario.iterations)]
           for rec in records]
-    return EnsembleRecord(seed=scenario.seed, w_opt=tuple(scenario.w_opt), agents=agents,
-                          runs=[rec.run_index for rec in records],
+    return EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=agents,
                           ws=np.array(ws, dtype=np.float64).reshape(shape),
                           es=np.array(es, dtype=np.float64).reshape(shape[:3]))
 
@@ -212,10 +211,10 @@ def write_trajectories(path, scenario, record):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for r, run_index in enumerate(record.runs):
+        for r in range(len(record)):
             rows = zip(record.ws[r][:, order].tolist(), record.es[r][:, order].tolist(),
                        record.sq_dist[r][:, order].tolist())
             for i, (ws, es, sq) in enumerate(rows, start=1):
                 for aid, w, e, d in zip(ids, ws, es, sq):
-                    writer.writerow([run_index, i, aid, *map(repr, w), repr(e),
+                    writer.writerow([r, i, aid, *map(repr, w), repr(e),
                                      repr(d ** 0.5)])

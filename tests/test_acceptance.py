@@ -107,7 +107,6 @@ def test_c04_hand_trace_oracle():
 def test_c05_merge(ensembles):
     result = verify_merge(builtin("table1"), record=ensembles["table1"])
     report(5, result.passed,
-           f"psi_equal={result.details['psi_equal']}, "
            f"mean gap {result.details['worst_mean_gap']:.4f} "
            f"< {result.details['threshold']:.4f} for all i >= 10")
 

@@ -280,6 +280,13 @@ class TestVerify:
     def test_stabilize_passes_on_table5(self):
         assert run_cli("verify", "table5", "stabilize", "--ensemble", "20") == 0
 
+    @pytest.mark.parametrize("name, claim, w_opt", [("table1", "merge", "0.5"),
+                                                    ("table2", "speedup", "0")])
+    def test_band_undefined_at_mean_w0(self, capsys, name, claim, w_opt):
+        # the adaptive agents' mean w0 equals w_opt: no band to measure against
+        assert run_cli("verify", name, claim, "--w-opt", w_opt, *SMALL) == 2
+        assert "band undefined" in capsys.readouterr().err
+
     def test_merge_passes_on_table1(self):
         assert run_cli("verify", "table1", "merge", "--ensemble", "10") == 0
 

@@ -28,10 +28,10 @@ def _bits(records):
     if isinstance(records, list):
         return [(r.run_index, r.agents, repr(r.ws), repr(r.es)) for r in records]
     ws, es = records.ws.tolist(), records.es.tolist()
-    return [(run_index, records.agents,
+    return [(r, records.agents,
              repr({aid: [w[a] for w in ws[r]] for a, aid in enumerate(records.agents)}),
              repr({aid: [e[a] for e in es[r]] for a, aid in enumerate(records.agents)}))
-            for r, run_index in enumerate(records.runs)]
+            for r in range(len(records))]
 
 
 def _outcome(run_fn, scenario):

@@ -25,8 +25,8 @@ def _record(*runs, w_opt=(2.0,)):
     ws = np.array([[[run[a][i] for a in agents] for i in range(length)] for run in runs],
                   dtype=np.float64)
     ws = ws.reshape(len(runs), length, len(agents), len(w_opt))
-    return EnsembleRecord(seed=0, w_opt=tuple(w_opt), agents=agents,
-                          runs=list(range(len(runs))), ws=ws, es=np.zeros(ws.shape[:3]))
+    return EnsembleRecord(w_opt=tuple(w_opt), agents=agents, ws=ws,
+                          es=np.zeros(ws.shape[:3]))
 
 
 class TestReductionOrder:
@@ -80,14 +80,15 @@ class TestSteadyStateVariance:
         assert steady_state_variance(rec, "a")[0] == 0.0
 
     def test_alternating_window(self):
-        # window of 4 over 0,1,0,1: sample variance 1/3
-        rec = _record({"a": [0.0, 1.0, 0.0, 1.0]})
-        assert steady_state_variance(rec, "a", 1.0)[0] == pytest.approx(1 / 3)
+        # the last 20% of 20 iterations is 0,1,0,1: sample variance 1/3
+        rec = _record({"a": [5.0] * 16 + [0.0, 1.0, 0.0, 1.0]})
+        assert steady_state_variance(rec, "a")[0] == pytest.approx(1 / 3)
 
     def test_window_too_short(self):
+        # the last 20% of 4 iterations is a single sample
         rec = _record({"a": [1.0, 2.0, 3.0, 4.0]})
         with pytest.raises(ConfigError):
-            steady_state_variance(rec, "a", 0.2)
+            steady_state_variance(rec, "a")
 
 
 class TestConvergenceIteration:

@@ -57,11 +57,11 @@ def uniform_coop_trust(scenario):
 CASES = {
     "merge-table1": (
         lambda: small(builtin("table1"), 10, 300), "merge",
-        "PASS merge: psi_equal=True, worst_mean_gap=0.015570770681811185, "
+        "PASS merge: worst_mean_gap=0.015570770681811185, "
         "threshold=0.07500000000000001"),
     "merge-table1-frozen": (
         lambda: with_mu(small(builtin("table1"), 5, 2000), "bd", 0.0), "merge",
-        "FAIL merge: psi_equal=True, worst_mean_gap=0.4717581486925937, "
+        "FAIL merge: worst_mean_gap=0.4717581486925937, "
         "threshold=0.07500000000000001"),
     "speedup-table2": (
         lambda: small(builtin("table2"), 20, 1000), "speedup",
@@ -81,7 +81,7 @@ CASES = {
         "median_selfish_merge=18, median_balanced_merge=1"),
     "merge-vector": (
         lambda: uniform_coop_trust(small(long_horizon(), 3, 400)), "merge",
-        "FAIL merge: psi_equal=True, worst_mean_gap=0.16410746546754237, "
+        "FAIL merge: worst_mean_gap=0.16410746546754237, "
         "threshold=0.1152443057161611"),
     "speedup-vector": (
         lambda: with_mu(small(long_horizon(), 4, 400), "ad", 0.2), "speedup",
@@ -92,7 +92,7 @@ CASES = {
         "median_selfish_merge=49, median_balanced_merge=44"),
     "merge-wide": (
         lambda: uniform_coop_trust(wide()), "merge",
-        "FAIL merge: psi_equal=True, worst_mean_gap=0.43777622275526845, "
+        "FAIL merge: worst_mean_gap=0.43777622275526845, "
         "threshold=0.16298006013006625"),
     "delay-wide": (
         wide, "delay",
