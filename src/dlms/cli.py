@@ -176,6 +176,14 @@ def cmd_run(args):
     scenario = apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
     try:
+        return _run_to(scenario, out)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
+
+
+def _run_to(scenario, out):
+    """Run the scenario and write its outputs next to ``out``; the exit code."""
+    try:
         record = run(scenario)
     except DivergenceError as exc:
         written = [error_path(out)]
@@ -252,6 +260,9 @@ def build_parser():
 
 
 def main(argv=None):
+    # stdout is UTF-8 like the files, whatever the locale; surrogateescape
+    # writes undecodable bytes of argv paths back unchanged
+    sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -241,7 +241,8 @@ AGENT_FIELDS = {
     "noise_sd": ("noise", "sd", float),
     "counterpart": ("counterpart", None, lambda text: text or None),
 }
-_AGENT_KEYS = {"id", "kind", "sources", *AGENT_FIELDS}
+_AVERAGING_KEYS = {"id", "kind", "sources"}
+_AGENT_KEYS = {*_AVERAGING_KEYS, *AGENT_FIELDS}
 
 
 def set_agent_field(cfg, key, text):
@@ -294,7 +295,7 @@ def parse(config_text):
                 raise ParseError(f"unterminated section header {text!r}", lineno)
             section = text[1:-1].strip().lower()
             if section == "agent":
-                agent_sections.append({})
+                agent_sections.append(({}, lineno))
             elif section not in ("network", "trust"):
                 raise ParseError(f"unknown section [{section}]", lineno)
             continue
@@ -325,7 +326,7 @@ def parse(config_text):
         else:
             if key not in _AGENT_KEYS:
                 raise ParseError(f"unknown agent key {key!r}", lineno)
-            _add_entry(agent_sections[-1], key, value, lineno, f"agent key {key!r}")
+            _add_entry(agent_sections[-1][0], key, value, lineno, f"agent key {key!r}")
 
     def net_value(key, default, conv):
         if key not in network:
@@ -342,12 +343,15 @@ def parse(config_text):
     ensemble = net_value("ensemble", 100, int)
 
     agents = []
-    for sect in agent_sections:
+    for sect, header_lineno in agent_sections:
         values = {key: value for key, (value, _) in sect.items()}
         if "id" not in values:
-            raise ParseError("agent section missing id",
-                             next(iter(sect.values()))[1] if sect else 0)
+            raise ParseError("agent section missing id", header_lineno)
         kind = values.get("kind", COOPERATIVE)
+        allowed = _AVERAGING_KEYS if kind == AVERAGING else _AGENT_KEYS - {"sources"}
+        for key, (_, lineno) in sect.items():
+            if key not in allowed:
+                raise ParseError(f"{kind} agents take no {key}", lineno)
         if kind == AVERAGING:
             sources = values.get("sources", "").replace(",", " ").split()
             agents.append(AgentConfig(values["id"], kind, sources=tuple(sources)))

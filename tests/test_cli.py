@@ -165,6 +165,14 @@ def test_agent_id_that_breaks_the_format_is_usage_error(tmp_path, capsys):
     assert "agent id 'x.y'" in capsys.readouterr().err
 
 
+def test_key_the_kind_does_not_take_is_usage_error(tmp_path, capsys):
+    for kind, key, value in (("standalone", "sources", "zz"), ("averaging", "mu", "7")):
+        cfg = tmp_path / f"{kind}.cfg"
+        cfg.write_text(f"[agent]\nid = x\nkind = {kind}\n{key} = {value}\n")
+        assert run_cli("run", str(cfg), "--out", str(tmp_path / "x.csv")) == 2
+        assert f"line 4: {kind} agents take no {key}\n" in capsys.readouterr().err
+
+
 def test_trust_override(tmp_path):
     out = tmp_path / "t.csv"
     assert run_cli("run", "table1", "--iterations", "5", "--ensemble", "1",
@@ -223,11 +231,25 @@ def test_divergence_in_the_first_run_removes_earlier_outputs(tmp_path):
     assert _outputs(out) == [False, False, True]
 
 
+@pytest.mark.parametrize("out, reason", [("missing/t.csv", "No such file or directory"),
+                                         ("a_dir", "Is a directory")])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, out, reason):
+    (tmp_path / "a_dir").mkdir()
+    out = tmp_path / out
+    assert run_cli("run", "table1", *SMALL, "--out", str(out)) == 2
+    assert f"error: cannot write {out}: {reason}" in capsys.readouterr().err
+
+
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
-    """Config and outputs are UTF-8 whatever the locale's encoding is."""
+    """Config, outputs and stdout are UTF-8 whatever the locale's encoding is."""
     cfg = tmp_path / "e.cfg"
     cfg.write_bytes("[network]\niterations = 3\nensemble = 1\n"
                     "[agent]\nid = é\nkind = standalone\nw0 = 0\n".encode())
+    pair = tmp_path / "pair.cfg"
+    pair.write_bytes("[network]\niterations = 50\nensemble = 4\n"
+                     "[agent]\nid = é\nnoise_sd = 0.2\n[agent]\nid = b\nnoise_sd = 0.01\n"
+                     "[agent]\nid = c\nkind = standalone\nnoise_sd = 0.2\ncounterpart = é\n"
+                     "[trust]\né é 0.5\né b 0.5\nb b 0.5\nb é 0.5\n".encode())
     bad = tmp_path / "bad.cfg"
     bad.write_bytes(b"[network]\n# \xff\n")
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -242,6 +264,9 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert (result.returncode, result.stderr) == (0, b"")
     assert (tmp_path / "e.csv").read_bytes().splitlines()[1].startswith("0,1,é,".encode())
     assert "\nmsd,é,1,".encode() in (tmp_path / "e.metrics.csv").read_bytes()
+    result = dlms("verify", "pair.cfg", "stabilize")
+    assert result.returncode in (0, 1)
+    assert (result.stderr, "cooperative=é, twin=c\n".encode() in result.stdout) == (b"", True)
     result = dlms("run", "bad.cfg", "--out", "bad.csv")
     assert result.returncode == 2
     assert b"config file bad.cfg is not UTF-8 text: byte 12 (0xff)" in result.stderr

@@ -148,6 +148,23 @@ class TestConfigFormat:
         """As with --set AGENT.counterpart=, an empty value sets no counterpart."""
         assert parse(self.MINIMAL + "    counterpart =\n").agents[0].counterpart is None
 
+    @pytest.mark.parametrize("kind, key", [
+        ("standalone", "sources"),
+        ("cooperative", "sources"),
+        ("averaging", "mu"),
+        ("averaging", "noise_sd"),
+        ("averaging", "counterpart"),
+    ])
+    def test_key_the_kind_does_not_take(self, kind, key):
+        text = self.MINIMAL + f"[agent]\nid = x\nkind = {kind}\n{key} = solo\n"
+        with pytest.raises(ParseError, match=f"line 18: {kind} agents take no {key}$"):
+            parse(text)
+
+    @pytest.mark.parametrize("section", ["[agent]\n", "[agent]\nkind = standalone\n"])
+    def test_missing_id_names_the_section_header(self, section):
+        with pytest.raises(ParseError, match="line 15: agent section missing id"):
+            parse(self.MINIMAL + section)
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="frobnicate"):
             parse("[network]\nfrobnicate = 1\n")
