@@ -182,7 +182,7 @@ def cmd_run(args):
 
 
 def _run_to(scenario, out):
-    """Run the scenario and write its outputs next to ``out``; the exit code."""
+    """Run the scenario, write ``out`` and its sibling outputs; return the exit code."""
     try:
         record = run(scenario)
     except DivergenceError as exc:

@@ -348,6 +348,8 @@ def parse(config_text):
         if "id" not in values:
             raise ParseError("agent section missing id", header_lineno)
         kind = values.get("kind", COOPERATIVE)
+        if kind not in _KINDS:
+            raise ParseError(f"unknown agent kind {kind!r}", sect["kind"][1])
         allowed = _AVERAGING_KEYS if kind == AVERAGING else _AGENT_KEYS - {"sources"}
         for key, (_, lineno) in sect.items():
             if key not in allowed:

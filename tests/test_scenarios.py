@@ -160,6 +160,11 @@ class TestConfigFormat:
         with pytest.raises(ParseError, match=f"line 18: {kind} agents take no {key}$"):
             parse(text)
 
+    def test_unknown_kind_names_its_line(self):
+        text = self.MINIMAL + "[agent]\nid = x\nkind = foo\nsources = solo\n"
+        with pytest.raises(ParseError, match="line 17: unknown agent kind 'foo'"):
+            parse(text)
+
     @pytest.mark.parametrize("section", ["[agent]\n", "[agent]\nkind = standalone\n"])
     def test_missing_id_names_the_section_header(self, section):
         with pytest.raises(ParseError, match="line 15: agent section missing id"):
