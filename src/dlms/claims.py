@@ -171,8 +171,11 @@ def verify_delay(scenario):
 
     Compares the scenario against its balanced-trust variant on identical
     seeds; the selfish network must merge strictly later in at least 90% of
-    paired runs.
+    paired runs. Both networks are simulated together on one draw of the
+    signals, and each stays bit-identical to a separate run of it.
     """
+    from .engine import run_ensemble  # numpy loads with the first run, not at import
+
     coop = _cooperative_ids(scenario, "delay")
     balanced = balanced_variant(scenario)
     if balanced.trust == scenario.trust:
@@ -182,8 +185,8 @@ def verify_delay(scenario):
     # a run that never merges counts as merging just after the horizon
     horizon = scenario.iterations + 1
     selfish_iters, balanced_iters = (
-        [horizon if it is None else it for it in merge_iteration(run(s), coop)]
-        for s in (scenario, balanced))
+        [horizon if it is None else it for it in merge_iteration(record, coop)]
+        for record in run_ensemble(scenario, [scenario.trust, balanced.trust]))
     wins = sum(s > b for s, b in zip(selfish_iters, balanced_iters))
     fraction = wins / len(selfish_iters)
     return ClaimResult("delay", fraction >= PAIRED_PASS_FRACTION, {

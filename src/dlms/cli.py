@@ -1,13 +1,14 @@
 """Command-line front end: run scenarios to CSV, verify claims, list builtins.
 
-Exit codes: 0 success/pass, 1 verification fail, 2 usage/config error,
-3 divergence.
+Exit codes: 0 success/pass, 1 verification fail, 2 usage/config error or
+closed stdout, 3 divergence.
 """
 
 import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import replace
 from itertools import repeat
@@ -176,9 +177,12 @@ def cmd_run(args):
     scenario = apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
     try:
-        return _run_to(scenario, out)
+        code = _run_to(scenario, out)
     except OSError as exc:
         raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
+    if code == EXIT_OK:
+        print(f"wrote {out} and {metrics_path(out)}")
+    return code
 
 
 def _run_to(scenario, out):
@@ -204,7 +208,6 @@ def _run_to(scenario, out):
     write_trajectories(out, scenario, record)
     write_metrics(metrics_path(out), scenario, record)
     _remove_stale(out, [out, metrics_path(out)])
-    print(f"wrote {out} and {metrics_path(out)}")
     return EXIT_OK
 
 
@@ -266,7 +269,16 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # nothing more reaches stdout; point it at devnull so that the flush
+        # at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before the output was written",
+              file=sys.stderr)
+        return EXIT_USAGE
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

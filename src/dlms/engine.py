@@ -1,10 +1,14 @@
 """Vectorized ensemble engine for combine-then-adapt networks.
 
-The runs of a scenario advance side by side on numpy arrays indexed
-[iteration, run, adaptive agent, weight component]; only the iterations are
-a Python loop. Every floating-point operation is the one the scalar
-reference (``network.cta_iteration`` over ``filters.lms_step``) performs, in
-the same order, so trajectories are bit-identical to it:
+The runs of a scenario advance side by side on numpy arrays; only the
+iterations are a Python loop. Variants of a scenario whose trust matrices
+share one nonzero pattern (a single run is one variant) share one draw of
+the signals and are stacked on a leading axis with per-variant combine
+coefficients, so each iteration is one set of numpy calls for all of them.
+Every floating-point operation is the one the scalar reference
+(``network.cta_iteration`` over ``filters.lms_step``) performs for that
+variant, in the same order, so each variant's trajectories are
+bit-identical to a separate run of it:
 
 - combine skips zero trust coefficients, starts from s*w (exactly w when s is
   1.0) and adds the later terms left to right;
@@ -12,8 +16,10 @@ the same order, so trajectories are bit-identical to it:
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
 
-Each chunk of runs is copied into one EnsembleRecord laid out [run,
-iteration, agent, weight component], where the averaging agents are added.
+Each iteration writes its weights and errors through ``out=`` into strided
+views of the records, laid out [variant, run, iteration, agent, weight
+component]; each chunk of runs then fills in its averaging agents.
+Divergence is reported as separate runs in variant order would report it.
 
 No matrix products are used, because BLAS may reorder the sums.
 """
@@ -25,150 +31,174 @@ from .filters import DIVERGENCE_BOUND
 from .metrics import EnsembleRecord
 from .prng import derive_seed, gaussian_block
 
-# Gaussian draws per chunk of runs; bounds the size of the engine's arrays.
+# Gaussian draws per chunk of runs; bounds the size of the signal arrays.
 _CHUNK_DRAWS = 1 << 20
 
 
-def _stream_owners(scenario):
-    """Stream-owner index (position in scenario.agents) per adaptive agent."""
+def _streams(scenario):
+    """Stream owners (positions in scenario.agents), in order of their first
+    adaptive agent, and per adaptive agent the index of its owner in them."""
     position = {cfg.id: i for i, cfg in enumerate(scenario.agents)}
-    return [position[cfg.counterpart if cfg.counterpart is not None else cfg.id]
-            for cfg in scenario.adaptive_agents()]
+    owner_of = [position[cfg.counterpart if cfg.counterpart is not None else cfg.id]
+                for cfg in scenario.adaptive_agents()]
+    owners = list(dict.fromkeys(owner_of))
+    return owners, [owners.index(owner) for owner in owner_of]
 
 
-def run_ensemble(scenario):
-    """Every run of the scenario, in run order, as one EnsembleRecord.
+def run_ensemble(scenario, trusts):
+    """Every run of the scenario under each trust matrix, one EnsembleRecord each.
 
-    Runs are simulated in chunks of a fixed number of Gaussian draws. On
-    divergence it raises DivergenceError naming the first divergent run, its
-    first divergent iteration and the lowest adaptive agent that diverged
-    there; ``completed`` is the record of the runs before it.
+    ``trusts`` stands in for ``scenario.trust`` (a single run passes
+    ``[scenario.trust]``); its matrices must share one nonzero pattern, or
+    ValueError is raised before anything runs. Runs are simulated in chunks
+    of a fixed number of Gaussian draws. On divergence it raises what
+    separate runs in variant order would: the DivergenceError of the first
+    variant that diverges, naming its first divergent run, that run's first
+    divergent iteration and the lowest adaptive agent that diverged there,
+    with ``completed`` that variant's record of the runs before it. So a
+    later variant's error is raised only once every earlier variant has
+    finished all its chunks cleanly.
     """
+    terms = _combine_terms(trusts)
     adaptive = scenario.adaptive_agents()
     averaging = scenario.averaging_agents()
     n = len(adaptive)
     ids = [cfg.id for cfg in adaptive + averaging]
     index = {aid: a for a, aid in enumerate(ids)}
     m = len(scenario.w_opt)
-    shape = (scenario.ensemble, scenario.iterations, len(ids))
-    record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
-                            ws=np.empty(shape + (m,)), es=np.zeros(shape))
-    streams = len(set(_stream_owners(scenario)))
+    shape = (len(trusts), scenario.ensemble, scenario.iterations, len(ids))
+    ws, es = np.empty(shape + (m,)), np.zeros(shape)
+    records = [EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
+                              ws=ws[v], es=es[v]) for v in range(len(trusts))]
+    streams = len(_streams(scenario)[0])
     chunk = max(1, _CHUNK_DRAWS // (streams * scenario.iterations * (m + 1)))
+    failed, error = len(trusts), None  # the lowest variant that diverged so far
     for start in range(0, scenario.ensemble, chunk):
         runs = range(start, min(start + chunk, scenario.ensemble))
+        block, errors = ws[:, start:runs.stop], es[:, start:runs.stop, :, :n]
         # divergent runs carry inf/nan through the rest of the loop
         with np.errstate(all="ignore"):
-            ws, es = _simulate(scenario, runs)
-            error = _first_divergence(scenario, runs, ws, es)
-            stop = runs.stop if error is None else error.run
-            block = record.ws[start:stop]
-            block[:, :, :n] = ws[:, :stop - start].transpose(1, 0, 2, 3)
-            record.es[start:stop, :, :n] = es[:, :stop - start].transpose(1, 0, 2)
+            _simulate(scenario, terms, runs, block[..., :n, :], errors)
             for a, cfg in enumerate(averaging, start=n):
                 first, *rest = (index[s] for s in cfg.sources)
-                total = block[:, :, first]
+                total = block[..., first, :]
                 for b in rest:
-                    total = total + block[:, :, b]
-                block[:, :, a] = total / len(cfg.sources)
-        if error is not None:
-            error.completed = record.head(stop)
+                    total = total + block[..., b, :]
+                block[..., a, :] = total / len(cfg.sources)
+            for v in range(failed):
+                found = _first_divergence(scenario, runs, block[v, ..., :n, :], errors[v])
+                if found is not None:
+                    failed, error = v, found
+                    error.completed = records[v].head(error.run)
+                    break
+        if failed == 0:
             raise error
-    return record
+    if error is not None:
+        raise error
+    return records
 
 
 def _signals(scenario, runs):
-    """Inputs x [L, R, N, M] and targets y [L, R, N] of every adaptive agent.
+    """Inputs x [L, R, G, M] and targets y [L, R, G] of the G stream owners.
 
     Each stream owner draws M+1 Gaussians per iteration (x components, then
-    the noise q); a twin reads its counterpart's draws.
+    the noise q) with the statistics of its first adaptive agent; a twin
+    reads its counterpart's draws.
     """
     adaptive = scenario.adaptive_agents()
-    owners = _stream_owners(scenario)
-    groups = list(dict.fromkeys(owners))
-    group_of = [groups.index(owner) for owner in owners]
-    # an owner's statistics are those of its first adaptive agent
-    params = [adaptive[owners.index(g)] for g in groups]
+    owners, stream = _streams(scenario)
     m = len(scenario.w_opt)
-    seeds = [derive_seed(scenario.seed ^ r, g) for r in runs for g in groups]
-    z = gaussian_block(seeds, scenario.iterations * (m + 1))
-    z = z.reshape(len(runs), len(groups), scenario.iterations, m + 1)
-
-    def column(values):
-        return np.array(values, dtype=np.float64)[:, None]
-
-    x = (column([cfg.input.mean for cfg in params])[..., None]
-         + column([cfg.input.sd for cfg in params])[..., None] * z[..., :m])
-    q = (column([cfg.noise.mean for cfg in params])
-         + column([cfg.noise.sd for cfg in params]) * z[..., m])
-    y = 0.0 + scenario.w_opt[0] * x[..., 0]
-    for j in range(1, m):
-        y += scenario.w_opt[j] * x[..., j]
-    y += q
-    x = np.ascontiguousarray(x[:, group_of].transpose(2, 0, 1, 3))
-    y = np.ascontiguousarray(y[:, group_of].transpose(2, 0, 1))
+    length = scenario.iterations
+    x = np.empty((length, len(runs), len(owners), m))
+    y = np.empty((length, len(runs), len(owners)))
+    for g, owner in enumerate(owners):
+        cfg = adaptive[stream.index(g)]
+        z = gaussian_block([derive_seed(scenario.seed ^ r, owner) for r in runs],
+                           length * (m + 1))
+        z = z.reshape(len(runs), length, m + 1).transpose(1, 0, 2)
+        xo, yo = x[:, :, g], y[:, :, g]
+        np.multiply(cfg.input.sd, z[..., :m], out=xo)
+        xo += cfg.input.mean
+        np.add(0.0, scenario.w_opt[0] * xo[..., 0], out=yo)
+        for j in range(1, m):
+            yo += scenario.w_opt[j] * xo[..., j]
+        yo += cfg.noise.mean + cfg.noise.sd * z[..., m]
     return x, y
 
 
-def _combine_terms(trust):
+def _combine_terms(trusts):
     """Nonzero trust terms as (rows, cols, coefficients) per term position.
 
     Position k holds the k-th nonzero coefficient of every row that has one,
-    so adding the positions in order reproduces the scalar combine.
+    so adding the positions in order reproduces the scalar combine. The
+    coefficients are laid out [variant, 1, row, 1] to broadcast against
+    weights [V, R, N, M]. Consecutive rows are a slice, which adds in place
+    on a view instead of through a gather and a scatter. ValueError if the
+    matrices' nonzero patterns differ.
     """
-    terms = [[(b, s) for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
+    support = [[[b for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
+               for trust in trusts]
+    if any(pattern != support[0] for pattern in support[1:]):
+        raise ValueError("trust matrices of the variants differ in their nonzero pattern")
+    terms = support[0]
     out = []
     for k in range(max(len(t) for t in terms)):
         rows = [a for a, t in enumerate(terms) if len(t) > k]
-        out.append((np.array(rows),
-                    np.array([terms[a][k][0] for a in rows]),
-                    np.array([terms[a][k][1] for a in rows])[:, None]))
+        cols = [terms[a][k] for a in rows]
+        coef = np.array([[trust.rows[a][b] for a, b in zip(rows, cols)]
+                         for trust in trusts], dtype=np.float64)
+        if rows == list(range(rows[0], rows[-1] + 1)):
+            rows = slice(rows[0], rows[-1] + 1)
+        out.append((rows, np.array(cols), coef[:, None, :, None]))
     return out
 
 
-def _simulate(scenario, runs):
-    """Adaptive-agent weights w [L, R, N, M] and errors e [L, R, N] of the runs."""
+def _simulate(scenario, terms, runs, ws, es):
+    """Write the adaptive agents' weights ws [V, R, L, N, M] and errors
+    es [V, R, L, N] of the runs, one variant per entry of the combine terms."""
     adaptive = scenario.adaptive_agents()
     x, y = _signals(scenario, runs)
-    (_, first_cols, first_coef), *later = _combine_terms(scenario.trust)
+    stream = np.array(_streams(scenario)[1])
+    (_, first_cols, first_coef), *later = terms
     mu = np.array([cfg.mu for cfg in adaptive], dtype=np.float64)
     m = len(scenario.w_opt)
-    ws = np.empty(x.shape)
-    es = np.empty(y.shape)
     w = np.broadcast_to(np.array([cfg.w0 for cfg in adaptive], dtype=np.float64),
-                        x.shape[1:])
+                        ws[:, :, 0].shape)
+    # take() gathers the same values as fancy indexing, with less overhead
     for i in range(scenario.iterations):
-        psi = first_coef * w[:, first_cols]
+        psi = first_coef * w.take(first_cols, axis=2)
         for rows, cols, coef in later:
-            psi[:, rows] += coef * w[:, cols]
-        xi = x[i]
-        pred = 0.0 + psi[..., 0] * xi[..., 0]
+            psi[:, :, rows] += coef * w.take(cols, axis=2)
+        xi = x[i].take(stream, axis=1)
+        products = psi * xi
+        pred = 0.0 + products[..., 0]
         for j in range(1, m):
-            pred += psi[..., j] * xi[..., j]
-        e = np.subtract(y[i], pred, out=es[i])
-        w = np.add(psi, (mu * e)[..., None] * xi, out=ws[i])
-    return ws, es
+            pred += products[..., j]
+        e = np.subtract(y[i].take(stream, axis=1), pred, out=es[:, :, i])
+        w = np.add(psi, (mu * e)[..., None] * xi, out=ws[:, :, i])
 
 
 def _first_divergence(scenario, runs, ws, es):
     """DivergenceError for the first divergent run, or None.
 
-    Within a run the scalar loop stops at the first iteration where, in
-    agent order, an error is non-finite or a new weight is non-finite or
-    beyond DIVERGENCE_BOUND; the message names that check's value.
+    Takes one variant's adaptive weights ws [R, L, N, M] and errors
+    es [R, L, N]. Within a run the scalar loop stops at the first iteration
+    where, in agent order, an error is non-finite or a new weight is
+    non-finite or beyond DIVERGENCE_BOUND; the message names that check's
+    value.
     """
     bad_e = ~np.isfinite(es)
     bad = bad_e | ~(np.abs(ws) <= DIVERGENCE_BOUND).all(axis=-1)
-    bad_runs = bad.any(axis=(0, 2))
+    bad_runs = bad.any(axis=(1, 2))
     if not bad_runs.any():
         return None
     r = int(bad_runs.argmax())
-    i = int(bad[:, r].any(axis=-1).argmax())
-    a = int(bad[i, r].argmax())
-    if bad_e[i, r, a]:
-        detail = f"non-finite prediction error {float(es[i, r, a])}"
+    i = int(bad[r].any(axis=-1).argmax())
+    a = int(bad[r, i].argmax())
+    if bad_e[r, i, a]:
+        detail = f"non-finite prediction error {float(es[r, i, a])}"
     else:
-        detail = f"weight estimate diverged: {ws[i, r, a].tolist()}"
+        detail = f"weight estimate diverged: {ws[r, i, a].tolist()}"
     agent_id = scenario.adaptive_agents()[a].id
     run_index = runs[r]
     return DivergenceError(

@@ -17,6 +17,9 @@ _MIX2 = 0x94D049BB133111EB
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 1.0 / (1 << 53)
 
+# Most draws gaussian_block computes at once.
+_BLOCK_DRAWS = 1 << 16
+
 
 def _mix(z):
     """SplitMix64 finalizer of a Python int, or in place of a uint64 array."""
@@ -87,24 +90,30 @@ def gaussian_block(seeds, count):
     Returns a float64 array of shape [len(seeds), count] holding exactly the
     values that repeated ``next_gaussian()`` calls return. SplitMix64 is
     counter based (output k is mix(seed + k*gamma)), so whole streams are
-    drawn at once. The logarithm goes through ``math.log`` one element at a
-    time because ``numpy.log`` is not always correctly rounded and then
-    differs from libm in the last bit; cos, sin and sqrt agree.
+    drawn at once, into a preallocated output a block of seeds at a time:
+    each block holds at most _BLOCK_DRAWS draws (one seed's, if it needs
+    more), which bounds the temporaries. The logarithm goes through
+    ``math.log`` one element at a time because ``numpy.log`` is not always
+    correctly rounded and then differs from libm in the last bit; cos, sin
+    and sqrt agree.
     """
     import numpy as np
 
     pairs = (count + 1) // 2
-    k = np.arange(1, 2 * pairs + 1, dtype=np.uint64)
-    z = _mix(np.asarray(seeds, dtype=np.uint64)[:, None] + k * np.uint64(_GAMMA))
-    z >>= np.uint64(11)
-    z += np.uint64(1)
-    u = z.astype(np.float64) * _INV_2_53
-    del z
-    u1, u2 = u[:, 0::2], u[:, 1::2]
-    log_u1 = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
-    r = np.sqrt(-2.0 * log_u1.reshape(u1.shape))
-    theta = _TWO_PI * u2
-    out = np.empty(u.shape)
-    out[:, 0::2] = r * np.cos(theta)
-    out[:, 1::2] = r * np.sin(theta)
+    out = np.empty((len(seeds), 2 * pairs))
+    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
+    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    rows = max(1, _BLOCK_DRAWS // max(1, 2 * pairs))
+    for start in range(0, len(seeds), rows):
+        z = _mix(seeds[start:start + rows] + steps)
+        z >>= np.uint64(11)
+        z += np.uint64(1)
+        u = z.astype(np.float64) * _INV_2_53
+        u1, u2 = u[:, 0::2], u[:, 1::2]
+        log_u1 = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
+        r = np.sqrt(-2.0 * log_u1.reshape(u1.shape))
+        theta = _TWO_PI * u2
+        block = out[start:start + rows]
+        np.multiply(r, np.cos(theta), out=block[:, 0::2])
+        np.multiply(r, np.sin(theta), out=block[:, 1::2])
     return out[:, :count]

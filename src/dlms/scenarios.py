@@ -438,7 +438,8 @@ def run(scenario):
     """
     from .engine import run_ensemble  # numpy loads with the first run, not at import
 
-    return run_ensemble(scenario)
+    [record] = run_ensemble(scenario, [scenario.trust])
+    return record
 
 
 def scenario_band(scenario):

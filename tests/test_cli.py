@@ -157,6 +157,31 @@ def test_setup_does_not_import_numpy(tmp_path):
     assert result.stdout == "[]\n"
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "table1", "merge", "--ensemble", "2", "--iterations", "20"],
+    ["list"],
+    ["run", "table1", "--ensemble", "1", "--iterations", "5", "--out", "t.csv"],
+])
+def test_closed_stdout_is_usage_error(tmp_path, argv, unbuffered):
+    """A reader that has gone away is exit 2 with one error line, not a
+    traceback (which exits 1, like a failed claim); unbuffered, the failed
+    write happens inside the command, and is still not blamed on --out."""
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONUNBUFFERED": unbuffered}
+    try:
+        result = subprocess.run([sys.executable, "-m", "dlms.cli", *argv],
+                                stdout=write, stderr=subprocess.PIPE, env=env,
+                                cwd=tmp_path)
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    assert result.stderr.decode().splitlines() == [
+        "error: stdout was closed before the output was written"]
+
+
 def test_agent_id_that_breaks_the_format_is_usage_error(tmp_path, capsys):
     cfg = tmp_path / "dotted.cfg"
     cfg.write_text("[network]\niterations = 5\nensemble = 1\n"

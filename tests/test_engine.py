@@ -6,6 +6,7 @@ difference anywhere in a trajectory fails the comparison.
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -13,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 import dlms.cli
 import oracle
 from dlms import engine
+from dlms.claims import balanced_variant
 from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
 from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
@@ -38,6 +40,19 @@ def _outcome(run_fn, scenario):
     """Records of a run, or the error and the records completed before it."""
     try:
         return _bits(run_fn(scenario)), None
+    except DivergenceError as exc:
+        return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
+
+
+def _separate_runs(scenario, trusts):
+    """One run() per trust matrix, in order, as run_ensemble returns them."""
+    return [run(dataclasses.replace(scenario, trust=t)) for t in trusts]
+
+
+def _variants_outcome(run_fn, scenario, trusts):
+    """Per variant records, or the first error and its completed records."""
+    try:
+        return [_bits(record) for record in run_fn(scenario, trusts)], None
     except DivergenceError as exc:
         return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
 
@@ -138,3 +153,83 @@ def test_chunks_of_two_runs_match_oracle(monkeypatch, scenario):
     # 2 streams x 200 iterations x 2 draws per iteration = 800 draws per run
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", 1600)
     assert _outcome(run, scenario) == _outcome(oracle.run, scenario)
+
+
+def _selfish(scenario, s_self):
+    """The scenario with both cooperative agents of a builtin at self-trust s_self."""
+    rows = [list(r) for r in scenario.trust.rows]
+    rows[0][:2] = [s_self, 1.0 - s_self]
+    rows[1][:2] = [1.0 - s_self, s_self]
+    return dataclasses.replace(
+        scenario, trust=TrustMatrix(tuple(tuple(r) for r in rows)))
+
+
+@pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 1])
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(scenario=scenarios())
+def test_paired_variants_match_separate_runs(chunk_draws, scenario):
+    trusts = [scenario.trust, balanced_variant(scenario).trust]
+    with mock.patch.object(engine, "_CHUNK_DRAWS", chunk_draws):
+        paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
+    assert paired == _variants_outcome(_separate_runs, scenario, trusts)
+
+
+@pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 1200, 2400])
+@pytest.mark.parametrize("scenario", [
+    _selfish(dataclasses.replace(builtin("table1"), iterations=300, ensemble=5), 0.9),
+    # selfish: run 0 at agent b; balanced: run 2 at the standalone agent c
+    _selfish(_unstable(200, 4, 1.0), 0.9),
+], ids=["table1", "divergent"])
+def test_paired_table1_matches_separate_runs(monkeypatch, chunk_draws, scenario):
+    # table1 draws 2 streams x 2 Gaussians per iteration: 1200 draws is one
+    # run per chunk at 300 iterations, 2400 is three at 200
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
+    trusts = [scenario.trust, balanced_variant(scenario).trust]
+    paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
+    assert paired == _variants_outcome(_separate_runs, scenario, trusts)
+
+
+def _one_unstable_agent(s_self):
+    """Agent b (mu 3.0, unit input) is held stable by trusting a; the more
+    it trusts itself the earlier it diverges: at self-trust 0.5 it never
+    does in 6 runs of 200 iterations, at 0.9 in run 3, at 0.99 in run 1."""
+    unit, noise = GaussianParams(0.0, 1.0), GaussianParams(0.0, 0.1)
+    agents = (AgentConfig("a", "cooperative", mu=0.1, w0=(0.0,), input=unit, noise=noise),
+              AgentConfig("b", "cooperative", mu=3.0, w0=(0.0,), input=unit, noise=noise))
+    return Scenario(agents=agents, w_opt=(1.0,), iterations=200, ensemble=6,
+                    trust=TrustMatrix(((0.5, 0.5), (1.0 - s_self, s_self))))
+
+
+@pytest.mark.parametrize("selfs, per_chunk, error_run, chunks", [
+    ((0.5, 0.99), 2, 1, 3),  # only the later variant diverges: raised after every chunk
+    ((0.9, 0.99), 2, 3, 2),  # the later variant diverges first, the earlier one wins
+    ((0.9, 0.99), 6, 3, 1),  # the same within one chunk
+    ((0.99, 0.9), 2, 1, 1),  # the first variant diverges: raised at once
+    ((0.5, 0.5, 0.9, 0.99), 2, 3, 3),
+])
+def test_divergence_is_that_of_separate_runs_in_variant_order(
+        monkeypatch, selfs, per_chunk, error_run, chunks):
+    # 2 streams x 200 iterations x 2 draws per iteration = 800 draws per run
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", 800 * per_chunk)
+    simulated = []
+    simulate = engine._simulate
+
+    def record_chunk(scenario, terms, runs, *out):
+        simulated.append(runs)
+        simulate(scenario, terms, runs, *out)
+
+    monkeypatch.setattr(engine, "_simulate", record_chunk)
+    scenario = _one_unstable_agent(0.5)
+    trusts = [_one_unstable_agent(s).trust for s in selfs]
+    paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
+    assert simulated == [range(k, k + per_chunk) for k in range(0, 6, per_chunk)][:chunks]
+    assert paired[1][1] == error_run
+    assert paired == _variants_outcome(_separate_runs, scenario, trusts)
+
+
+def test_variants_must_share_the_nonzero_pattern():
+    s = builtin("table1")
+    trusts = [s.trust, TrustMatrix.identity(4)]
+    with pytest.raises(ValueError, match="differ in their nonzero pattern"):
+        engine.run_ensemble(s, trusts)

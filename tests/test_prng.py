@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from dlms import prng
 from dlms.errors import ConfigError
 from dlms.prng import RandomStream, derive_seed, gaussian_block
 
@@ -107,10 +108,15 @@ def test_derive_seed_is_the_next_output_of_the_base_stream(base):
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 2000])
-def test_gaussian_block_is_the_stream_bit_for_bit(count):
+def test_gaussian_block_is_the_stream_bit_for_bit(monkeypatch, count):
     seeds = [0, 1, 42, (1 << 64) - 1, derive_seed(7, 3)]
-    block = gaussian_block(seeds, count)
-    assert block.shape == (len(seeds), count)
-    for seed, row in zip(seeds, block):
-        stream = RandomStream(seed)
-        assert repr(row.tolist()) == repr([stream.next_gaussian() for _ in range(count)])
+    streams = [RandomStream(seed) for seed in seeds]
+    expected = repr([[s.next_gaussian() for _ in range(count)] for s in streams])
+    # at 16 draws per block, count 7 (8 draws a seed) runs blocks of 2, 2 and
+    # a ragged 1 seeds and count 2000 one seed per block; at 3, every count
+    # but 0 runs one seed per block
+    for block_draws in (prng._BLOCK_DRAWS, 16, 3):
+        monkeypatch.setattr(prng, "_BLOCK_DRAWS", block_draws)
+        block = gaussian_block(seeds, count)
+        assert block.shape == (len(seeds), count)
+        assert repr(block.tolist()) == expected
