@@ -3,23 +3,19 @@ using the combine-then-adapt diffusion strategy."""
 
 from .errors import ConfigError, DivergenceError, ParseError
 from .metrics import EnsembleRecord, MetricsReport
-from .network import AgentState, TrustMatrix
-from .prng import RandomStream
+from .network import TrustMatrix
 from .scenarios import AgentConfig, Scenario, builtin, parse, run, serialize
-from .signals import GaussianParams, SignalSample
+from .signals import GaussianParams
 
 __all__ = [
     "AgentConfig",
-    "AgentState",
     "ConfigError",
     "DivergenceError",
     "EnsembleRecord",
     "GaussianParams",
     "MetricsReport",
     "ParseError",
-    "RandomStream",
     "Scenario",
-    "SignalSample",
     "TrustMatrix",
     "builtin",
     "parse",

@@ -68,15 +68,15 @@ def _gap(record, p, q):
     return np.sqrt(sum_in_order(d * d, axis=-1))
 
 
-def verify_claim(scenario, claim, record=None):
+def verify_claim(scenario, claim):
     if claim == "merge":
-        return verify_merge(scenario, record)
+        return verify_merge(scenario)
     if claim == "speedup":
-        return verify_speedup(scenario, record)
+        return verify_speedup(scenario)
     if claim == "delay":
         return verify_delay(scenario)
     if claim == "stabilize":
-        return verify_stabilize(scenario, record)
+        return verify_stabilize(scenario)
     raise ConfigError(f"unknown claim {claim!r}; valid claims: {', '.join(CLAIMS)}")
 
 
@@ -98,6 +98,9 @@ def verify_merge(scenario, record=None):
     avg_id = _single_averaging_id(scenario)
     threshold = default_band([cfg.w0 for cfg in adaptive], scenario.w_opt,
                              MERGE_BAND_FRACTION)
+    if scenario.iterations < MERGE_START_ITERATION:
+        raise ConfigError(f"merge claim needs iterations >= {MERGE_START_ITERATION}, "
+                          f"got {scenario.iterations}")
     if record is None:
         record = run(scenario)
 

@@ -37,14 +37,14 @@ EXIT_DIVERGENCE = 3
 
 
 def load_scenario(ref):
-    """Resolve a builtin name or a config file path (read as UTF-8)."""
+    """Resolve a builtin name or a config file path (UTF-8, BOM skipped)."""
     if ref in builtin_names():
         return builtin(ref)
     path = Path(ref)
     if not path.exists():
         raise ConfigError(f"no such builtin or config file: {ref}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config file {ref} is not UTF-8 text: byte {exc.start} "
                           f"({exc.object[exc.start]:#04x}) does not decode") from None
@@ -284,6 +284,10 @@ def main(argv=None):
         return EXIT_USAGE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: the scenario does not fit in memory{detail}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -26,8 +26,7 @@ No matrix products are used, because BLAS may reorder the sums.
 
 import numpy as np
 
-from .errors import DivergenceError
-from .filters import DIVERGENCE_BOUND
+from .errors import DIVERGENCE_BOUND, DivergenceError
 from .metrics import EnsembleRecord
 from .prng import derive_seed, gaussian_block
 

@@ -1,5 +1,8 @@
 """Exception types shared across the simulator."""
 
+# A weight component beyond this magnitude counts as divergence.
+DIVERGENCE_BOUND = 1e12
+
 
 class ConfigError(ValueError):
     """Invalid scenario, agent, or trust configuration."""

@@ -2,9 +2,7 @@
 
 import math
 
-from .errors import ConfigError, DivergenceError
-
-DIVERGENCE_BOUND = 1e12
+from .errors import DIVERGENCE_BOUND, ConfigError, DivergenceError
 
 
 def predict(w, x):

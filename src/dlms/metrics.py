@@ -114,7 +114,10 @@ def steady_state_variance(record, agent):
     window = record.w(agent)[:, length - math.ceil(STEADY_STATE_WINDOW * length):]
     n = window.shape[1]
     if n < 2:
-        raise ConfigError(f"steady-state window of {n} samples is too short")
+        # ceil(STEADY_STATE_WINDOW * length) >= 2 from this length on
+        minimum = math.floor(1 / STEADY_STATE_WINDOW) + 1
+        raise ConfigError(f"steady-state variance needs iterations >= {minimum}, "
+                          f"got {length}")
     mean = sum_in_order(window, axis=1) / n
     var = sum_in_order(square(window - mean[:, None]), axis=1) / (n - 1)
     return sum_in_order(var, axis=-1).tolist()

@@ -74,37 +74,20 @@ def combine(trust_row, previous_weights):
     return out
 
 
-def averaging_update(sources):
-    """Component-wise arithmetic mean of the source estimates."""
-    if not sources:
-        raise ConfigError("averaging agent has no sources")
-    n = len(sources)
-    out = list(sources[0])
-    for w in sources[1:]:
-        for j, wj in enumerate(w):
-            out[j] += wj
-    return [wj / n for wj in out]
+def cta_iteration(states, trust, samples, mus):
+    """One synchronous combine-then-adapt iteration over the adaptive agents.
 
-
-def cta_iteration(states, trust, samples, mus, averaging=()):
-    """One synchronous combine-then-adapt iteration over the whole network.
-
-    ``states[:trust.size]`` are the adaptive agents, parallel to the trust
-    rows, ``samples`` and ``mus``. Trailing states are follower agents whose
-    estimate is the mean of the sources named in ``averaging`` (indices into
-    the adaptive prefix), read at the current iteration.
+    ``states``, ``samples`` and ``mus`` are parallel to the trust rows.
 
     Two-phase barrier semantics: every psi is computed from iteration i-1
     weights before any adaptation happens, so the result is independent of
     agent update order.
     """
     n = trust.size
-    if len(samples) != n or len(mus) != n:
-        raise ConfigError("samples/mus must align with trust rows")
-    if len(states) != n + len(averaging):
-        raise ConfigError("states must cover adaptive then averaging agents")
+    if len(states) != n or len(samples) != n or len(mus) != n:
+        raise ConfigError("states/samples/mus must align with trust rows")
 
-    prev = [st.w for st in states[:n]]
+    prev = [st.w for st in states]
     psis = [combine(trust.rows[a], prev) for a in range(n)]
 
     new_states = []
@@ -114,7 +97,4 @@ def cta_iteration(states, trust, samples, mus, averaging=()):
         except DivergenceError as exc:
             raise DivergenceError(str(exc), agent=a) from exc
         new_states.append(AgentState(w=w, psi=psis[a], e=e))
-    for sources in averaging:
-        w = averaging_update([new_states[b].w for b in sources])
-        new_states.append(AgentState(w=w, psi=list(w), e=0.0))
     return new_states

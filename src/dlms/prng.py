@@ -33,45 +33,6 @@ def _mix(z):
     return z
 
 
-class RandomStream:
-    """Single-owner deterministic random stream.
-
-    Uniforms lie strictly in (0, 1] so the Box-Muller logarithm is always
-    finite. The second Box-Muller deviate is cached and consumed on the next
-    Gaussian draw; the cache is part of the reproducibility contract.
-    """
-
-    __slots__ = ("state", "cached_gaussian")
-
-    def __init__(self, seed):
-        self.state = seed & _MASK64
-        self.cached_gaussian = None
-
-    def next_u64(self):
-        """Advance the SplitMix64 recurrence and return the finalized value."""
-        self.state = (self.state + _GAMMA) & _MASK64
-        return _mix(self.state)
-
-    def next_uniform(self):
-        """Uniform double in (0, 1]: ((u64 >> 11) + 1) / 2^53."""
-        return ((self.next_u64() >> 11) + 1) * _INV_2_53
-
-    def next_gaussian(self, mean=0.0, sd=1.0):
-        """Gaussian deviate via the Box-Muller transform."""
-        if sd < 0:
-            raise ConfigError(f"negative standard deviation: {sd}")
-        z = self.cached_gaussian
-        if z is not None:
-            self.cached_gaussian = None
-        else:
-            u1 = self.next_uniform()
-            u2 = self.next_uniform()
-            r = math.sqrt(-2.0 * math.log(u1))
-            z = r * math.cos(_TWO_PI * u2)
-            self.cached_gaussian = r * math.sin(_TWO_PI * u2)
-        return mean + sd * z
-
-
 def derive_seed(base, index):
     """Derive a child seed from (base, index) by SplitMix64 mixing.
 
@@ -85,17 +46,18 @@ def derive_seed(base, index):
 
 
 def gaussian_block(seeds, count):
-    """The first ``count`` standard Gaussians of RandomStream(seed), per seed.
+    """The first ``count`` standard Gaussians of the stream of each seed.
 
-    Returns a float64 array of shape [len(seeds), count] holding exactly the
-    values that repeated ``next_gaussian()`` calls return. SplitMix64 is
-    counter based (output k is mix(seed + k*gamma)), so whole streams are
-    drawn at once, into a preallocated output a block of seeds at a time:
-    each block holds at most _BLOCK_DRAWS draws (one seed's, if it needs
-    more), which bounds the temporaries. The logarithm goes through
-    ``math.log`` one element at a time because ``numpy.log`` is not always
-    correctly rounded and then differs from libm in the last bit; cos, sin
-    and sqrt agree.
+    Returns a float64 array of shape [len(seeds), count]. Output k of a
+    stream is mix(seed + k*gamma), uniform k is ((output_k >> 11) + 1) / 2^53
+    (in (0, 1], so the logarithm is finite), and uniforms 2j-1 and 2j give
+    Gaussians 2j-1 and 2j as r*cos(2*pi*u_2j) and r*sin(2*pi*u_2j), with
+    r = sqrt(-2 log u_2j-1). Whole streams are drawn at once, into a
+    preallocated output a block of seeds at a time: each block holds at most
+    _BLOCK_DRAWS draws (one seed's, if it needs more), which bounds the
+    temporaries. The logarithm goes through ``math.log`` one element at a
+    time because ``numpy.log`` is not always correctly rounded and then
+    differs from libm in the last bit; cos, sin and sqrt agree.
     """
     import numpy as np
 

@@ -56,12 +56,6 @@ class Scenario:
     def __post_init__(self):
         validate(self)
 
-    def agent(self, agent_id):
-        for cfg in self.agents:
-            if cfg.id == agent_id:
-                return cfg
-        raise ConfigError(f"unknown agent id {agent_id!r}")
-
     def adaptive_agents(self):
         return [cfg for cfg in self.agents if cfg.is_adaptive()]
 
@@ -129,6 +123,8 @@ def validate(scenario):
                 _check_finite(f"agent {cfg.id}: {name}_sd", (params.sd,))
             if cfg.sources:
                 raise ConfigError(f"agent {cfg.id}: only averaging agents take sources")
+        if cfg.counterpart == cfg.id:
+            raise ConfigError(f"agent {cfg.id}: counterpart must name another agent")
         if cfg.counterpart is not None:
             other = by_id.get(cfg.counterpart)
             if other is None or not other.is_adaptive():

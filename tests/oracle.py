@@ -2,14 +2,18 @@
 reference operations that only tests use.
 
 ``run_single`` advances one run through ``network.cta_iteration`` with one
-``generate_sample`` per stream owner and iteration; ``run`` chains the runs
-of an ensemble. Tests require the engine to reproduce it bit for bit. Every
-sum adds left to right from 0.0, as Python 3.11's builtin ``sum`` does
-(3.12 compensates the rounding). ``write_trajectories`` is the row-by-row
-``csv.writer`` form of the trajectory CSV that ``dlms run`` writes.
+``generate_sample`` per stream owner and iteration, then sets each averaging
+agent with ``averaging_update``; ``run`` chains the runs of an ensemble.
+Tests require the engine to reproduce it bit for bit. Every sum adds left
+to right from 0.0, as Python 3.11's builtin ``sum`` does (3.12 compensates
+the rounding). ``RandomStream`` draws one value at a time the stream that
+``prng.gaussian_block`` computes in blocks. ``write_trajectories`` is the
+row-by-row ``csv.writer`` form of the trajectory CSV that ``dlms run``
+writes.
 """
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,10 +22,69 @@ from dlms.errors import ConfigError, DivergenceError
 from dlms.filters import predict
 from dlms.metrics import EnsembleRecord
 from dlms.network import AgentState, cta_iteration
-from dlms.prng import RandomStream, derive_seed
+from dlms.prng import _GAMMA, _INV_2_53, _MASK64, _TWO_PI, _mix, derive_seed
 from dlms.signals import SignalSample
 
 _SEED_MASK = (1 << 64) - 1
+
+
+class RandomStream:
+    """Single-owner deterministic random stream.
+
+    Uniforms lie strictly in (0, 1] so the Box-Muller logarithm is always
+    finite. The second Box-Muller deviate is cached and consumed on the next
+    Gaussian draw; the cache is part of the reproducibility contract.
+    """
+
+    __slots__ = ("state", "cached_gaussian")
+
+    def __init__(self, seed):
+        self.state = seed & _MASK64
+        self.cached_gaussian = None
+
+    def next_u64(self):
+        """Advance the SplitMix64 recurrence and return the finalized value."""
+        self.state = (self.state + _GAMMA) & _MASK64
+        return _mix(self.state)
+
+    def next_uniform(self):
+        """Uniform double in (0, 1]: ((u64 >> 11) + 1) / 2^53."""
+        return ((self.next_u64() >> 11) + 1) * _INV_2_53
+
+    def next_gaussian(self, mean=0.0, sd=1.0):
+        """Gaussian deviate via the Box-Muller transform."""
+        if sd < 0:
+            raise ConfigError(f"negative standard deviation: {sd}")
+        z = self.cached_gaussian
+        if z is not None:
+            self.cached_gaussian = None
+        else:
+            u1 = self.next_uniform()
+            u2 = self.next_uniform()
+            r = math.sqrt(-2.0 * math.log(u1))
+            z = r * math.cos(_TWO_PI * u2)
+            self.cached_gaussian = r * math.sin(_TWO_PI * u2)
+        return mean + sd * z
+
+
+def agent(scenario, agent_id):
+    """The AgentConfig of ``scenario`` with id ``agent_id``."""
+    for cfg in scenario.agents:
+        if cfg.id == agent_id:
+            return cfg
+    raise ConfigError(f"unknown agent id {agent_id!r}")
+
+
+def averaging_update(sources):
+    """Component-wise arithmetic mean of the source estimates."""
+    if not sources:
+        raise ConfigError("averaging agent has no sources")
+    n = len(sources)
+    out = list(sources[0])
+    for w in sources[1:]:
+        for j, wj in enumerate(w):
+            out[j] += wj
+    return [wj / n for wj in out]
 
 
 @dataclass
@@ -104,12 +167,6 @@ def run_single(scenario, run_index):
     }
 
     states = [AgentState(w=list(cfg.w0), psi=list(cfg.w0), e=0.0) for cfg in adaptive]
-    for sources in averaging_sources:
-        w = [0.0] * len(scenario.w_opt)
-        for b in sources:
-            w = [wj + sj for wj, sj in zip(w, states[b].w)]
-        w = [wj / len(sources) for wj in w]
-        states.append(AgentState(w=w, psi=list(w), e=0.0))
 
     ordered_ids = [cfg.id for cfg in adaptive] + [cfg.id for cfg in averaging]
     record = OracleRecord(
@@ -130,8 +187,7 @@ def run_single(scenario, run_index):
         }
         samples = [group_samples[owner] for owner in owners]
         try:
-            states = cta_iteration(states, scenario.trust, samples, mus,
-                                   averaging_sources)
+            states = cta_iteration(states, scenario.trust, samples, mus)
         except DivergenceError as exc:
             agent_id = adaptive[exc.agent].id if exc.agent is not None else None
             raise DivergenceError(
@@ -141,6 +197,9 @@ def run_single(scenario, run_index):
         for aid, st in zip(ordered_ids, states):
             record.ws[aid].append(list(st.w))
             record.es[aid].append(st.e)
+        for cfg, sources in zip(averaging, averaging_sources):
+            record.ws[cfg.id].append(averaging_update([states[b].w for b in sources]))
+            record.es[cfg.id].append(0.0)
     return record
 
 

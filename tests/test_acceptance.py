@@ -16,7 +16,6 @@ from dlms.errors import DivergenceError
 from dlms.metrics import crossing_iteration
 from dlms.network import TrustMatrix, combine, cta_iteration
 from dlms.network import AgentState
-from dlms.prng import RandomStream
 from dlms.scenarios import (
     AgentConfig,
     Scenario,
@@ -27,7 +26,13 @@ from dlms.scenarios import (
     with_trust,
 )
 from dlms.signals import GaussianParams, SignalSample
-from oracle import batch_gd_step, cost, pairwise_combine, weighted_sum_variance
+from oracle import (
+    RandomStream,
+    batch_gd_step,
+    cost,
+    pairwise_combine,
+    weighted_sum_variance,
+)
 
 
 def report(criterion, passed, detail=""):

@@ -5,6 +5,7 @@ import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -297,6 +298,42 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert b"config file bad.cfg is not UTF-8 text: byte 12 (0xff)" in result.stderr
 
 
+def test_config_with_a_byte_order_mark_runs_like_the_plain_file(tmp_path):
+    from dlms.scenarios import builtin, serialize
+
+    text = serialize(replace(builtin("table1"), iterations=20, ensemble=2)).encode()
+    (tmp_path / "plain.cfg").write_bytes(text)
+    (tmp_path / "bom.cfg").write_bytes(b"\xef\xbb\xbf" + text)
+    for name in ("plain", "bom"):
+        assert run_cli("run", str(tmp_path / f"{name}.cfg"),
+                       "--out", str(tmp_path / f"{name}.csv")) == 0
+    for suffix in (".csv", ".metrics.csv"):
+        plain = (tmp_path / f"plain{suffix}").read_bytes()
+        assert (tmp_path / f"bom{suffix}").read_bytes() == plain
+
+
+def test_counterpart_naming_its_own_agent_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "self.cfg"
+    cfg.write_text("[agent]\nid = c\nkind = standalone\ncounterpart = c\n")
+    for argv in (("table1", "--set", "c.counterpart=c"), (str(cfg),)):
+        assert run_cli("run", *argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == (
+            "error: agent c: counterpart must name another agent\n")
+
+
+@pytest.mark.parametrize("argv", [("run", "table1", "--out", "x.csv"),
+                                  ("verify", "table1", "merge")])
+def test_scenario_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the record alone needs 355 PiB, so the allocation fails at once
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv, "--iterations", "99999999999999") == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the scenario does not fit in memory: ")
+    assert len(captured.err.splitlines()) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_config_file_roundtrip(tmp_path):
     from dlms.scenarios import builtin, serialize
 
@@ -336,6 +373,24 @@ class TestVerify:
         # the adaptive agents' mean w0 equals w_opt: no band to measure against
         assert run_cli("verify", name, claim, "--w-opt", w_opt, *SMALL) == 2
         assert "band undefined" in capsys.readouterr().err
+
+    def test_merge_needs_its_start_iteration(self, capsys):
+        with mock.patch("dlms.claims.run") as simulate:
+            assert run_cli("verify", "table1", "merge", "--iterations", "9",
+                           "--ensemble", "4") == 2
+        simulate.assert_not_called()
+        assert capsys.readouterr().err == (
+            "error: merge claim needs iterations >= 10, got 9\n")
+        assert run_cli("verify", "table1", "merge", "--iterations", "10",
+                       "--ensemble", "4") == 0
+
+    def test_stabilize_needs_a_steady_state_window(self, capsys):
+        assert run_cli("verify", "table5", "stabilize", "--iterations", "5",
+                       "--ensemble", "2") == 2
+        assert capsys.readouterr().err == (
+            "error: steady-state variance needs iterations >= 6, got 5\n")
+        assert run_cli("verify", "table5", "stabilize", "--iterations", "6",
+                       "--ensemble", "2") in (0, 1)
 
     def test_merge_passes_on_table1(self):
         assert run_cli("verify", "table1", "merge", "--ensemble", "10") == 0

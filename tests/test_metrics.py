@@ -13,8 +13,7 @@ from dlms.metrics import (
     steady_state_variance,
     sum_in_order,
 )
-from dlms.prng import RandomStream
-from oracle import weighted_sum_variance
+from oracle import RandomStream, weighted_sum_variance
 
 
 def _record(*runs, w_opt=(2.0,)):

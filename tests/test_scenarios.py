@@ -16,6 +16,7 @@ from dlms.scenarios import (
     with_trust,
 )
 from dlms.signals import GaussianParams
+from oracle import agent
 from strategies import scenarios
 
 
@@ -33,7 +34,7 @@ class TestBuiltins:
 
     def test_table1_parameters(self):
         s = builtin("table1")
-        a, b = s.agent("a"), s.agent("b")
+        a, b = agent(s, "a"), agent(s, "b")
         assert a.mu == 0.5 and a.w0 == (0.0,)
         assert b.mu == 0.5 and b.w0 == (1.0,)
         assert a.input.sd == 0.09 and a.noise.sd == 0.03
@@ -41,14 +42,14 @@ class TestBuiltins:
 
     def test_table2_parameters(self):
         s = builtin("table2")
-        assert s.agent("a").mu == 0.2
-        assert s.agent("b").mu == 0.8
-        assert s.agent("a").w0 == s.agent("b").w0 == (0.0,)
+        assert agent(s, "a").mu == 0.2
+        assert agent(s, "b").mu == 0.8
+        assert agent(s, "a").w0 == agent(s, "b").w0 == (0.0,)
 
     def test_table5_parameters(self):
         s = builtin("table5")
-        assert s.agent("a").noise.sd == 0.01
-        assert s.agent("b").noise.sd == 0.2
+        assert agent(s, "a").noise.sd == 0.01
+        assert agent(s, "b").noise.sd == 0.2
         assert s.trust.rows[1] == (0.5, 0.5, 0.0, 0.0)
 
     def test_structure(self):
@@ -57,9 +58,9 @@ class TestBuiltins:
             kinds = [cfg.kind for cfg in s.agents]
             assert kinds == ["cooperative", "cooperative", "standalone",
                              "standalone", "averaging"]
-            assert s.agent("c").counterpart == "a"
-            assert s.agent("d").counterpart == "b"
-            assert s.agent("e").sources == ("c", "d")
+            assert agent(s, "c").counterpart == "a"
+            assert agent(s, "d").counterpart == "b"
+            assert agent(s, "e").sources == ("c", "d")
 
 
 class TestValidation:
@@ -284,15 +285,15 @@ class TestReport:
 
 def test_run_single_seeding_is_documented_mix():
     """Run r, stream owner k: seed = derive_seed(scenario.seed XOR r, k)."""
-    from dlms.prng import RandomStream, derive_seed
-    from oracle import generate_sample
+    from dlms.prng import derive_seed
+    from oracle import RandomStream, generate_sample
 
     s = small(builtin("table1"), iterations=1, ensemble=4)
     record = run(s)
     # agent a owns stream index 0 (its position in the agent list)
     stream = RandomStream(derive_seed(s.seed ^ 3, 0))
-    sample = generate_sample(stream, s.w_opt, s.agent("a").input,
-                             s.agent("a").noise)
+    sample = generate_sample(stream, s.w_opt, agent(s, "a").input,
+                             agent(s, "a").noise)
     psi = 0.5 * (0.0 + 1.0)
     e = sample.y - psi * sample.x[0]
     assert record.w("a")[3, 0].tolist() == [psi + 0.5 * e * sample.x[0]]

@@ -3,9 +3,8 @@ import math
 import pytest
 
 from dlms.errors import ConfigError
-from dlms.prng import RandomStream
 from dlms.signals import GaussianParams, SignalSample
-from oracle import generate_sample
+from oracle import RandomStream, generate_sample
 
 
 def test_negative_sd_rejected():
