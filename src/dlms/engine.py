@@ -3,12 +3,12 @@
 The runs of a scenario advance side by side on numpy arrays; only the
 iterations are a Python loop. Variants of a scenario whose trust matrices
 share one nonzero pattern (a single run is one variant) share one draw of
-the signals and are stacked on a leading axis with per-variant combine
+the signals and are stacked on a variant axis with per-variant combine
 coefficients, so each iteration is one set of numpy calls for all of them.
 Every floating-point operation is the one the scalar reference
-(``network.cta_iteration`` over ``filters.lms_step``) performs for that
-variant, in the same order, so each variant's trajectories are
-bit-identical to a separate run of it:
+(``tests/oracle.py``'s ``run_single`` over ``network.cta_iteration``)
+performs for that variant, in the same order, so each variant's
+trajectories are bit-identical to a separate run of it:
 
 - combine skips zero trust coefficients, starts from s*w (exactly w when s is
   1.0) and adds the later terms left to right;
@@ -16,10 +16,11 @@ bit-identical to a separate run of it:
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
 
-Each iteration writes its weights and errors through ``out=`` into strided
-views of the records, laid out [variant, run, iteration, agent, weight
-component]; each chunk of runs then fills in its averaging agents.
-Divergence is reported as separate runs in variant order would report it.
+The loop keeps its state component-major with the runs last (see
+``_simulate``) and copies each iteration once into the records, laid out
+[variant, run, iteration, agent, weight component]; each chunk of runs then
+fills in its averaging agents. Divergence is reported as separate runs in
+variant order would report it.
 
 No matrix products are used, because BLAS may reorder the sums.
 """
@@ -98,30 +99,30 @@ def run_ensemble(scenario, trusts):
 
 
 def _signals(scenario, runs):
-    """Inputs x [L, R, G, M] and targets y [L, R, G] of the G stream owners.
+    """Inputs x [L, M, G, R] and targets y [L, G, R] of the G stream owners.
 
     Each stream owner draws M+1 Gaussians per iteration (x components, then
     the noise q) with the statistics of its first adaptive agent; a twin
-    reads its counterpart's draws.
+    reads its counterpart's draws, scaled straight into this layout.
     """
     adaptive = scenario.adaptive_agents()
     owners, stream = _streams(scenario)
     m = len(scenario.w_opt)
     length = scenario.iterations
-    x = np.empty((length, len(runs), len(owners), m))
-    y = np.empty((length, len(runs), len(owners)))
+    x = np.empty((length, m, len(owners), len(runs)))
+    y = np.empty((length, len(owners), len(runs)))
     for g, owner in enumerate(owners):
         cfg = adaptive[stream.index(g)]
         z = gaussian_block([derive_seed(scenario.seed ^ r, owner) for r in runs],
                            length * (m + 1))
-        z = z.reshape(len(runs), length, m + 1).transpose(1, 0, 2)
-        xo, yo = x[:, :, g], y[:, :, g]
-        np.multiply(cfg.input.sd, z[..., :m], out=xo)
+        z = z.reshape(len(runs), length, m + 1).transpose(1, 2, 0)
+        xo, yo = x[:, :, g], y[:, g]
+        np.multiply(cfg.input.sd, z[:, :m], out=xo)
         xo += cfg.input.mean
-        np.add(0.0, scenario.w_opt[0] * xo[..., 0], out=yo)
+        np.add(0.0, scenario.w_opt[0] * xo[:, 0], out=yo)
         for j in range(1, m):
-            yo += scenario.w_opt[j] * xo[..., j]
-        yo += cfg.noise.mean + cfg.noise.sd * z[..., m]
+            yo += scenario.w_opt[j] * xo[:, j]
+        yo += cfg.noise.mean + cfg.noise.sd * z[:, m]
     return x, y
 
 
@@ -130,10 +131,9 @@ def _combine_terms(trusts):
 
     Position k holds the k-th nonzero coefficient of every row that has one,
     so adding the positions in order reproduces the scalar combine. The
-    coefficients are laid out [variant, 1, row, 1] to broadcast against
-    weights [V, R, N, M]. Consecutive rows are a slice, which adds in place
-    on a view instead of through a gather and a scatter. ValueError if the
-    matrices' nonzero patterns differ.
+    coefficients are laid out [row, variant]. Consecutive rows are a slice,
+    which adds in place on a view instead of through a gather and a scatter.
+    ValueError if the matrices' nonzero patterns differ.
     """
     support = [[[b for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
                for trust in trusts]
@@ -144,37 +144,47 @@ def _combine_terms(trusts):
     for k in range(max(len(t) for t in terms)):
         rows = [a for a, t in enumerate(terms) if len(t) > k]
         cols = [terms[a][k] for a in rows]
-        coef = np.array([[trust.rows[a][b] for a, b in zip(rows, cols)]
-                         for trust in trusts], dtype=np.float64)
+        coef = np.array([[trust.rows[a][b] for trust in trusts]
+                         for a, b in zip(rows, cols)], dtype=np.float64)
         if rows == list(range(rows[0], rows[-1] + 1)):
             rows = slice(rows[0], rows[-1] + 1)
-        out.append((rows, np.array(cols), coef[:, None, :, None]))
+        out.append((rows, np.array(cols), coef))
     return out
 
 
 def _simulate(scenario, terms, runs, ws, es):
     """Write the adaptive agents' weights ws [V, R, L, N, M] and errors
-    es [V, R, L, N] of the runs, one variant per entry of the combine terms."""
+    es [V, R, L, N] of the runs, one variant per column of the combine terms.
+
+    The weights are one contiguous [M, N, V, R] array and the combine
+    coefficients [M, rows, V, R] and mu [N, V, R] are broadcast once per
+    chunk, so each iteration's ufuncs run on contiguous operands whose last
+    axis is the runs.
+    """
     adaptive = scenario.adaptive_agents()
     x, y = _signals(scenario, runs)
     stream = np.array(_streams(scenario)[1])
-    (_, first_cols, first_coef), *later = terms
-    mu = np.array([cfg.mu for cfg in adaptive], dtype=np.float64)
-    m = len(scenario.w_opt)
-    w = np.broadcast_to(np.array([cfg.w0 for cfg in adaptive], dtype=np.float64),
-                        ws[:, :, 0].shape)
+    m, v, r = len(scenario.w_opt), ws.shape[0], len(runs)
+    (_, first_cols, first_coef), *later = [
+        (rows, cols, np.broadcast_to(coef[:, :, None], (m, len(cols), v, r)).copy())
+        for rows, cols, coef in terms]
+    mu = np.array([[[cfg.mu] * r] * v for cfg in adaptive], dtype=np.float64)
+    w = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None, None]
+    # views that each iteration indexes on axis 0 only; x and y gain a V axis
+    ws, es = ws.transpose(2, 4, 3, 0, 1), es.transpose(2, 3, 0, 1)
+    x, y = x[:, :, :, None], y[:, :, None]
     # take() gathers the same values as fancy indexing, with less overhead
     for i in range(scenario.iterations):
-        psi = first_coef * w.take(first_cols, axis=2)
+        psi = first_coef * w.take(first_cols, axis=1)
         for rows, cols, coef in later:
-            psi[:, :, rows] += coef * w.take(cols, axis=2)
+            psi[:, rows] += coef * w.take(cols, axis=1)
         xi = x[i].take(stream, axis=1)
         products = psi * xi
-        pred = 0.0 + products[..., 0]
+        pred = 0.0 + products[0]
         for j in range(1, m):
-            pred += products[..., j]
-        e = np.subtract(y[i].take(stream, axis=1), pred, out=es[:, :, i])
-        w = np.add(psi, (mu * e)[..., None] * xi, out=ws[:, :, i])
+            pred += products[j]
+        es[i] = e = np.subtract(y[i].take(stream, axis=0), pred, out=pred)
+        ws[i] = w = np.add(psi, (mu * e) * xi, out=psi)
 
 
 def _first_divergence(scenario, runs, ws, es):

@@ -1,9 +1,14 @@
-"""Hypothesis strategy for valid scenarios.
+"""Hypothesis strategy for valid scenarios, and one fixed scenario shape.
 
 Generated scenarios have M 1-4, 1-4 cooperative agents, twins, a plain
 standalone agent, averaging agents, trust rows with exact zeros, exact 1.0s,
 uniform and normalized supports, and zero and negative initial weights.
+Hypothesis rarely draws M = 4 with three densely trusting agents and a twin
+of each, the shape of perfbench's long_horizon, so ``dense_trio_with_twins``
+builds it.
 """
+
+import dataclasses
 
 from hypothesis import strategies as st
 
@@ -65,3 +70,21 @@ def scenarios(draw):
                     w_opt=draw(vector), iterations=draw(st.integers(1, 40)),
                     seed=draw(st.integers(0, (1 << 64) - 1)),
                     ensemble=draw(st.integers(1, 3)))
+
+
+def dense_trio_with_twins(iterations, ensemble):
+    """perfbench's long_horizon scenario at the given size: M = 4, three
+    cooperative agents with dense trust, a standalone twin of each and an
+    averaging agent over the twins."""
+    trio = [AgentConfig(aid, "cooperative", mu=0.05, w0=(0.0,) * 4,
+                        input=GaussianParams(0.0, 1.0), noise=GaussianParams(0.0, sd))
+            for aid, sd in (("a", 0.01), ("b", 0.05), ("c", 0.3))]
+    twins = [dataclasses.replace(cfg, id=tid, kind="standalone", counterpart=cfg.id)
+             for tid, cfg in zip("def", trio)]
+    dense = ((0.4, 0.3, 0.3), (0.3, 0.4, 0.3), (0.3, 0.3, 0.4))
+    rows = [row + (0.0,) * 3 for row in dense]
+    rows += [tuple(float(a == b) for b in range(6)) for a in range(3, 6)]
+    return Scenario(
+        agents=(*trio, *twins, AgentConfig("g", "averaging", sources=("d", "e", "f"))),
+        trust=TrustMatrix(tuple(rows)), w_opt=(1.0, -0.5, 0.25, 2.0),
+        iterations=iterations, ensemble=ensemble)

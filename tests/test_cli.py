@@ -364,6 +364,17 @@ class TestVerify:
                        "--set", "trust.a.a=0.9", "--set", "trust.a.b=0.1",
                        "--set", "trust.b.b=0.9", "--set", "trust.b.a=0.1") == 0
 
+    def test_delay_counts_a_run_that_never_merges_as_merging_after_the_horizon(
+            self, capsys):
+        # no selfish run merges within 1 iteration; every balanced run does
+        assert run_cli("verify", "table1", "delay", "--iterations", "1",
+                       "--ensemble", "3",
+                       "--set", "trust.a.a=0.9", "--set", "trust.a.b=0.1",
+                       "--set", "trust.b.b=0.9", "--set", "trust.b.a=0.1") == 0
+        assert capsys.readouterr().out == (
+            "PASS delay: win_fraction=1.0, required=0.9, "
+            "median_selfish_merge=2, median_balanced_merge=1\n")
+
     def test_stabilize_passes_on_table5(self):
         assert run_cli("verify", "table5", "stabilize", "--ensemble", "20") == 0
 

@@ -19,7 +19,7 @@ from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
 from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
 from dlms.signals import GaussianParams
-from strategies import scenarios
+from strategies import dense_trio_with_twins, scenarios
 
 
 def _bits(records):
@@ -153,6 +153,15 @@ def test_chunks_of_two_runs_match_oracle(monkeypatch, scenario):
     # 2 streams x 200 iterations x 2 draws per iteration = 800 draws per run
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", 1600)
     assert _outcome(run, scenario) == _outcome(oracle.run, scenario)
+
+
+# 3 streams x 300 iterations x 5 draws per iteration = 4500 draws per run, so
+# 9000 makes chunks of 2 runs and a last chunk of 1
+@pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 9000])
+def test_dense_trio_with_twins_matches_oracle(monkeypatch, chunk_draws):
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
+    s = dense_trio_with_twins(iterations=300, ensemble=3)
+    assert _bits(run(s)) == _bits(oracle.run(s))
 
 
 def _selfish(scenario, s_self):

@@ -1,9 +1,10 @@
-"""Memory budgets of the two largest in-process simulations.
+"""Memory budgets of the largest in-process simulations.
 
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4: 24.98 MB and 16.98 MB.
+peaks with numpy 2.4.6, in the order of the tests: 25.50 MB, 17.49 MB and
+24.81 MB.
 """
 
 import tracemalloc
@@ -11,6 +12,7 @@ import tracemalloc
 import dlms.engine  # noqa: F401  numpy and the engine load before tracing
 from dlms.claims import verify_delay
 from dlms.scenarios import builtin, run, with_trust
+from strategies import dense_trio_with_twins
 
 MB = 1e6
 
@@ -34,3 +36,9 @@ def test_verify_delay_peak():
 
 def test_run_table1_peak():
     assert _traced_peak(run, builtin("table1")) <= 23 * MB
+
+
+def test_long_horizon_peak():
+    """2 x 20,000 iterations with vector weights: the records and one chunk's
+    signals, with no room for a second copy of the signals."""
+    assert _traced_peak(run, dense_trio_with_twins(iterations=20000, ensemble=2)) <= 27 * MB
