@@ -180,6 +180,9 @@ def verify_delay(scenario):
     from .engine import run_ensemble  # numpy loads with the first run, not at import
 
     coop = _cooperative_ids(scenario, "delay")
+    if not any(scenario.w_opt):
+        raise ConfigError("delay claim needs a nonzero w_opt: its merge band is "
+                          f"{DELAY_BAND_FRACTION:.0%} of |w_opt|")
     balanced = balanced_variant(scenario)
     if balanced.trust == scenario.trust:
         raise ConfigError(

@@ -45,29 +45,30 @@ def derive_seed(base, index):
     return _mix((base + (index + 1) * _GAMMA) & _MASK64)
 
 
-def gaussian_block(seeds, count):
-    """The first ``count`` standard Gaussians of the stream of each seed.
+def gaussian_block(seeds, count, start=0):
+    """The ``count`` standard Gaussians after the first ``start`` of each seed's stream.
 
-    Returns a float64 array of shape [len(seeds), count]. Output k of a
-    stream is mix(seed + k*gamma), uniform k is ((output_k >> 11) + 1) / 2^53
-    (in (0, 1], so the logarithm is finite), and uniforms 2j-1 and 2j give
+    Returns a float64 array of shape [len(seeds), count]. ``start`` must be
+    even, so that the block starts on a Box-Muller pair. Output k of a stream
+    is mix(seed + k*gamma), uniform k is ((output_k >> 11) + 1) / 2^53 (in
+    (0, 1], so the logarithm is finite), and uniforms 2j-1 and 2j give
     Gaussians 2j-1 and 2j as r*cos(2*pi*u_2j) and r*sin(2*pi*u_2j), with
-    r = sqrt(-2 log u_2j-1). Whole streams are drawn at once, into a
-    preallocated output a block of seeds at a time: each block holds at most
-    _BLOCK_DRAWS draws (one seed's, if it needs more), which bounds the
-    temporaries. The logarithm goes through ``math.log`` one element at a
-    time because ``numpy.log`` is not always correctly rounded and then
-    differs from libm in the last bit; cos, sin and sqrt agree.
+    r = sqrt(-2 log u_2j-1). The streams are drawn into a preallocated output
+    a block of seeds at a time: each block holds at most _BLOCK_DRAWS draws
+    (one seed's, if it needs more), which bounds the temporaries. The
+    logarithm goes through ``math.log`` one element at a time because
+    ``numpy.log`` is not always correctly rounded and then differs from libm
+    in the last bit; cos, sin and sqrt agree.
     """
     import numpy as np
 
     pairs = (count + 1) // 2
     out = np.empty((len(seeds), 2 * pairs))
     seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
-    steps = np.arange(1, 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+    steps = np.arange(start + 1, start + 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     rows = max(1, _BLOCK_DRAWS // max(1, 2 * pairs))
-    for start in range(0, len(seeds), rows):
-        z = _mix(seeds[start:start + rows] + steps)
+    for first in range(0, len(seeds), rows):
+        z = _mix(seeds[first:first + rows] + steps)
         z >>= np.uint64(11)
         z += np.uint64(1)
         u = z.astype(np.float64) * _INV_2_53
@@ -75,7 +76,7 @@ def gaussian_block(seeds, count):
         log_u1 = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
         r = np.sqrt(-2.0 * log_u1.reshape(u1.shape))
         theta = _TWO_PI * u2
-        block = out[start:start + rows]
+        block = out[first:first + rows]
         np.multiply(r, np.cos(theta), out=block[:, 0::2])
         np.multiply(r, np.sin(theta), out=block[:, 1::2])
     return out[:, :count]

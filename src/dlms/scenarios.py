@@ -6,6 +6,7 @@ same signal realizations, and a follower e averaging c and d.
 """
 
 import math
+import re
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ParseError
@@ -275,14 +276,15 @@ def parse(config_text):
     """Parse the line-oriented scenario config format.
 
     Sections: one ``[network]``, one ``[agent]`` per agent, one ``[trust]``
-    with ``from to coefficient`` triples. ``#`` starts a comment.
+    with ``from to coefficient`` triples. ``#`` starts a comment. Lines end
+    at ``\r\n``, ``\r`` or ``\n`` only, so line numbers are an editor's.
     """
     network = {}
     agent_sections = []
     trust_entries = {}
     section = None
 
-    for lineno, raw in enumerate(config_text.splitlines(), start=1):
+    for lineno, raw in enumerate(re.split(r"\r\n?|\n", config_text), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
             continue

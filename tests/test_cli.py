@@ -385,6 +385,16 @@ class TestVerify:
         assert run_cli("verify", name, claim, "--w-opt", w_opt, *SMALL) == 2
         assert "band undefined" in capsys.readouterr().err
 
+    def test_delay_needs_a_nonzero_w_opt(self, capsys):
+        # the merge band is 1% of |w_opt|: at w_opt = 0 no run could merge
+        with mock.patch("dlms.engine.run_ensemble") as simulate:
+            assert run_cli("verify", "table1", "delay", "--w-opt", "0",
+                           "--set", "trust.a.a=0.9", "--set", "trust.a.b=0.1",
+                           "--set", "trust.b.b=0.9", "--set", "trust.b.a=0.1") == 2
+        simulate.assert_not_called()
+        assert capsys.readouterr().err == (
+            "error: delay claim needs a nonzero w_opt: its merge band is 1% of |w_opt|\n")
+
     def test_merge_needs_its_start_iteration(self, capsys):
         with mock.patch("dlms.claims.run") as simulate:
             assert run_cli("verify", "table1", "merge", "--iterations", "9",

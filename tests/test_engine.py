@@ -147,16 +147,17 @@ def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("scenario", [
     dataclasses.replace(builtin("table3"), iterations=200, ensemble=5),
-    _unstable(200, 4, 1.0),  # diverges in run 2, the second chunk
+    _unstable(200, 4, 1.0),  # diverges at iteration 101, in the second block
 ], ids=["table3", "divergent"])
 def test_chunks_of_two_runs_match_oracle(monkeypatch, scenario):
-    # 2 streams x 200 iterations x 2 draws per iteration = 800 draws per run
+    # 2 streams x 2 draws per iteration over 5 and 4 runs: 1600 draws make
+    # blocks of 80 and of 100 iterations
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", 1600)
     assert _outcome(run, scenario) == _outcome(oracle.run, scenario)
 
 
-# 3 streams x 300 iterations x 5 draws per iteration = 4500 draws per run, so
-# 9000 makes chunks of 2 runs and a last chunk of 1
+# 3 streams x 3 runs x 5 draws = 45 draws per iteration, an odd number per
+# stream, so 9000 makes blocks of 200 and 100 iterations
 @pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 9000])
 def test_dense_trio_with_twins_matches_oracle(monkeypatch, chunk_draws):
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
@@ -191,8 +192,9 @@ def test_paired_variants_match_separate_runs(chunk_draws, scenario):
     _selfish(_unstable(200, 4, 1.0), 0.9),
 ], ids=["table1", "divergent"])
 def test_paired_table1_matches_separate_runs(monkeypatch, chunk_draws, scenario):
-    # table1 draws 2 streams x 2 Gaussians per iteration: 1200 draws is one
-    # run per chunk at 300 iterations, 2400 is three at 200
+    # table1 draws 2 streams x 2 Gaussians per iteration and run: 1200 draws
+    # make blocks of 60 iterations of 5 runs, and of 74 (75 rounded down to
+    # even) of 4 runs; 2400 makes blocks of 120 and of 150
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
     trusts = [scenario.trust, balanced_variant(scenario).trust]
     paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
@@ -210,29 +212,37 @@ def _one_unstable_agent(s_self):
                     trust=TrustMatrix(((0.5, 0.5), (1.0 - s_self, s_self))))
 
 
-@pytest.mark.parametrize("selfs, per_chunk, error_run, chunks", [
-    ((0.5, 0.99), 2, 1, 3),  # only the later variant diverges: raised after every chunk
-    ((0.9, 0.99), 2, 3, 2),  # the later variant diverges first, the earlier one wins
-    ((0.9, 0.99), 6, 3, 1),  # the same within one chunk
-    ((0.99, 0.9), 2, 1, 1),  # the first variant diverges: raised at once
-    ((0.5, 0.5, 0.9, 0.99), 2, 3, 3),
+# 2 streams x 6 runs x 2 draws per iteration = 24 draws per iteration: 1600
+# draws make blocks of 66 iterations (rounded down to even), 4800 one block
+_BLOCKS_OF_66 = [(0, 66), (66, 132), (132, 198), (198, 200)]
+
+
+# explicit ids, kept stable when the parameters change
+@pytest.mark.parametrize("selfs, chunk_draws, error_run, blocks", [
+    # only the later variant diverges
+    pytest.param((0.5, 0.99), 1600, 1, _BLOCKS_OF_66, id="selfs0-2-1-3"),
+    # the later variant diverges in an earlier run, the earlier variant wins
+    pytest.param((0.9, 0.99), 1600, 3, _BLOCKS_OF_66, id="selfs1-2-3-2"),
+    pytest.param((0.9, 0.99), 4800, 3, [(0, 200)], id="selfs2-6-3-1"),
+    # the first variant diverges
+    pytest.param((0.99, 0.9), 1600, 1, _BLOCKS_OF_66, id="selfs3-2-1-1"),
+    pytest.param((0.5, 0.5, 0.9, 0.99), 1600, 3, _BLOCKS_OF_66, id="selfs4-2-3-3"),
 ])
 def test_divergence_is_that_of_separate_runs_in_variant_order(
-        monkeypatch, selfs, per_chunk, error_run, chunks):
-    # 2 streams x 200 iterations x 2 draws per iteration = 800 draws per run
-    monkeypatch.setattr(engine, "_CHUNK_DRAWS", 800 * per_chunk)
-    simulated = []
-    simulate = engine._simulate
+        monkeypatch, selfs, chunk_draws, error_run, blocks):
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
+    drawn = []
+    signals = engine._signals
 
-    def record_chunk(scenario, terms, runs, *out):
-        simulated.append(runs)
-        simulate(scenario, terms, runs, *out)
+    def record_block(scenario, seeds, start, stop):
+        drawn.append((start, stop))
+        return signals(scenario, seeds, start, stop)
 
-    monkeypatch.setattr(engine, "_simulate", record_chunk)
+    monkeypatch.setattr(engine, "_signals", record_block)
     scenario = _one_unstable_agent(0.5)
     trusts = [_one_unstable_agent(s).trust for s in selfs]
     paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
-    assert simulated == [range(k, k + per_chunk) for k in range(0, 6, per_chunk)][:chunks]
+    assert drawn == blocks
     assert paired[1][1] == error_run
     assert paired == _variants_outcome(_separate_runs, scenario, trusts)
 

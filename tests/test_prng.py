@@ -112,7 +112,7 @@ def test_derive_seed_is_the_next_output_of_the_base_stream(base):
 def test_gaussian_block_is_the_stream_bit_for_bit(monkeypatch, count):
     seeds = [0, 1, 42, (1 << 64) - 1, derive_seed(7, 3)]
     streams = [RandomStream(seed) for seed in seeds]
-    expected = repr([[s.next_gaussian() for _ in range(count)] for s in streams])
+    draws = [[s.next_gaussian() for _ in range(count)] for s in streams]
     # at 16 draws per block, count 7 (8 draws a seed) runs blocks of 2, 2 and
     # a ragged 1 seeds and count 2000 one seed per block; at 3, every count
     # but 0 runs one seed per block
@@ -120,4 +120,9 @@ def test_gaussian_block_is_the_stream_bit_for_bit(monkeypatch, count):
         monkeypatch.setattr(prng, "_BLOCK_DRAWS", block_draws)
         block = gaussian_block(seeds, count)
         assert block.shape == (len(seeds), count)
-        assert repr(block.tolist()) == expected
+        assert repr(block.tolist()) == repr(draws)
+        # a block that starts at an even offset is that slice of the streams;
+        # offset 18 starts past the first 16 (or 3) draws
+        for start in (k for k in (2, 18, 1000) if k <= count):
+            tail = gaussian_block(seeds, count - start, start)
+            assert repr(tail.tolist()) == repr([d[start:] for d in draws])

@@ -171,6 +171,23 @@ class TestConfigFormat:
         with pytest.raises(ParseError, match="line 15: agent section missing id"):
             parse(self.MINIMAL + section)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_cr_lf_and_crlf_end_lines(self, newline):
+        text = self.MINIMAL.replace("noise_sd = 0.03", "noise_sd = -0.03")
+        with pytest.raises(ParseError, match="line 14: invalid noise_sd value"):
+            parse(text.replace("\n", newline))
+
+    @pytest.mark.parametrize("char", ["\f", "\v", "\x1c", "\x85", "\u2028"])
+    def test_other_line_breaks_do_not_end_lines(self, char):
+        """A form feed (or another break str.splitlines() would split at) in a
+        comment or on a line of its own parses like the file without it, and
+        a later error names the line an editor shows."""
+        text = (self.MINIMAL.replace("w_opt = 2.0", f"w_opt = 2.0  # x{char}junk")
+                .replace("\n    [agent]", f"\n{char}\n    [agent]"))
+        assert parse(text) == parse(self.MINIMAL)
+        with pytest.raises(ParseError, match="line 15: invalid noise_sd value"):
+            parse(text.replace("noise_sd = 0.03", "noise_sd = -0.03"))
+
     def test_unknown_key_rejected(self):
         with pytest.raises(ParseError, match="frobnicate"):
             parse("[network]\nfrobnicate = 1\n")
