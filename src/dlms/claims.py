@@ -69,18 +69,14 @@ def _gap(record, p, q):
 
 
 def verify_claim(scenario, claim):
-    if claim == "merge":
-        return verify_merge(scenario)
-    if claim == "speedup":
-        return verify_speedup(scenario)
-    if claim == "delay":
-        return verify_delay(scenario)
-    if claim == "stabilize":
-        return verify_stabilize(scenario)
-    raise ConfigError(f"unknown claim {claim!r}; valid claims: {', '.join(CLAIMS)}")
+    verifiers = {"merge": verify_merge, "speedup": verify_speedup,
+                 "delay": verify_delay, "stabilize": verify_stabilize}
+    if claim not in verifiers:
+        raise ConfigError(f"unknown claim {claim!r}; valid claims: {', '.join(CLAIMS)}")
+    return verifiers[claim](scenario)
 
 
-def verify_merge(scenario, record=None):
+def verify_merge(scenario):
     """Equal-trust cooperative agents merge and track the averaging agent.
 
     Checks (1) the cooperative agents' trust rows are identical, so their
@@ -101,8 +97,7 @@ def verify_merge(scenario, record=None):
     if scenario.iterations < MERGE_START_ITERATION:
         raise ConfigError(f"merge claim needs iterations >= {MERGE_START_ITERATION}, "
                           f"got {scenario.iterations}")
-    if record is None:
-        record = run(scenario)
+    record = run(scenario)
 
     worst_gap = 0.0
     for aid in coop:
@@ -114,7 +109,7 @@ def verify_merge(scenario, record=None):
     })
 
 
-def verify_speedup(scenario, record=None):
+def verify_speedup(scenario):
     """Cooperative agents converge before the averaging reference agent."""
     coop = _cooperative_ids(scenario, "speedup")
     mus = {cfg.mu for cfg in scenario.agents if cfg.kind == COOPERATIVE}
@@ -122,8 +117,7 @@ def verify_speedup(scenario, record=None):
         raise ConfigError("speedup claim needs heterogeneous learning rates")
     avg_id = _single_averaging_id(scenario)
     band = scenario_band(scenario)
-    if record is None:
-        record = run(scenario)
+    record = run(scenario)
 
     limits = convergence_iteration(record, avg_id, band)
     convs = zip(*(convergence_iteration(record, aid, band) for aid in coop))
@@ -203,7 +197,7 @@ def verify_delay(scenario):
     })
 
 
-def verify_stabilize(scenario, record=None):
+def verify_stabilize(scenario):
     """Cooperation damps the steady-state jitter of the noisiest agent.
 
     Compares the cooperative agent with the largest noise deviation against
@@ -219,8 +213,7 @@ def verify_stabilize(scenario, record=None):
         raise ConfigError(
             f"stabilize claim needs a standalone twin of agent {noisy.id!r}")
     twin = twins[0]
-    if record is None:
-        record = run(scenario)
+    record = run(scenario)
 
     wins = sum(coop < solo for coop, solo in zip(
         steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id)))

@@ -11,7 +11,9 @@ reference (``tests/oracle.py``'s ``run_single`` over
 each variant's trajectories are bit-identical to a separate run of it:
 
 - combine skips zero trust coefficients, starts from s*w (exactly w when s is
-  1.0) and adds the later terms left to right;
+  1.0) and adds the later terms left to right. Rows with fewer terms than
+  the longest are padded with terms 1.0 * -0.0, which add nothing, bit for
+  bit: x + -0.0 is x for every double, signed zeros, inf and nan included;
 - predictions and targets accumulate as 0.0 + t0 + t1 + ..., like sum();
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
@@ -24,6 +26,8 @@ are filled in and divergence is looked for once the pass is over.
 
 No matrix products are used, because BLAS may reorder the sums.
 """
+
+from functools import reduce
 
 import numpy as np
 
@@ -69,10 +73,7 @@ def run_ensemble(scenario, trusts):
         _simulate(scenario, terms, ws[..., :n, :], es[..., :n])
         for run in ws.reshape(-1, *ws.shape[2:]):  # [L, A, M], a run at a time
             for a, cfg in enumerate(averaging, start=n):
-                first, *rest = (index[s] for s in cfg.sources)
-                total = run[:, first]
-                for b in rest:
-                    total = total + run[:, b]
+                total = reduce(np.add, (run[:, index[s]] for s in cfg.sources))
                 run[:, a] = total / len(cfg.sources)
     records = [EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
                               ws=ws[v], es=es[v]) for v in range(len(trusts))]
@@ -113,53 +114,56 @@ def _signals(scenario, seeds, start, stop):
 
 
 def _combine_terms(trusts):
-    """Nonzero trust terms as (rows, cols, coefficients) per term position.
+    """Nonzero trust terms, K per row (the most of any row): columns [K, N]
+    and coefficients [K, N, V], laid out [position, row, variant].
 
-    Position k holds the k-th nonzero coefficient of every row that has one,
-    so adding the positions in order reproduces the scalar combine. The
-    coefficients are laid out [row, variant]. Consecutive rows are a slice,
-    which adds in place on a view instead of through a gather and a scatter.
-    ValueError if the matrices' nonzero patterns differ.
+    Position k holds each row's k-th nonzero coefficient, so adding the
+    positions in order reproduces the scalar combine. A row's missing
+    positions point at column N, the pad, which holds -0.0, with coefficient
+    1.0: 1.0 * -0.0 is -0.0, and x + -0.0 is x bit for bit for every double x,
+    so they change nothing. ValueError if the nonzero patterns differ.
     """
-    support = [[[b for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
-               for trust in trusts]
-    if any(pattern != support[0] for pattern in support[1:]):
+    terms, *others = ([[b for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
+                      for trust in trusts)
+    if any(pattern != terms for pattern in others):
         raise ValueError("trust matrices of the variants differ in their nonzero pattern")
-    terms = support[0]
-    out = []
-    for k in range(max(len(t) for t in terms)):
-        rows = [a for a, t in enumerate(terms) if len(t) > k]
-        cols = [terms[a][k] for a in rows]
-        coef = np.array([[trust.rows[a][b] for trust in trusts]
-                         for a, b in zip(rows, cols)], dtype=np.float64)
-        if rows == list(range(rows[0], rows[-1] + 1)):
-            rows = slice(rows[0], rows[-1] + 1)
-        out.append((rows, np.array(cols), coef))
-    return out
+    n, depth = len(terms), max(len(t) for t in terms)
+    cols = np.full((depth, n), n)
+    coef = np.ones((depth, n, len(trusts)))
+    for a, row in enumerate(terms):
+        cols[:len(row), a] = row
+        coef[:len(row), a] = [[trust.rows[a][b] for trust in trusts] for b in row]
+    return cols, coef
 
 
 def _simulate(scenario, terms, ws, es):
     """Write the adaptive agents' weights ws [V, R, L, N, M] and errors
     es [V, R, L, N], one variant per column of the combine terms.
 
-    The weights are one contiguous [M, N, V, R] array and the combine
-    coefficients [M, rows, V, R] and mu [N, V, R] are broadcast once, so each
-    iteration's ufuncs run on contiguous operands whose last axis is the runs.
-    The signals come a block at a time: the most iterations whose draws fit
-    in _CHUNK_DRAWS, at least 2 and even, so each starts on a Box-Muller pair.
+    The weights w [M, N, V, R] are a contiguous view of a buffer of M*N + 1
+    rows of [V, R] whose last row is the pad, all -0.0 (see _combine_terms).
+    A row index [K, M, N] into it and the coefficients [K, M, N, V, R] are
+    built once, so each iteration's combine is one gather of whole rows, one
+    multiply and K-1 in-place adds of contiguous slabs; every ufunc's last
+    axis is the runs. The signals come a block at a time: the most iterations
+    whose draws fit in _CHUNK_DRAWS, at least 2 and even, so each starts on a
+    Box-Muller pair.
     """
     adaptive = scenario.adaptive_agents()
     owners, stream = _streams(scenario)
     stream = np.array(stream)
-    m, (v, r) = len(scenario.w_opt), ws.shape[:2]
+    (v, r, _, n, m), (cols, coef) = ws.shape, terms
     seeds = [[derive_seed(scenario.seed ^ k, owner) for k in range(r)]
              for owner in owners]
     block = max(2, _CHUNK_DRAWS // (len(owners) * r * (m + 1)) // 2 * 2)
-    (_, first_cols, first_coef), *later = [
-        (rows, cols, np.broadcast_to(coef[:, :, None], (m, len(cols), v, r)).copy())
-        for rows, cols, coef in terms]
+    buf = np.full((m * n + 1, v, r), -0.0)
+    w = buf[:-1].reshape(m, n, v, r)
+    w[...] = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None, None]
+    slots = np.full((m, n + 1), m * n)  # the buffer row of each w, and the pad
+    slots[:, :n] = np.arange(m * n).reshape(m, n)
+    index = np.ascontiguousarray(slots[:, cols].swapaxes(0, 1))
+    coef = np.broadcast_to(coef[:, None, :, :, None], (*index.shape, v, r)).copy()
     mu = np.array([[[cfg.mu] * r] * v for cfg in adaptive], dtype=np.float64)
-    w = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None, None]
     # views that each iteration indexes on axis 0 only
     ws, es = ws.transpose(2, 4, 3, 0, 1), es.transpose(2, 3, 0, 1)
     for start in range(0, scenario.iterations, block):
@@ -169,16 +173,17 @@ def _simulate(scenario, terms, ws, es):
         x, y = x[:, :, :, None], y[:, :, None]  # gain a V axis
         # take() gathers the same values as fancy indexing, with less overhead
         for i in range(start, stop):
-            psi = first_coef * w.take(first_cols, axis=1)
-            for rows, cols, coef in later:
-                psi[:, rows] += coef * w.take(cols, axis=1)
+            terms = coef * buf.take(index, axis=0)
+            psi = terms[0]
+            for term in terms[1:]:
+                psi += term
             xi = x[i - start].take(stream, axis=1)
             products = psi * xi
             pred = 0.0 + products[0]
             for j in range(1, m):
                 pred += products[j]
             es[i] = e = np.subtract(y[i - start].take(stream, axis=0), pred, out=pred)
-            ws[i] = w = np.add(psi, (mu * e) * xi, out=psi)
+            ws[i] = np.add(psi, (mu * e) * xi, out=w)
 
 
 def _first_divergence(scenario, ws, es):

@@ -49,19 +49,21 @@ def gaussian_block(seeds, count, start=0):
     """The ``count`` standard Gaussians after the first ``start`` of each seed's stream.
 
     Returns a float64 array of shape [len(seeds), count]. ``start`` must be
-    even, so that the block starts on a Box-Muller pair. Output k of a stream
-    is mix(seed + k*gamma), uniform k is ((output_k >> 11) + 1) / 2^53 (in
-    (0, 1], so the logarithm is finite), and uniforms 2j-1 and 2j give
-    Gaussians 2j-1 and 2j as r*cos(2*pi*u_2j) and r*sin(2*pi*u_2j), with
-    r = sqrt(-2 log u_2j-1). The streams are drawn into a preallocated output
-    a block of seeds at a time: each block holds at most _BLOCK_DRAWS draws
-    (one seed's, if it needs more), which bounds the temporaries. The
-    logarithm goes through ``math.log`` one element at a time because
-    ``numpy.log`` is not always correctly rounded and then differs from libm
-    in the last bit; cos, sin and sqrt agree.
+    even, so that the block starts on a Box-Muller pair; ValueError if not.
+    Output k of a stream is mix(seed + k*gamma), uniform k is
+    ((output_k >> 11) + 1) / 2^53 (in (0, 1], so the logarithm is finite),
+    and uniforms 2j-1 and 2j give Gaussians 2j-1 and 2j as r*cos(2*pi*u_2j)
+    and r*sin(2*pi*u_2j), with r = sqrt(-2 log u_2j-1). The streams are
+    drawn into a preallocated output a block of seeds at a time: each block
+    holds at most _BLOCK_DRAWS draws (one seed's, if it needs more), which
+    bounds the temporaries. The logarithm goes through ``math.log`` one
+    element at a time because ``numpy.log`` is not always correctly rounded
+    and then differs from libm in the last bit; cos, sin and sqrt agree.
     """
     import numpy as np
 
+    if start % 2:
+        raise ValueError(f"gaussian_block start must be even, got start={start}")
     pairs = (count + 1) // 2
     out = np.empty((len(seeds), 2 * pairs))
     seeds = np.asarray(seeds, dtype=np.uint64)[:, None]

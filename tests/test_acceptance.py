@@ -11,6 +11,7 @@ import statistics
 
 import pytest
 
+import dlms.claims
 from dlms.claims import merge_iteration, verify_merge, verify_speedup, verify_stabilize
 from dlms.errors import DivergenceError
 from dlms.metrics import crossing_iteration
@@ -45,6 +46,15 @@ def report(criterion, passed, detail=""):
 def ensembles():
     """One 100-run ensemble per builtin, shared across criteria."""
     return {name: run(builtin(name)) for name in builtin_names()}
+
+
+def _serve(monkeypatch, ensembles, name):
+    """Make the claims' run() return the session ensemble of builtin ``name``
+    instead of simulating it again."""
+    def served(scenario):
+        assert scenario == builtin(name)
+        return ensembles[name]
+    monkeypatch.setattr(dlms.claims, "run", served)
 
 
 @pytest.fixture(scope="session")
@@ -109,15 +119,17 @@ def test_c04_hand_trace_oracle():
     report(4, exact, "fixed-input trace gives w_a=w_b=[0.75] after iteration 1")
 
 
-def test_c05_merge(ensembles):
-    result = verify_merge(builtin("table1"), record=ensembles["table1"])
+def test_c05_merge(ensembles, monkeypatch):
+    _serve(monkeypatch, ensembles, "table1")
+    result = verify_merge(builtin("table1"))
     report(5, result.passed,
            f"mean gap {result.details['worst_mean_gap']:.4f} "
            f"< {result.details['threshold']:.4f} for all i >= 10")
 
 
-def test_c06_speedup(ensembles):
-    result = verify_speedup(builtin("table2"), record=ensembles["table2"])
+def test_c06_speedup(ensembles, monkeypatch):
+    _serve(monkeypatch, ensembles, "table2")
+    result = verify_speedup(builtin("table2"))
     report(6, result.passed,
            f"coop converge before averaging agent in "
            f"{result.details['win_fraction']:.0%} of runs (need >= 90%)")
@@ -161,8 +173,9 @@ def test_c08_delay(ensembles, selfish_records):
            f"{fraction:.0%} of paired runs (need >= 90%)")
 
 
-def test_c09_stabilization(ensembles):
-    result = verify_stabilize(builtin("table5"), record=ensembles["table5"])
+def test_c09_stabilization(ensembles, monkeypatch):
+    _serve(monkeypatch, ensembles, "table5")
+    result = verify_stabilize(builtin("table5"))
     report(9, result.passed,
            f"var(cooperative b) < var(standalone twin d) in "
            f"{result.details['win_fraction']:.0%} of runs (need >= 95%)")

@@ -8,6 +8,7 @@ import dataclasses
 import json
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -89,6 +90,32 @@ def test_signed_zeros_match_oracle():
         s = Scenario(agents=agents, trust=trust, w_opt=w_opt, iterations=20,
                      ensemble=2)
         assert _bits(run(s)) == _bits(oracle.run(s))
+
+
+def test_short_row_between_cooperative_rows_matches_oracle_and_separate_runs():
+    """Adaptive rows cooperative, standalone, cooperative: the rows with a
+    second trust term are not contiguous, and the middle row's second term is
+    the pad. That row's weights stay -0.0 (zero step size, a negative error
+    times a unit input), which a pad of +0.0 would turn into +0.0."""
+    agents = (
+        AgentConfig("a", "cooperative", mu=0.1, w0=(0.0, -0.0, 1.0),
+                    input=GaussianParams(0.0, 1.0), noise=GaussianParams(0.0, 0.1)),
+        AgentConfig("s", "standalone", mu=0.0, w0=(-0.0,) * 3,
+                    input=GaussianParams(1.0, 0.0), noise=GaussianParams(0.0, 0.0)),
+        AgentConfig("c", "cooperative", mu=0.2, w0=(-0.0,) * 3,
+                    input=GaussianParams(0.5, 1.0), noise=GaussianParams(0.0, 0.3)),
+        AgentConfig("e", "averaging", sources=("a", "s")),
+    )
+    trust = TrustMatrix(((0.9, 0.0, 0.1), (0.0, 1.0, 0.0), (0.2, 0.0, 0.8)))
+    s = Scenario(agents=agents, trust=trust, w_opt=(-1.0, 0.5, -0.25),
+                 iterations=30, ensemble=3)
+    trusts = [trust, balanced_variant(s).trust]
+    records = engine.run_ensemble(s, trusts)
+    assert all(np.signbit(record.w("s")).all() and not record.w("s").any()
+               for record in records)
+    paired = [_bits(record) for record in records]
+    assert paired == [_bits(oracle.run(dataclasses.replace(s, trust=t))) for t in trusts]
+    assert (paired, None) == _variants_outcome(_separate_runs, s, trusts)
 
 
 @settings(max_examples=60, deadline=None,

@@ -126,3 +126,10 @@ def test_gaussian_block_is_the_stream_bit_for_bit(monkeypatch, count):
         for start in (k for k in (2, 18, 1000) if k <= count):
             tail = gaussian_block(seeds, count - start, start)
             assert repr(tail.tolist()) == repr([d[start:] for d in draws])
+
+
+@pytest.mark.parametrize("start", [1, 3, 1001, -1])
+def test_gaussian_block_rejects_an_odd_start(start):
+    # an odd start would pair uniforms across Box-Muller pairs: draws of no stream
+    with pytest.raises(ValueError, match=f"start={start}$"):
+        gaussian_block([42], 3, start)
