@@ -92,6 +92,21 @@ def test_signed_zeros_match_oracle():
         assert _bits(run(s)) == _bits(oracle.run(s))
 
 
+@pytest.mark.parametrize("ensemble", [1, 2])
+@pytest.mark.parametrize("m", [9, 16])
+def test_single_standalone_agent_matches_oracle(m, ensemble):
+    """One adaptive agent and one run leave the prediction's products
+    [M, 1, 1, 1], a shape numpy would sum pairwise, not in order; two runs
+    keep an extent of 2 beside the components."""
+    agents = (AgentConfig("a", "standalone", mu=0.05,
+                          w0=tuple(0.5 * (j % 3) - 0.5 for j in range(m)),
+                          input=GaussianParams(0.1, 1.0), noise=GaussianParams(0.0, 0.3)),)
+    s = Scenario(agents=agents, trust=TrustMatrix(((1.0,),)),
+                 w_opt=tuple((-1.0) ** j * (1.0 + j / 7) for j in range(m)),
+                 iterations=200, ensemble=ensemble)
+    assert _bits(run(s)) == _bits(oracle.run(s))
+
+
 def test_short_row_between_cooperative_rows_matches_oracle_and_separate_runs():
     """Adaptive rows cooperative, standalone, cooperative: the rows with a
     second trust term are not contiguous, and the middle row's second term is
