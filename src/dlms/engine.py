@@ -24,7 +24,11 @@ memory. The loop keeps its state component-major with the runs last (see
 [variant, run, iteration, agent, weight component]. The averaging agents
 are filled in and divergence is looked for once the pass is over.
 
-No matrix products are used, because BLAS may reorder the sums.
+No matrix products are used, because BLAS may reorder the sums. The combine
+and the prediction are each one ``np.add.reduce`` over their leading axis,
+from an initial -0.0 (-0.0 + t0 is t0 bit for bit) and 0.0 respectively.
+numpy adds such an axis in order unless every other extent is 1; then it adds
+pairwise, so a lone adaptive agent in one run folds its prediction instead.
 """
 
 from functools import reduce
@@ -32,7 +36,7 @@ from functools import reduce
 import numpy as np
 
 from .errors import DIVERGENCE_BOUND, DivergenceError
-from .metrics import EnsembleRecord
+from .metrics import EnsembleRecord, sum_in_order
 from .prng import derive_seed, gaussian_block
 
 # Gaussian draws per block of iterations; bounds the size of the signal arrays.
@@ -144,10 +148,11 @@ def _simulate(scenario, terms, ws, es):
     rows of [V, R] whose last row is the pad, all -0.0 (see _combine_terms).
     A row index [K, M, N] into it and the coefficients [K, M, N, V, R] are
     built once, so each iteration's combine is one gather of whole rows, one
-    multiply and K-1 in-place adds of contiguous slabs; every ufunc's last
-    axis is the runs. The signals come a block at a time: the most iterations
-    whose draws fit in _CHUNK_DRAWS, at least 2 and even, so each starts on a
-    Box-Muller pair.
+    multiply and one reduce over K into arrays allocated once; every ufunc's
+    last axis is the runs. The prediction reduces the products [M, N, V, R]
+    over M, or folds them one component at a time when N = V = R = 1. The
+    signals come a block at a time: the most iterations whose draws fit in
+    _CHUNK_DRAWS, at least 2 and even, so each starts on a Box-Muller pair.
     """
     adaptive = scenario.adaptive_agents()
     owners, stream = _streams(scenario)
@@ -164,26 +169,25 @@ def _simulate(scenario, terms, ws, es):
     index = np.ascontiguousarray(slots[:, cols].swapaxes(0, 1))
     coef = np.broadcast_to(coef[:, None, :, :, None], (*index.shape, v, r)).copy()
     mu = np.array([[[cfg.mu] * r] * v for cfg in adaptive], dtype=np.float64)
+    terms, psi, products = np.empty(coef.shape), np.empty(w.shape), np.empty(w.shape)
+    collapsed = n * v * r == 1  # numpy would add products [M, 1, 1, 1] pairwise
     # views that each iteration indexes on axis 0 only
     ws, es = ws.transpose(2, 4, 3, 0, 1), es.transpose(2, 3, 0, 1)
     for start in range(0, scenario.iterations, block):
         stop = min(start + block, scenario.iterations)
-        x = y = None  # drop the last block's signals before drawing the next
+        x = y = xi = yi = None  # drop the last block's signals before drawing the next
         x, y = _signals(scenario, seeds, start, stop)
         x, y = x[:, :, :, None], y[:, :, None]  # gain a V axis
         # take() gathers the same values as fancy indexing, with less overhead
-        for i in range(start, stop):
-            terms = coef * buf.take(index, axis=0)
-            psi = terms[0]
-            for term in terms[1:]:
-                psi += term
-            xi = x[i - start].take(stream, axis=1)
-            products = psi * xi
-            pred = 0.0 + products[0]
-            for j in range(1, m):
-                pred += products[j]
-            es[i] = e = np.subtract(y[i - start].take(stream, axis=0), pred, out=pred)
-            ws[i] = np.add(psi, (mu * e) * xi, out=w)
+        for xi, yi, wi, ei in zip(x, y, ws[start:stop], es[start:stop]):
+            np.multiply(coef, buf.take(index, axis=0), out=terms)
+            np.add.reduce(terms, axis=0, initial=-0.0, out=psi)
+            xi = xi.take(stream, axis=1)
+            np.multiply(psi, xi, out=products)
+            pred = (sum_in_order(products) if collapsed
+                    else np.add.reduce(products, axis=0, initial=0.0))
+            ei[...] = e = np.subtract(yi.take(stream, axis=0), pred, out=pred)
+            wi[...] = np.add(psi, (mu * e) * xi, out=w)
 
 
 def _first_divergence(scenario, ws, es):

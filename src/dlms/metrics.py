@@ -6,6 +6,10 @@ weight components, and squares distances with Python's float power (the C
 library's ``pow``). numpy's own sums add pairwise and Python 3.12's ``sum``
 compensates; numpy's ``x**2`` and ``pow`` round differently from libm's
 ``pow``. Any of them would change the last bit of the reported metrics.
+``cumsum`` (numpy's ``add.accumulate``) does add in order, and
+0.0 + (v0 + v1 + ...) is the fold 0.0 + v0 + v1 + ... bit for bit, signed
+zeros included, so the steady-state window, thousands of iterations long, is
+summed as 0.0 + its ``cumsum``'s last entry in one call.
 numpy is imported inside the functions, so loading a scenario stays
 numpy-free.
 """
@@ -118,8 +122,8 @@ def steady_state_variance(record, agent):
         minimum = math.floor(1 / STEADY_STATE_WINDOW) + 1
         raise ConfigError(f"steady-state variance needs iterations >= {minimum}, "
                           f"got {length}")
-    mean = sum_in_order(window, axis=1) / n
-    var = sum_in_order(square(window - mean[:, None]), axis=1) / (n - 1)
+    mean = (0.0 + window.cumsum(axis=1)[:, -1]) / n
+    var = (0.0 + square(window - mean[:, None]).cumsum(axis=1)[:, -1]) / (n - 1)
     return sum_in_order(var, axis=-1).tolist()
 
 

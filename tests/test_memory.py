@@ -3,7 +3,7 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 25.53 MB, 17.52 MB,
+peaks with numpy 2.4.6, in the order of the tests: 25.56 MB, 17.53 MB,
 12.48 MB, 8.18 MB and 24.81 MB.
 """
 

@@ -44,6 +44,21 @@ class TestReductionOrder:
         assert total.shape == (2, 3)
         assert (total == 0.0).all()
 
+    # mean 0.0 in any order; the squares are 2^54 twice and 1.0 eighteen
+    # times, which a pairwise sum of them keeps some of
+    SQUARES = [2.0 ** 27, -2.0 ** 27] + [1.0, -1.0] * 9
+
+    @pytest.mark.parametrize("window", [VALUES, SQUARES, [-0.0] * 20],
+                             ids=["cancelling", "squares", "negative-zeros"])
+    def test_steady_state_variance_is_the_fold(self, window):
+        # 100 iterations leave a window of 20; two runs, scalar weights
+        ws = np.array([[0.5] * 80 + window] * 2).reshape(2, 100, 1, 1)
+        rec = EnsembleRecord(w_opt=(0.0,), agents=["a"], ws=ws, es=np.zeros(ws.shape[:3]))
+        w = ws[:, 80:, 0]
+        mean = sum_in_order(w, axis=1) / 20
+        fold = sum_in_order(sum_in_order(square(w - mean[:, None]), axis=1) / 19, axis=-1)
+        assert repr(steady_state_variance(rec, "a")) == repr(fold.tolist())
+
     def test_square_is_python_float_power(self):
         x = [-0.03189758691792563, 0.26540267816087765, 0.1764687496000844, -0.0, 3.0]
         assert square(np.array(x).reshape(5, 1)).tolist() == [[v ** 2] for v in x]
