@@ -32,6 +32,9 @@ class TestReductionOrder:
     # each 1.0 is lost against 1e16 when added in order; a pairwise or
     # compensated sum keeps some of them
     VALUES = [1e16] + [1.0] * 18 + [-1e16]
+    # mean 0.0 in any order; the squares are 2^54 twice and 1.0 eighteen
+    # times, which a pairwise sum of them keeps some of
+    SQUARES = [2.0 ** 27, -2.0 ** 27] + [1.0, -1.0] * 9
 
     def test_sum_in_order_of_floats(self):
         assert sum_in_order(self.VALUES) == 0.0
@@ -43,10 +46,6 @@ class TestReductionOrder:
         total = sum_in_order(a, axis)
         assert total.shape == (2, 3)
         assert (total == 0.0).all()
-
-    # mean 0.0 in any order; the squares are 2^54 twice and 1.0 eighteen
-    # times, which a pairwise sum of them keeps some of
-    SQUARES = [2.0 ** 27, -2.0 ** 27] + [1.0, -1.0] * 9
 
     @pytest.mark.parametrize("window", [VALUES, SQUARES, [-0.0] * 20],
                              ids=["cancelling", "squares", "negative-zeros"])
