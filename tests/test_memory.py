@@ -12,7 +12,7 @@ import tracemalloc
 import dlms.engine  # numpy and the engine load before tracing
 import dlms.prng
 from dlms.claims import verify_delay
-from dlms.scenarios import builtin, run, with_trust
+from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
 
 MB = 1e6
@@ -61,3 +61,23 @@ def test_long_horizon_peak():
     """2 x 20,000 iterations with vector weights: the records and one block's
     signals, with no room for a second copy of the signals."""
     assert _traced_peak(run, dense_trio_with_twins(iterations=20000, ensemble=2)) <= 27 * MB
+
+
+def _sq_dist(record):
+    return record.sq_dist
+
+
+def test_sq_dist_peak():
+    """table1's 4.0 MB of squared distances, with room for one run's
+    temporaries but not for a second array the size of the records or for
+    every distance as a Python float."""
+    record = run(builtin("table1"))
+    assert _traced_peak(_sq_dist, record) <= 5 * MB
+
+
+def test_compute_report_peak():
+    """The whole report on a fresh table1 record: its squared distances and
+    the ensemble-mean record, without a temporary the size of the records."""
+    s = builtin("table1")
+    record = run(s)
+    assert _traced_peak(compute_report, s, record) <= 6 * MB
