@@ -1,9 +1,10 @@
 """Ensemble records and their reductions: MSD, steady-state variance,
 convergence and crossing detection.
 
-Every reduction adds in run order and left to right along iterations and
-weight components, and squares distances with Python's float power (the C
-library's ``pow``). numpy's own sums add pairwise and Python 3.12's ``sum``
+Every reduction adds in run order and left to right along iterations and weight
+components, and squares distances with Python's float power (the C library's
+``pow``), a block of Python floats at a time, and ``sq_dist`` one run at a
+time, to bound memory. numpy's own sums add pairwise and Python 3.12's ``sum``
 compensates; numpy's ``x**2`` and ``pow`` round differently from libm's
 ``pow``. Any of them would change the last bit of the reported metrics.
 ``cumsum`` (numpy's ``add.accumulate``) does add in order, and
@@ -17,13 +18,14 @@ numpy-free.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import repeat
+from itertools import chain, repeat
 from operator import add
 
 from .errors import ConfigError
 
 STEADY_STATE_WINDOW = 0.2
 CONVERGENCE_BAND_FRACTION = 0.1
+_SQUARE_BLOCK = 1 << 15
 
 
 def sum_in_order(values, axis=0):
@@ -38,12 +40,24 @@ def sum_in_order(values, axis=0):
     return reduce(add, values, 0.0)
 
 
+def _pow2(x):
+    try:
+        return x ** 2
+    except OverflowError:  # where libm's pow returns inf
+        return math.inf
+
+
 def square(a):
-    """Element-wise ``x ** 2`` of an array, with Python's float power."""
+    """Element-wise ``x ** 2`` with Python's float power, one block at a time."""
     import numpy as np
 
-    return np.fromiter(map(pow, a.ravel().tolist(), repeat(2)),
-                       np.float64, a.size).reshape(a.shape)
+    floats = chain.from_iterable(a.flat[i:i + _SQUARE_BLOCK].tolist()
+                                 for i in range(0, a.size, _SQUARE_BLOCK))
+    try:
+        out = np.fromiter(map(pow, floats, repeat(2)), np.float64, a.size)
+    except OverflowError:  # only input that overflows is squared again
+        out = np.fromiter(map(_pow2, map(float, a.flat)), np.float64, a.size)
+    return out.reshape(a.shape)
 
 
 @dataclass(eq=False)
@@ -78,10 +92,13 @@ class EnsembleRecord:
 
     @cached_property
     def sq_dist(self):
-        """Squared distance |w - w_opt|^2 per run, iteration and agent [R, L, A]."""
+        """Squared distance |w - w_opt|^2 [R, L, A], filled run by run."""
         import numpy as np
 
-        return sum_in_order(square(self.ws - np.array(self.w_opt)), axis=-1)
+        out = np.empty(self.ws.shape[:-1])
+        for r, w in enumerate(self.ws):
+            out[r] = sum_in_order(square(w - np.array(self.w_opt)), axis=-1)
+        return out
 
     def dist(self, agent):
         """Distance |w - w_opt| of one agent [R, L]."""
@@ -154,9 +171,12 @@ def crossing_iteration(record, agent_p, agent_q):
         raise ConfigError("crossing detection requires scalar weights (M=1)")
     if record.iterations < 2:
         return [None] * len(record)
-    diff = record.dist(agent_p) - record.dist(agent_q)
-    # a tie at the start (0.0 * d) never counts as a flip
-    flipped = diff[:, :1] * diff[:, 1:] < 0
+    import numpy as np
+
+    with np.errstate(invalid="ignore"):  # distances past overflow are inf
+        diff = record.dist(agent_p) - record.dist(agent_q)
+        # a tie at the start (0.0 * d) never counts as a flip
+        flipped = diff[:, :1] * diff[:, 1:] < 0
     return [k + 2 if hit else None for hit, k in
             zip(flipped.any(axis=1).tolist(), flipped.argmax(axis=1).tolist())]
 
@@ -165,7 +185,7 @@ def default_band(w0s, w_opt, fraction=CONVERGENCE_BAND_FRACTION):
     """Convergence band relative to the mean initial distance from w_opt."""
     m = len(w_opt)
     mean_w0 = [sum_in_order(w0[j] for w0 in w0s) / len(w0s) for j in range(m)]
-    dist = math.sqrt(sum_in_order((mj - oj) ** 2 for mj, oj in zip(mean_w0, w_opt)))
+    dist = math.sqrt(sum_in_order(_pow2(mj - oj) for mj, oj in zip(mean_w0, w_opt)))
     if dist == 0.0:
         raise ConfigError("mean initial weight equals w_opt; band undefined")
     return fraction * dist

@@ -230,6 +230,17 @@ def test_divergence_exit_code_and_manifest(tmp_path, capsys):
     assert "divergence" in manifest.read_text()
 
 
+def test_squares_that_overflow_are_inf(tmp_path):
+    # an overflowing square is inf, as libm's pow returns: no OverflowError,
+    # and no RuntimeWarning from comparing infinite distances
+    out = tmp_path / "t.csv"
+    frozen = (arg for aid in "abcd" for arg in ("--set", f"{aid}.mu=0"))
+    assert run_cli("run", "table1", "--w-opt", "1e155", "--ensemble", "2",
+                   "--iterations", "20", *frozen, "--out", str(out)) == 0
+    with out.open(newline="") as fh:
+        assert {row["dist_opt"] for row in csv.DictReader(fh)} == {"inf"}
+
+
 def _outputs(out):
     return [path.exists() for path in (out, metrics_path(out), error_path(out))]
 
@@ -412,6 +423,14 @@ class TestVerify:
             "error: steady-state variance needs iterations >= 6, got 5\n")
         assert run_cli("verify", "table5", "stabilize", "--iterations", "6",
                        "--ensemble", "2") in (0, 1)
+
+    def test_band_that_overflows_is_a_divergence(self, capsys):
+        # the band's squared distance is inf, not an OverflowError; the
+        # estimate at 1e155 then diverges in the first iteration
+        assert run_cli("verify", "table1", "merge", "--ensemble", "2",
+                       "--iterations", "20", "--set", "a.w0=1e155") == 3
+        assert capsys.readouterr().err.startswith(
+            "error: divergence at run 0, iteration 1, agent a:")
 
     def test_merge_passes_on_table1(self):
         assert run_cli("verify", "table1", "merge", "--ensemble", "10") == 0

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import dlms.metrics
 from dlms.errors import ConfigError
 from dlms.metrics import (
     EnsembleRecord,
@@ -13,7 +14,9 @@ from dlms.metrics import (
     steady_state_variance,
     sum_in_order,
 )
+from dlms.scenarios import run
 from oracle import RandomStream, weighted_sum_variance
+from strategies import dense_trio_with_twins
 
 
 def _record(*runs, w_opt=(2.0,)):
@@ -61,6 +64,39 @@ class TestReductionOrder:
     def test_square_is_python_float_power(self):
         x = [-0.03189758691792563, 0.26540267816087765, 0.1764687496000844, -0.0, 3.0]
         assert square(np.array(x).reshape(5, 1)).tolist() == [[v ** 2] for v in x]
+
+    # signed zero, the smallest subnormal, a square that underflows, and
+    # values that are not finite
+    SPECIAL = [-0.0, 5e-324, 1e-200, float("nan"), float("inf"), -float("inf")]
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_square_in_blocks_is_python_float_power(self, monkeypatch, block):
+        monkeypatch.setattr(dlms.metrics, "_SQUARE_BLOCK", block)
+        stream = RandomStream(7)
+        values = self.SPECIAL + [stream.next_gaussian() * 10.0 ** k for k in range(-3, 15)]
+        for n in (0, 1, 6, 7, 8, 15):
+            x = np.array(values[:n])
+            assert repr(square(x).tolist()) == repr([v ** 2 for v in values[:n]])
+        a = np.array(values[:24]).reshape(2, 3, 4)
+        assert repr(square(a).tolist()) == repr(
+            np.array([v ** 2 for v in values[:24]]).reshape(2, 3, 4).tolist())
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 15])
+    def test_square_that_overflows_is_inf(self, monkeypatch, block):
+        # as libm's pow returns; Python's float power raises OverflowError
+        monkeypatch.setattr(dlms.metrics, "_SQUARE_BLOCK", block)
+        x = np.array([[3.0, -1e155], [1e155, 5e-324]])
+        assert repr(square(x).tolist()) == repr([[9.0, float("inf")], [float("inf"), 0.0]])
+
+    @pytest.mark.parametrize("runs", [3, 0])
+    def test_sq_dist_is_the_whole_array_expression(self, runs):
+        record = run(dense_trio_with_twins(iterations=50, ensemble=3)).head(runs)
+        d = record.ws - np.array(record.w_opt)
+        assert d.shape == (runs, 50, 7, 4)
+        whole = sum_in_order(np.array([v ** 2 for v in d.ravel().tolist()])
+                             .reshape(d.shape), axis=-1)
+        assert record.sq_dist.shape == whole.shape == (runs, 50, 7)
+        assert record.sq_dist.tobytes() == whole.tobytes()
 
 
 class TestMsdSeries:
@@ -184,3 +220,5 @@ def test_default_band():
     assert default_band([(0.0,), (1.0,)], (2.0,)) == pytest.approx(0.15)
     with pytest.raises(ConfigError):
         default_band([(2.0,)], (2.0,))
+    # a squared distance that overflows is inf, as libm's pow returns
+    assert default_band([(1e155,)], (0.0,)) == float("inf")
