@@ -3,8 +3,8 @@ convergence and crossing detection.
 
 Every reduction adds in run order and left to right along iterations and weight
 components, and squares distances with Python's float power (the C library's
-``pow``), a block of Python floats at a time, and ``sq_dist`` one run at a
-time, to bound memory. numpy's own sums add pairwise and Python 3.12's ``sum``
+``pow``), ``sq_dist`` one run at a time so that only one run's distances are
+Python floats at once. numpy's own sums add pairwise and Python 3.12's ``sum``
 compensates; numpy's ``x**2`` and ``pow`` round differently from libm's
 ``pow``. Any of them would change the last bit of the reported metrics.
 ``cumsum`` (numpy's ``add.accumulate``) does add in order, and
@@ -18,14 +18,12 @@ numpy-free.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from itertools import chain, repeat
 from operator import add
 
 from .errors import ConfigError
 
 STEADY_STATE_WINDOW = 0.2
 CONVERGENCE_BAND_FRACTION = 0.1
-_SQUARE_BLOCK = 1 << 15
 
 
 def sum_in_order(values, axis=0):
@@ -48,16 +46,11 @@ def _pow2(x):
 
 
 def square(a):
-    """Element-wise ``x ** 2`` with Python's float power, one block at a time."""
+    """Element-wise ``x ** 2`` with Python's float power; ``inf`` past overflow."""
     import numpy as np
 
-    floats = chain.from_iterable(a.flat[i:i + _SQUARE_BLOCK].tolist()
-                                 for i in range(0, a.size, _SQUARE_BLOCK))
-    try:
-        out = np.fromiter(map(pow, floats, repeat(2)), np.float64, a.size)
-    except OverflowError:  # only input that overflows is squared again
-        out = np.fromiter(map(_pow2, map(float, a.flat)), np.float64, a.size)
-    return out.reshape(a.shape)
+    return np.fromiter(map(_pow2, a.ravel().tolist()),
+                       np.float64, a.size).reshape(a.shape)
 
 
 @dataclass(eq=False)
@@ -92,12 +85,17 @@ class EnsembleRecord:
 
     @cached_property
     def sq_dist(self):
-        """Squared distance |w - w_opt|^2 [R, L, A], filled run by run."""
+        """Squared distance |w - w_opt|^2 per run, iteration and agent [R, L, A].
+
+        Filled one run at a time, so the temporaries and the Python floats
+        that ``square`` passes through are one run's size, not the records'.
+        """
         import numpy as np
 
+        w_opt = np.array(self.w_opt)
         out = np.empty(self.ws.shape[:-1])
         for r, w in enumerate(self.ws):
-            out[r] = sum_in_order(square(w - np.array(self.w_opt)), axis=-1)
+            out[r] = sum_in_order(square(w - w_opt), axis=-1)
         return out
 
     def dist(self, agent):

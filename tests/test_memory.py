@@ -4,7 +4,7 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 25.56 MB, 17.53 MB,
-12.48 MB, 8.18 MB, 24.81 MB, 4.29 MB and 5.37 MB.
+12.48 MB, 8.18 MB, 24.81 MB, 4.25 MB and 5.21 MB.
 """
 
 import tracemalloc

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-import dlms.metrics
 from dlms.errors import ConfigError
 from dlms.metrics import (
     EnsembleRecord,
@@ -62,29 +61,15 @@ class TestReductionOrder:
         assert repr(steady_state_variance(rec, "a")) == repr(fold.tolist())
 
     def test_square_is_python_float_power(self):
-        x = [-0.03189758691792563, 0.26540267816087765, 0.1764687496000844, -0.0, 3.0]
-        assert square(np.array(x).reshape(5, 1)).tolist() == [[v ** 2] for v in x]
+        # with signed zero, the smallest subnormal, a square that underflows,
+        # and values that are not finite
+        x = [-0.03189758691792563, 0.26540267816087765, 0.1764687496000844, -0.0, 3.0,
+             5e-324, 1e-200, float("nan"), float("inf"), -float("inf")]
+        assert repr(square(np.array(x).reshape(10, 1)).tolist()) == repr([[v ** 2] for v in x])
+        assert square(np.empty((0, 3))).shape == (0, 3)
 
-    # signed zero, the smallest subnormal, a square that underflows, and
-    # values that are not finite
-    SPECIAL = [-0.0, 5e-324, 1e-200, float("nan"), float("inf"), -float("inf")]
-
-    @pytest.mark.parametrize("block", [1, 3, 7])
-    def test_square_in_blocks_is_python_float_power(self, monkeypatch, block):
-        monkeypatch.setattr(dlms.metrics, "_SQUARE_BLOCK", block)
-        stream = RandomStream(7)
-        values = self.SPECIAL + [stream.next_gaussian() * 10.0 ** k for k in range(-3, 15)]
-        for n in (0, 1, 6, 7, 8, 15):
-            x = np.array(values[:n])
-            assert repr(square(x).tolist()) == repr([v ** 2 for v in values[:n]])
-        a = np.array(values[:24]).reshape(2, 3, 4)
-        assert repr(square(a).tolist()) == repr(
-            np.array([v ** 2 for v in values[:24]]).reshape(2, 3, 4).tolist())
-
-    @pytest.mark.parametrize("block", [1, 3, 1 << 15])
-    def test_square_that_overflows_is_inf(self, monkeypatch, block):
+    def test_square_that_overflows_is_inf(self):
         # as libm's pow returns; Python's float power raises OverflowError
-        monkeypatch.setattr(dlms.metrics, "_SQUARE_BLOCK", block)
         x = np.array([[3.0, -1e155], [1e155, 5e-324]])
         assert repr(square(x).tolist()) == repr([[9.0, float("inf")], [float("inf"), 0.0]])
 
