@@ -9,13 +9,21 @@ peaks with numpy 2.4.6, in the order of the tests: 25.56 MB, 17.53 MB,
 
 import tracemalloc
 
+import pytest
+
 import dlms.engine  # numpy and the engine load before tracing
 import dlms.prng
-from dlms.claims import verify_delay
+from dlms.claims import balanced_variant, merge_iteration, verify_delay
+from dlms.metrics import steady_state_variance
 from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
 
 MB = 1e6
+
+
+def _selfish_table1():
+    s = builtin("table1")
+    return with_trust(s, [(0.9, 0.1, 0.0, 0.0), (0.1, 0.9, 0.0, 0.0), *s.trust.rows[2:]])
 
 
 def _traced_peak(fn, *args):
@@ -29,14 +37,11 @@ def _traced_peak(fn, *args):
 
 def test_verify_delay_peak():
     """Both 100 x 1000 networks of the selfish table1 are held at once."""
-    s = builtin("table1")
-    selfish = with_trust(s, [(0.9, 0.1, 0.0, 0.0), (0.1, 0.9, 0.0, 0.0),
-                             *s.trust.rows[2:]])
-    assert _traced_peak(verify_delay, selfish) <= 27 * MB
+    assert _traced_peak(verify_delay, _selfish_table1()) <= 19 * MB
 
 
 def test_run_table1_peak():
-    assert _traced_peak(run, builtin("table1")) <= 23 * MB
+    assert _traced_peak(run, builtin("table1")) <= 11 * MB
 
 
 def test_run_table1_in_blocks_peak(monkeypatch):
@@ -60,7 +65,7 @@ def test_run_table1_fill_and_scan_peak(monkeypatch):
 def test_long_horizon_peak():
     """2 x 20,000 iterations with vector weights: the records and one block's
     signals, with no room for a second copy of the signals."""
-    assert _traced_peak(run, dense_trio_with_twins(iterations=20000, ensemble=2)) <= 27 * MB
+    assert _traced_peak(run, dense_trio_with_twins(iterations=20000, ensemble=2)) <= 15 * MB
 
 
 def test_sq_dist_peak():
@@ -77,3 +82,36 @@ def test_compute_report_peak():
     s = builtin("table1")
     record = run(s)
     assert _traced_peak(compute_report, s, record) <= 6 * MB
+
+
+@pytest.fixture(scope="module")
+def long_horizon():
+    s = dense_trio_with_twins(iterations=20000, ensemble=2)
+    return s, run(s)
+
+
+def test_first_divergence_transient(long_horizon):
+    """The divergence scan of the long_horizon record holds no temporary the
+    size of one run's weights (3.84 MB)."""
+    s, record = long_horizon
+    n = len(s.adaptive_agents())
+    ws, es = record.ws[..., :n, :], record.es[..., :n]
+    assert _traced_peak(dlms.engine._first_divergence, s, ws, es) <= 1 * MB
+
+
+def test_steady_state_variance_transient(long_horizon):
+    """The steady-state windows of the stabilize claim's two agents on the
+    long_horizon record, one run's window at a time."""
+    record = long_horizon[1]
+    assert _traced_peak(lambda: [steady_state_variance(record, aid)
+                                 for aid in ("c", "f")]) <= 1 * MB
+
+
+def test_merge_iteration_transient():
+    """The delay claim's merge detection on its two 100 x 1000 records, a
+    group of runs at a time."""
+    selfish = _selfish_table1()
+    records = dlms.engine.run_ensemble(
+        selfish, [selfish.trust, balanced_variant(selfish).trust])
+    assert _traced_peak(lambda: [merge_iteration(r, ["a", "b"])
+                                 for r in records]) <= 0.5 * MB
