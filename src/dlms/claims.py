@@ -6,7 +6,7 @@ speedup, selfish-trust delay, and noise stabilization.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .metrics import (
@@ -31,6 +31,8 @@ MERGE_BAND_FRACTION = 0.05
 DELAY_BAND_FRACTION = 0.01
 PAIRED_PASS_FRACTION = 0.90
 STABILIZE_PASS_FRACTION = 0.95
+# Weight components of one agent that merge_iteration takes per group of runs.
+_MERGE_GROUP_VALUES = 1 << 13
 
 
 @dataclass
@@ -135,16 +137,27 @@ def verify_speedup(scenario):
 
 def merge_iteration(record, coop_ids):
     """Per run, the first iteration where all cooperative estimates agree
-    within DELAY_BAND_FRACTION of |w_opt|, or None."""
+    within DELAY_BAND_FRACTION of |w_opt|, or None.
+
+    The runs are taken a group at a time, at most _MERGE_GROUP_VALUES weight
+    components of one agent per group, which bounds the temporaries while
+    keeping the numpy calls per run few.
+    """
     import numpy as np
 
     threshold = DELAY_BAND_FRACTION * math.sqrt(sum_in_order(x * x for x in record.w_opt))
-    spread = np.maximum.reduce([_gap(record, p, q)
-                                for k, p in enumerate(coop_ids)
-                                for q in coop_ids[k + 1:]])
-    merged = spread < threshold
-    return [i + 1 if hit else None
-            for hit, i in zip(merged.any(axis=1).tolist(), merged.argmax(axis=1).tolist())]
+    group = max(1, _MERGE_GROUP_VALUES // (record.iterations * len(record.w_opt)))
+    merged = []
+    for first in range(0, len(record), group):
+        runs = replace(record, ws=record.ws[first:first + group],
+                       es=record.es[first:first + group])
+        spread = np.maximum.reduce([_gap(runs, p, q)
+                                    for k, p in enumerate(coop_ids)
+                                    for q in coop_ids[k + 1:]])
+        hit = spread < threshold
+        merged += [i + 1 if h else None
+                   for h, i in zip(hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())]
+    return merged
 
 
 def balanced_variant(scenario):

@@ -18,11 +18,13 @@ each variant's trajectories are bit-identical to a separate run of it:
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
 
-The signals are drawn a block of iterations at a time, which bounds their
-memory. The loop keeps its state component-major with the runs last (see
-``_simulate``) and copies each iteration once into the records, laid out
-[variant, run, iteration, agent, weight component]. The averaging agents
-are filled in and divergence is looked for once the pass is over.
+The signals are drawn a block of iterations at a time, one column per
+adaptive agent (a twin's a copy of its stream owner's), so their memory is
+bounded and the loop reads them without a gather. The loop keeps its state
+component-major with the runs last (see ``_simulate``) and copies each
+iteration once into the records, laid out [variant, run, iteration, agent,
+weight component]. Once the pass is over the averaging agents are filled in
+a run at a time and divergence is looked for a block of iterations at a time.
 
 No matrix products are used, because BLAS may reorder the sums. The combine
 and the prediction are each one ``np.add.reduce`` over their leading axis,
@@ -31,16 +33,15 @@ numpy adds such an axis in order unless every other extent is 1; then it adds
 pairwise, so a lone adaptive agent in one run folds its prediction instead.
 """
 
-from functools import reduce
-
 import numpy as np
 
 from .errors import DIVERGENCE_BOUND, DivergenceError
 from .metrics import EnsembleRecord, sum_in_order
 from .prng import derive_seed, gaussian_block
 
-# Gaussian draws per block of iterations; bounds the size of the signal arrays.
-_CHUNK_DRAWS = 1 << 20
+# Values per block of iterations: bounds the signal arrays, N*R*(M+1) values
+# an iteration, and the divergence scan's temporaries, N*M an iteration.
+_CHUNK_DRAWS = 1 << 16
 
 
 def _streams(scenario):
@@ -77,8 +78,12 @@ def run_ensemble(scenario, trusts):
         _simulate(scenario, terms, ws[..., :n, :], es[..., :n])
         for run in ws.reshape(-1, *ws.shape[2:]):  # [L, A, M], a run at a time
             for a, cfg in enumerate(averaging, start=n):
-                total = reduce(np.add, (run[:, index[s]] for s in cfg.sources))
-                run[:, a] = total / len(cfg.sources)
+                first, *rest = (index[s] for s in cfg.sources)
+                total = run[:, a]  # summed in place, (w_s0 + w_s1 + ...) / n
+                total[...] = run[:, first]
+                for b in rest:
+                    total += run[:, b]
+                total /= len(cfg.sources)
     records = [EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
                               ws=ws[v], es=es[v]) for v in range(len(trusts))]
     for record in records:
@@ -90,30 +95,34 @@ def run_ensemble(scenario, trusts):
 
 
 def _signals(scenario, seeds, start, stop):
-    """Inputs x [L, M, G, R] and targets y [L, G, R] of the G stream owners
-    at iterations start..stop-1, from ``seeds``, the R runs' seeds per owner.
+    """Inputs x [L, M, N, R] and targets y [L, N, R] of the N adaptive agents
+    at iterations start..stop-1, from ``seeds``, the R runs' seeds per stream
+    owner (see _streams).
 
     Each owner draws M+1 Gaussians per iteration (x components, then the
     noise q) with the statistics of its first adaptive agent, from draw
-    start*(M+1) on; a twin reads its counterpart's draws, scaled straight
-    into this layout.
+    start*(M+1) on, scaled straight into that agent's column; each twin's
+    column is a copy of it.
     """
     adaptive = scenario.adaptive_agents()
     stream = _streams(scenario)[1]
     m, length, runs = len(scenario.w_opt), stop - start, len(seeds[0])
-    x = np.empty((length, m, len(seeds), runs))
-    y = np.empty((length, len(seeds), runs))
+    x = np.empty((length, m, len(adaptive), runs))
+    y = np.empty((length, len(adaptive), runs))
     for g, owner_seeds in enumerate(seeds):
-        cfg = adaptive[stream.index(g)]
+        first, *twins = [a for a, owner in enumerate(stream) if owner == g]
+        cfg = adaptive[first]
         z = gaussian_block(owner_seeds, length * (m + 1), start * (m + 1))
         z = z.reshape(runs, length, m + 1).transpose(1, 2, 0)
-        xo, yo = x[:, :, g], y[:, g]
+        xo, yo = x[:, :, first], y[:, first]
         np.multiply(cfg.input.sd, z[:, :m], out=xo)
         xo += cfg.input.mean
         np.add(0.0, scenario.w_opt[0] * xo[:, 0], out=yo)
         for j in range(1, m):
             yo += scenario.w_opt[j] * xo[:, j]
         yo += cfg.noise.mean + cfg.noise.sd * z[:, m]
+        for a in twins:
+            x[:, :, a], y[:, a] = xo, yo
     return x, y
 
 
@@ -150,17 +159,18 @@ def _simulate(scenario, terms, ws, es):
     built once, so each iteration's combine is one gather of whole rows, one
     multiply and one reduce over K into arrays allocated once; every ufunc's
     last axis is the runs. The prediction reduces the products [M, N, V, R]
-    over M, or folds them one component at a time when N = V = R = 1. The
-    signals come a block at a time: the most iterations whose draws fit in
-    _CHUNK_DRAWS, at least 2 and even, so each starts on a Box-Muller pair.
+    over M, or folds them one component at a time when N = V = R = 1, and
+    mu*e and the step (mu*e)*x go into arrays allocated once too. The signals
+    come a block at a time, already one column per adaptive agent: the most
+    iterations whose N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2
+    and even, so each block starts on a Box-Muller pair.
     """
     adaptive = scenario.adaptive_agents()
-    owners, stream = _streams(scenario)
-    stream = np.array(stream)
+    owners = _streams(scenario)[0]
     (v, r, _, n, m), (cols, coef) = ws.shape, terms
     seeds = [[derive_seed(scenario.seed ^ k, owner) for k in range(r)]
              for owner in owners]
-    block = max(2, _CHUNK_DRAWS // (len(owners) * r * (m + 1)) // 2 * 2)
+    block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)
     buf = np.full((m * n + 1, v, r), -0.0)
     w = buf[:-1].reshape(m, n, v, r)
     w[...] = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None, None]
@@ -169,7 +179,9 @@ def _simulate(scenario, terms, ws, es):
     index = np.ascontiguousarray(slots[:, cols].swapaxes(0, 1))
     coef = np.broadcast_to(coef[:, None, :, :, None], (*index.shape, v, r)).copy()
     mu = np.array([[[cfg.mu] * r] * v for cfg in adaptive], dtype=np.float64)
-    terms, psi, products = np.empty(coef.shape), np.empty(w.shape), np.empty(w.shape)
+    terms = np.empty(coef.shape)
+    psi, products, step = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
+    pred, mu_e = np.empty(mu.shape), np.empty(mu.shape)
     collapsed = n * v * r == 1  # numpy would add products [M, 1, 1, 1] pairwise
     # views that each iteration indexes on axis 0 only
     ws, es = ws.transpose(2, 4, 3, 0, 1), es.transpose(2, 3, 0, 1)
@@ -182,36 +194,46 @@ def _simulate(scenario, terms, ws, es):
         for xi, yi, wi, ei in zip(x, y, ws[start:stop], es[start:stop]):
             np.multiply(coef, buf.take(index, axis=0), out=terms)
             np.add.reduce(terms, axis=0, initial=-0.0, out=psi)
-            xi = xi.take(stream, axis=1)
             np.multiply(psi, xi, out=products)
-            pred = (sum_in_order(products) if collapsed
-                    else np.add.reduce(products, axis=0, initial=0.0))
-            ei[...] = e = np.subtract(yi.take(stream, axis=0), pred, out=pred)
-            wi[...] = np.add(psi, (mu * e) * xi, out=w)
+            if collapsed:
+                pred[...] = sum_in_order(products)
+            else:
+                np.add.reduce(products, axis=0, initial=0.0, out=pred)
+            ei[...] = np.subtract(yi, pred, out=pred)
+            np.multiply(mu, pred, out=mu_e)
+            np.multiply(mu_e, xi, out=step)
+            wi[...] = np.add(psi, step, out=w)
 
 
 def _first_divergence(scenario, ws, es):
     """DivergenceError for the first divergent run, or None.
 
     Takes one variant's adaptive weights ws [R, L, N, M] and errors
-    es [R, L, N] and checks them a run at a time, so no temporary is larger
-    than one run. Within a run the scalar loop stops at the first iteration
+    es [R, L, N] and checks them a run at a time, and within a run a block
+    of at most _CHUNK_DRAWS weights at a time, so no temporary grows with the
+    horizon. Within a run the scalar loop stops at the first iteration
     where, in agent order, an error is non-finite or a new weight is
     non-finite or beyond DIVERGENCE_BOUND; the message names that check's
     value.
     """
-    for run, (w, e) in enumerate(zip(ws, es)):
-        bad_e = ~np.isfinite(e)
-        bad = bad_e | ~(np.abs(w) <= DIVERGENCE_BOUND).all(axis=-1)
-        if bad.any():
-            i = int(bad.any(axis=-1).argmax())
-            a = int(bad[i].argmax())
-            if bad_e[i, a]:
-                detail = f"non-finite prediction error {float(e[i, a])}"
-            else:
-                detail = f"weight estimate diverged: {w[i, a].tolist()}"
-            agent_id = scenario.adaptive_agents()[a].id
-            return DivergenceError(
-                f"divergence at run {run}, iteration {i + 1}, agent {agent_id}: {detail}",
-                agent=agent_id, iteration=i + 1, run=run)
+    _, length, n, m = ws.shape
+    block = max(1, _CHUNK_DRAWS // (n * m))
+    for run in range(len(ws)):
+        for first in range(0, length, block):
+            w, e = ws[run, first:first + block], es[run, first:first + block]
+            bad_e = ~np.isfinite(e)
+            bad = bad_e | ~(np.abs(w) <= DIVERGENCE_BOUND).all(axis=-1)
+            if bad.any():
+                i = int(bad.any(axis=-1).argmax())
+                a = int(bad[i].argmax())
+                if bad_e[i, a]:
+                    detail = f"non-finite prediction error {float(e[i, a])}"
+                else:
+                    detail = f"weight estimate diverged: {w[i, a].tolist()}"
+                agent_id = scenario.adaptive_agents()[a].id
+                iteration = first + i + 1
+                return DivergenceError(
+                    f"divergence at run {run}, iteration {iteration}, "
+                    f"agent {agent_id}: {detail}",
+                    agent=agent_id, iteration=iteration, run=run)
     return None

@@ -3,14 +3,14 @@ convergence and crossing detection.
 
 Every reduction adds in run order and left to right along iterations and weight
 components, and squares distances with Python's float power (the C library's
-``pow``), ``sq_dist`` one run at a time so that only one run's distances are
-Python floats at once. numpy's own sums add pairwise and Python 3.12's ``sum``
+``pow``), ``sq_dist`` and ``steady_state_variance`` one run at a time so
+that only one run's values are Python floats at once. numpy's own sums add pairwise and Python 3.12's ``sum``
 compensates; numpy's ``x**2`` and ``pow`` round differently from libm's
 ``pow``. Any of them would change the last bit of the reported metrics.
 ``cumsum`` (numpy's ``add.accumulate``) does add in order, and
 0.0 + (v0 + v1 + ...) is the fold 0.0 + v0 + v1 + ... bit for bit, signed
 zeros included, so the steady-state window, thousands of iterations long, is
-summed as 0.0 + its ``cumsum``'s last entry in one call.
+summed as 0.0 + its ``cumsum``'s last entry in one call per run.
 numpy is imported inside the functions, so loading a scenario stays
 numpy-free.
 """
@@ -127,18 +127,23 @@ def steady_state_variance(record, agent):
     """Sample variance of the estimate over the final STEADY_STATE_WINDOW of
     the horizon, one value per run.
 
-    For vector weights the per-component sample variances are summed.
+    For vector weights the per-component sample variances are summed. The
+    window is reduced one run at a time, so its temporaries are one run's.
     """
+    import numpy as np
+
     length = record.iterations
-    window = record.w(agent)[:, length - math.ceil(STEADY_STATE_WINDOW * length):]
-    n = window.shape[1]
+    windows = record.w(agent)[:, length - math.ceil(STEADY_STATE_WINDOW * length):]
+    n = windows.shape[1]
     if n < 2:
         # ceil(STEADY_STATE_WINDOW * length) >= 2 from this length on
         minimum = math.floor(1 / STEADY_STATE_WINDOW) + 1
         raise ConfigError(f"steady-state variance needs iterations >= {minimum}, "
                           f"got {length}")
-    mean = (0.0 + window.cumsum(axis=1)[:, -1]) / n
-    var = (0.0 + square(window - mean[:, None]).cumsum(axis=1)[:, -1]) / (n - 1)
+    var = np.empty((len(record), windows.shape[-1]))
+    for r, window in enumerate(windows):
+        mean = (0.0 + window.cumsum(axis=0)[-1]) / n
+        var[r] = (0.0 + square(window - mean).cumsum(axis=0)[-1]) / (n - 1)
     return sum_in_order(var, axis=-1).tolist()
 
 

@@ -189,22 +189,76 @@ def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("scenario", [
     dataclasses.replace(builtin("table3"), iterations=200, ensemble=5),
-    _unstable(200, 4, 1.0),  # diverges at iteration 101, in the second block
+    _unstable(200, 4, 1.0),  # diverges at iteration 101, in the third block
 ], ids=["table3", "divergent"])
 def test_chunks_of_two_runs_match_oracle(monkeypatch, scenario):
-    # 2 streams x 2 draws per iteration over 5 and 4 runs: 1600 draws make
-    # blocks of 80 and of 100 iterations
+    # 4 adaptive agents x 2 values per iteration over 5 and 4 runs: 1600
+    # values make blocks of 40 and of 50 iterations
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", 1600)
     assert _outcome(run, scenario) == _outcome(oracle.run, scenario)
 
 
-# 3 streams x 3 runs x 5 draws = 45 draws per iteration, an odd number per
-# stream, so 9000 makes blocks of 200 and 100 iterations
+# 6 adaptive agents x 3 runs x 5 values = 90 values per iteration, so 9000
+# makes three blocks of 100 iterations
 @pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 9000])
 def test_dense_trio_with_twins_matches_oracle(monkeypatch, chunk_draws):
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
     s = dense_trio_with_twins(iterations=300, ensemble=3)
     assert _bits(run(s)) == _bits(oracle.run(s))
+
+
+def _drawn_blocks(monkeypatch):
+    """The (start, stop) of each block of signals the engine draws, in order."""
+    drawn = []
+    signals = engine._signals
+
+    def record_block(scenario, seeds, start, stop):
+        drawn.append((start, stop))
+        return signals(scenario, seeds, start, stop)
+
+    monkeypatch.setattr(engine, "_signals", record_block)
+    return drawn
+
+
+def _twins_before_and_beside_owners():
+    """M = 3: twin t listed before its owner a, and owner b with two twins,
+    u and v; an averaging agent follows the three twins."""
+    inp_a, noise_a = GaussianParams(0.2, 1.0), GaussianParams(0.0, 0.1)
+    inp_b, noise_b = GaussianParams(-0.1, 0.8), GaussianParams(0.05, 0.3)
+    agents = (
+        AgentConfig("t", "standalone", mu=0.05, w0=(0.5, -0.0, 0.0), input=inp_a,
+                    noise=noise_a, counterpart="a"),
+        AgentConfig("a", "cooperative", mu=0.1, w0=(0.0, 0.0, 1.0), input=inp_a,
+                    noise=noise_a),
+        AgentConfig("b", "cooperative", mu=0.08, w0=(-1.0, 0.0, 0.0), input=inp_b,
+                    noise=noise_b),
+        AgentConfig("u", "standalone", mu=0.02, w0=(0.0, 0.3, 0.0), input=inp_b,
+                    noise=noise_b, counterpart="b"),
+        AgentConfig("v", "standalone", mu=0.2, w0=(-0.0,) * 3, input=inp_b,
+                    noise=noise_b, counterpart="b"),
+        AgentConfig("m", "averaging", sources=("t", "u", "v")),
+    )
+    rows = [(1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.6, 0.4, 0.0, 0.0),
+            (0.0, 0.3, 0.7, 0.0, 0.0), (0.0, 0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 0.0, 1.0)]
+    return Scenario(agents=agents, trust=TrustMatrix(tuple(rows)),
+                    w_opt=(1.0, -0.5, 0.25), iterations=250, ensemble=3)
+
+
+# 5 adaptive agents x 3 runs x 4 values = 60 values per iteration: the
+# default makes one block, 6600 blocks of 110, 110 and 30 iterations
+@pytest.mark.parametrize("chunk_draws, blocks", [
+    (engine._CHUNK_DRAWS, [(0, 250)]),
+    (6600, [(0, 110), (110, 220), (220, 250)]),
+], ids=["one-block", "uneven-blocks"])
+def test_twins_before_and_beside_their_owners_match_oracle(monkeypatch, chunk_draws, blocks):
+    """Each twin's column of the signals is its owner's draws, whether it is
+    listed before its owner or shares the owner with another twin."""
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
+    drawn = _drawn_blocks(monkeypatch)
+    s = _twins_before_and_beside_owners()
+    assert _bits(run(s)) == _bits(oracle.run(s))
+    assert drawn == blocks
 
 
 def _selfish(scenario, s_self):
@@ -234,9 +288,9 @@ def test_paired_variants_match_separate_runs(chunk_draws, scenario):
     _selfish(_unstable(200, 4, 1.0), 0.9),
 ], ids=["table1", "divergent"])
 def test_paired_table1_matches_separate_runs(monkeypatch, chunk_draws, scenario):
-    # table1 draws 2 streams x 2 Gaussians per iteration and run: 1200 draws
-    # make blocks of 60 iterations of 5 runs, and of 74 (75 rounded down to
-    # even) of 4 runs; 2400 makes blocks of 120 and of 150
+    # table1 fills 4 adaptive agents x 2 values per iteration and run: 1200
+    # values make blocks of 30 iterations of 5 runs, and of 36 (37 rounded
+    # down to even) of 4 runs; 2400 makes blocks of 60 and of 74
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
     trusts = [scenario.trust, balanced_variant(scenario).trust]
     paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
@@ -254,8 +308,8 @@ def _one_unstable_agent(s_self):
                     trust=TrustMatrix(((0.5, 0.5), (1.0 - s_self, s_self))))
 
 
-# 2 streams x 6 runs x 2 draws per iteration = 24 draws per iteration: 1600
-# draws make blocks of 66 iterations (rounded down to even), 4800 one block
+# 2 adaptive agents x 6 runs x 2 values = 24 values per iteration: 1600
+# values make blocks of 66 iterations (rounded down to even), 4800 one block
 _BLOCKS_OF_66 = [(0, 66), (66, 132), (132, 198), (198, 200)]
 
 
@@ -273,14 +327,7 @@ _BLOCKS_OF_66 = [(0, 66), (66, 132), (132, 198), (198, 200)]
 def test_divergence_is_that_of_separate_runs_in_variant_order(
         monkeypatch, selfs, chunk_draws, error_run, blocks):
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
-    drawn = []
-    signals = engine._signals
-
-    def record_block(scenario, seeds, start, stop):
-        drawn.append((start, stop))
-        return signals(scenario, seeds, start, stop)
-
-    monkeypatch.setattr(engine, "_signals", record_block)
+    drawn = _drawn_blocks(monkeypatch)
     scenario = _one_unstable_agent(0.5)
     trusts = [_one_unstable_agent(s).trust for s in selfs]
     paired = _variants_outcome(engine.run_ensemble, scenario, trusts)

@@ -3,8 +3,9 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 25.56 MB, 17.53 MB,
-12.48 MB, 8.18 MB, 24.81 MB, 4.25 MB and 5.21 MB.
+peaks with numpy 2.4.6, in the order of the tests: 17.44 MB, 9.40 MB,
+10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.53 MB, 0.62 MB, 0.77 MB and 0.27 MB;
+the last three are transients above records that are already held.
 """
 
 import tracemalloc
@@ -45,15 +46,15 @@ def test_run_table1_peak():
 
 
 def test_run_table1_in_blocks_peak(monkeypatch):
-    """table1's signals in four blocks of iterations, at most 2^17 draws
-    each: the records and one block's signals, with no room for a second
-    block or a temporary the size of the records."""
+    """table1's signals in seven blocks of at most 162 iterations, 2^17
+    values each: the records and one block's signals, with no room for a
+    second block or a temporary the size of the records."""
     monkeypatch.setattr(dlms.engine, "_CHUNK_DRAWS", 1 << 17)
     assert _traced_peak(run, builtin("table1")) <= 13 * MB
 
 
 def test_run_table1_fill_and_scan_peak(monkeypatch):
-    """With blocks of 10 iterations and of 4096 draws in the generator the
+    """With blocks of 4 iterations and of 4096 draws in the generator the
     signals are small, so the peak is table1's 8.0 MB of records plus the
     largest temporary: the averaging fill and the divergence scan may not
     hold one agent's trajectories of every run at once."""
@@ -63,8 +64,8 @@ def test_run_table1_fill_and_scan_peak(monkeypatch):
 
 
 def test_long_horizon_peak():
-    """2 x 20,000 iterations with vector weights: the records and one block's
-    signals, with no room for a second copy of the signals."""
+    """2 x 20,000 iterations with vector weights: the 11.2 MB of records and
+    the largest transient, with no room for the whole horizon's signals."""
     assert _traced_peak(run, dense_trio_with_twins(iterations=20000, ensemble=2)) <= 15 * MB
 
 
