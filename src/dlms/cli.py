@@ -35,6 +35,11 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
+# Values per formatted piece of the trajectory CSV: tens of KB of text, small
+# enough that the C allocator reuses freed memory for the next piece instead
+# of mapping (and faulting in) fresh pages for each one.
+_WRITE_VALUES = 1 << 12
+
 
 def load_scenario(ref):
     """Resolve a builtin name or a config file path (UTF-8, BOM skipped)."""
@@ -111,17 +116,18 @@ def _csv_field(text):
 
 def write_trajectories(path, scenario, record):
     """Write the trajectory CSV, one row per run, iteration and agent id in
-    sorted order, formatting each run with one ``%`` template."""
+    sorted order, formatting each run with ``%`` templates of at most
+    _WRITE_VALUES values each."""
     m = len(scenario.w_opt)
     width = m + 2
     header = ["run", "iteration", "agent", *(f"w{j}" for j in range(m)), "e", "dist_opt"]
     order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
     ids = [_csv_field(record.agents[a]).replace("%", "%%") for a in order]
     fields = ",%r" * width + "\r\n"
-    # each run joins these with its index: "" then ",i,agent,%r,...\r\n" per row
-    rows = ["", *(f",{i},{aid}{fields}"
-                  for i in range(1, record.iterations + 1) for aid in ids)]
-    vals = [None] * ((len(rows) - 1) * width)
+    # each run prefixes every one of these rows with its index
+    rows = [f",{i},{aid}{fields}" for i in range(1, record.iterations + 1) for aid in ids]
+    step = max(1, _WRITE_VALUES // width)
+    vals = [None] * (len(rows) * width)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\r\n")
         for r in range(len(record)):
@@ -131,7 +137,10 @@ def write_trajectories(path, scenario, record):
             vals[m::width] = record.es[r][:, order].ravel().tolist()
             vals[m + 1::width] = map(pow, record.sq_dist[r][:, order].ravel().tolist(),
                                      repeat(0.5))
-            fh.write(str(r).join(rows) % tuple(vals))
+            run = str(r)
+            for first in range(0, len(rows), step):
+                template = run + run.join(rows[first:first + step])
+                fh.write(template % tuple(vals[first * width:(first + step) * width]))
 
 
 def metrics_path(out):

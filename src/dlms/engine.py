@@ -94,10 +94,11 @@ def run_ensemble(scenario, trusts):
     return records
 
 
-def _signals(scenario, seeds, start, stop):
+def _signals(scenario, seeds, start, stop, x, y):
     """Inputs x [L, M, N, R] and targets y [L, N, R] of the N adaptive agents
-    at iterations start..stop-1, from ``seeds``, the R runs' seeds per stream
-    owner (see _streams).
+    at iterations start..stop-1, written into the first L = stop - start rows
+    of the buffers ``x`` and ``y`` and returned as views of them, from
+    ``seeds``, the R runs' seeds per stream owner (see _streams).
 
     Each owner draws M+1 Gaussians per iteration (x components, then the
     noise q) with the statistics of its first adaptive agent, from draw
@@ -107,8 +108,7 @@ def _signals(scenario, seeds, start, stop):
     adaptive = scenario.adaptive_agents()
     stream = _streams(scenario)[1]
     m, length, runs = len(scenario.w_opt), stop - start, len(seeds[0])
-    x = np.empty((length, m, len(adaptive), runs))
-    y = np.empty((length, len(adaptive), runs))
+    x, y = x[:length], y[:length]
     for g, owner_seeds in enumerate(seeds):
         first, *twins = [a for a, owner in enumerate(stream) if owner == g]
         cfg = adaptive[first]
@@ -161,9 +161,10 @@ def _simulate(scenario, terms, ws, es):
     last axis is the runs. The prediction reduces the products [M, N, V, R]
     over M, or folds them one component at a time when N = V = R = 1, and
     mu*e and the step (mu*e)*x go into arrays allocated once too. The signals
-    come a block at a time, already one column per adaptive agent: the most
-    iterations whose N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2
-    and even, so each block starts on a Box-Muller pair.
+    come a block at a time into one pair of buffers, already one column per
+    adaptive agent: the most iterations whose N*R*(M+1) values each fit in
+    _CHUNK_DRAWS, at least 2 and even, so each block starts on a Box-Muller
+    pair.
     """
     adaptive = scenario.adaptive_agents()
     owners = _streams(scenario)[0]
@@ -185,10 +186,13 @@ def _simulate(scenario, terms, ws, es):
     collapsed = n * v * r == 1  # numpy would add products [M, 1, 1, 1] pairwise
     # views that each iteration indexes on axis 0 only
     ws, es = ws.transpose(2, 4, 3, 0, 1), es.transpose(2, 3, 0, 1)
+    # one pair of signal buffers serves every block; a fresh pair per block
+    # would have the C allocator return and fault in their pages each block
+    size = min(block, scenario.iterations)
+    xs, ys = np.empty((size, m, n, r)), np.empty((size, n, r))
     for start in range(0, scenario.iterations, block):
         stop = min(start + block, scenario.iterations)
-        x = y = xi = yi = None  # drop the last block's signals before drawing the next
-        x, y = _signals(scenario, seeds, start, stop)
+        x, y = _signals(scenario, seeds, start, stop, xs, ys)
         x, y = x[:, :, :, None], y[:, :, None]  # gain a V axis
         # take() gathers the same values as fancy indexing, with less overhead
         for xi, yi, wi, ei in zip(x, y, ws[start:stop], es[start:stop]):

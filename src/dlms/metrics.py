@@ -3,10 +3,11 @@ convergence and crossing detection.
 
 Every reduction adds in run order and left to right along iterations and weight
 components, and squares distances with Python's float power (the C library's
-``pow``), ``sq_dist`` and ``steady_state_variance`` one run at a time so
-that only one run's values are Python floats at once. numpy's own sums add pairwise and Python 3.12's ``sum``
-compensates; numpy's ``x**2`` and ``pow`` round differently from libm's
-``pow``. Any of them would change the last bit of the reported metrics.
+``pow``), ``sq_dist`` and ``steady_state_variance`` one run at a time so that
+only one run's values are Python floats at once. numpy's own sums add pairwise
+and Python 3.12's ``sum`` compensates; numpy's ``x**2`` and ``pow`` round
+differently from libm's ``pow``. Any of them would change the last bit of the
+reported metrics.
 ``cumsum`` (numpy's ``add.accumulate``) does add in order, and
 0.0 + (v0 + v1 + ...) is the fold 0.0 + v0 + v1 + ... bit for bit, signed
 zeros included, so the steady-state window, thousands of iterations long, is

@@ -11,10 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import dlms.cli
 import oracle
 from dlms.cli import error_path, main, metrics_path, write_trajectories
 from dlms.errors import DivergenceError
-from dlms.scenarios import run
+from dlms.scenarios import builtin, run
 from strategies import scenarios
 
 
@@ -82,6 +83,18 @@ def test_trajectory_writer_matches_oracle(scenario, names):
         write_trajectories(ours, scenario, record)
         oracle.write_trajectories(ref, scenario, record)
         assert ours.read_bytes() == ref.read_bytes()
+
+
+def test_trajectory_writer_in_small_pieces_matches_oracle(tmp_path, monkeypatch):
+    """7 values make pieces of 2 rows at M = 1: 18 per run of 35 rows, the
+    last of them one row."""
+    monkeypatch.setattr(dlms.cli, "_WRITE_VALUES", 7)
+    scenario = replace(builtin("table1"), iterations=7, ensemble=2)
+    record = run(scenario)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_trajectories(ours, scenario, record)
+    oracle.write_trajectories(ref, scenario, record)
+    assert ours.read_bytes() == ref.read_bytes()
 
 
 def test_metrics_csv_has_convergence_iters(tmp_path):

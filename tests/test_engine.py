@@ -212,9 +212,9 @@ def _drawn_blocks(monkeypatch):
     drawn = []
     signals = engine._signals
 
-    def record_block(scenario, seeds, start, stop):
+    def record_block(scenario, seeds, start, stop, *buffers):
         drawn.append((start, stop))
-        return signals(scenario, seeds, start, stop)
+        return signals(scenario, seeds, start, stop, *buffers)
 
     monkeypatch.setattr(engine, "_signals", record_block)
     return drawn
@@ -251,7 +251,8 @@ def _twins_before_and_beside_owners():
     (engine._CHUNK_DRAWS, [(0, 250)]),
     (6600, [(0, 110), (110, 220), (220, 250)]),
 ], ids=["one-block", "uneven-blocks"])
-def test_twins_before_and_beside_their_owners_match_oracle(monkeypatch, chunk_draws, blocks):
+def test_twins_before_and_beside_their_owners_match_oracle(
+        monkeypatch, chunk_draws, blocks):
     """Each twin's column of the signals is its owner's draws, whether it is
     listed before its owner or shares the owner with another twin."""
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)

@@ -47,8 +47,8 @@ def test_run_table1_peak():
 
 def test_run_table1_in_blocks_peak(monkeypatch):
     """table1's signals in seven blocks of at most 162 iterations, 2^17
-    values each: the records and one block's signals, with no room for a
-    second block or a temporary the size of the records."""
+    values each: the records and a block's signals, with no room for a
+    temporary the size of the records."""
     monkeypatch.setattr(dlms.engine, "_CHUNK_DRAWS", 1 << 17)
     assert _traced_peak(run, builtin("table1")) <= 13 * MB
 
