@@ -169,6 +169,15 @@ def test_divergence_matches_oracle(input_sd, message):
     assert _bits(engine.completed) == _bits(scalar.completed)
 
 
+def test_divergence_in_a_later_block_of_the_scan_matches_oracle(monkeypatch):
+    """4 adaptive agents x M = 1: 36 values make the divergence scan's blocks
+    9 iterations long, so iteration 101 lies inside its twelfth block (and
+    the signals come in blocks of 2 iterations)."""
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", 36)
+    s = _unstable(200, 4, 1.0)
+    assert _outcome(run, s) == _outcome(oracle.run, s)
+
+
 def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
     args = ["run", "table1", "--iterations", "200", "--ensemble", "4"]
     for aid in "abcd":
@@ -212,9 +221,9 @@ def _drawn_blocks(monkeypatch):
     drawn = []
     signals = engine._signals
 
-    def record_block(scenario, seeds, start, stop, *buffers):
+    def record_block(scenario, seeds, start, stop, x, y):
         drawn.append((start, stop))
-        return signals(scenario, seeds, start, stop, *buffers)
+        return signals(scenario, seeds, start, stop, x, y)
 
     monkeypatch.setattr(engine, "_signals", record_block)
     return drawn
