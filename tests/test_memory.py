@@ -4,8 +4,8 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 17.44 MB, 9.40 MB,
-10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.53 MB, 0.62 MB, 0.77 MB and 0.27 MB;
-the last three are transients above records that are already held.
+10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.53 MB, 1.24 MB, 0.62 MB, 0.77 MB and
+0.27 MB; the last four are transients above records that are already held.
 """
 
 import tracemalloc
@@ -15,6 +15,7 @@ import pytest
 import dlms.engine  # numpy and the engine load before tracing
 import dlms.prng
 from dlms.claims import balanced_variant, merge_iteration, verify_delay
+from dlms.cli import write_trajectories
 from dlms.metrics import steady_state_variance
 from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
@@ -83,6 +84,15 @@ def test_compute_report_peak():
     s = builtin("table1")
     record = run(s)
     assert _traced_peak(compute_report, s, record) <= 6 * MB
+
+
+def test_write_trajectories_peak(tmp_path):
+    """The whole 33 MB trajectory CSV of table1, a bounded piece of text at a
+    time: no run's rows and no full column of formatted values at once."""
+    s = builtin("table1")
+    record = run(s)
+    record.sq_dist  # computed once and cached, outside the traced writer
+    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, record) <= 3 * MB
 
 
 @pytest.fixture(scope="module")
