@@ -35,9 +35,9 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
-# Values per formatted piece of the trajectory CSV: tens of KB of text, small
-# enough that the C allocator reuses freed memory for the next piece instead
-# of mapping (and faulting in) fresh pages for each one.
+# Values per formatted piece of the trajectory CSV. Its bytes and their mask
+# (230 KB each at M = 1) are allocated once per file: buffers this size
+# allocated per piece would be mapped and faulted in again every time.
 _WRITE_VALUES = 1 << 12
 
 
@@ -102,11 +102,6 @@ def apply_overrides(scenario, args):
     return replace(scenario, **updates) if updates else scenario
 
 
-def _fmt(value):
-    # repr of a Python float is the shortest round-trip decimal form
-    return repr(float(value))
-
-
 def _csv_field(text):
     """``text`` as csv.writer writes it as one field, quoted only if it must be."""
     buf = io.StringIO()
@@ -114,33 +109,60 @@ def _csv_field(text):
     return buf.getvalue()[:-2]
 
 
+def _byte_rows(items):
+    """``bytes`` items as a zero-padded uint8 matrix, and the mask of their bytes."""
+    import numpy as np
+
+    rows = np.array(items, dtype=bytes)
+    return (rows.view(np.uint8).reshape(len(items), rows.itemsize),
+            np.arange(rows.itemsize) < np.array([[len(b)] for b in items], dtype=int))
+
+
 def write_trajectories(path, scenario, record):
     """Write the trajectory CSV, one row per run, iteration and agent id in
-    sorted order, formatting each run with ``%`` templates of at most
-    _WRITE_VALUES values each."""
+    sorted order. A piece of at most _WRITE_VALUES values is one byte matrix
+    with a row per CSV row: the run, then ``,iteration,agent``, each padded,
+    then a ``floatfmt`` field per value (the separator in its slot 0) and
+    ``\\r\\n``; a mask of the bytes to keep compresses it into the file."""
+    import numpy as np
+
+    from .floatfmt import SLOTS, repr_fields
+
     m = len(scenario.w_opt)
     width = m + 2
     header = ["run", "iteration", "agent", *(f"w{j}" for j in range(m)), "e", "dist_opt"]
     order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
-    ids = [_csv_field(record.agents[a]).replace("%", "%%") for a in order]
-    fields = ",%r" * width + "\r\n"
-    # each run prefixes every one of these rows with its index
-    rows = [f",{i},{aid}{fields}" for i in range(1, record.iterations + 1) for aid in ids]
+    ids = [_csv_field(record.agents[a]) for a in order]
+    runs = _byte_rows([str(r).encode() for r in range(len(record))])
+    rows = _byte_rows([f",{i},{aid}".encode() for i in range(1, record.iterations + 1)
+                       for aid in ids])
+    cut, end = runs[0].shape[1], runs[0].shape[1] + rows[0].shape[1]
+    start = -(-end // 8) * 8  # the fields and the rows are word-aligned
+    stop = start + width * SLOTS
     step = max(1, _WRITE_VALUES // width)
-    vals = [None] * (len(rows) * width)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(",".join(header) + "\r\n")
+    text, keep = np.zeros((step, stop + 8), np.uint8), np.zeros((step, stop + 8), bool)
+    text[:, stop:stop + 2], keep[:, stop:stop + 2] = np.frombuffer(b"\r\n", np.uint8), True
+    fields = text[:, start:stop].reshape(step, width, SLOTS)
+    kept = keep[:, start:stop].reshape(step, width, SLOTS)
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
         for r in range(len(record)):
-            ws = record.ws[r][:, order]
-            for j in range(m):
-                vals[j::width] = ws[:, :, j].ravel().tolist()
-            vals[m::width] = record.es[r][:, order].ravel().tolist()
-            vals[m + 1::width] = map(pow, record.sq_dist[r][:, order].ravel().tolist(),
-                                     repeat(0.5))
-            run = str(r)
-            for first in range(0, len(rows), step):
-                template = run + run.join(rows[first:first + step])
-                fh.write(template % tuple(vals[first * width:(first + step) * width]))
+            text[:, :cut], keep[:, :cut] = runs[0][r], runs[1][r]
+            dist = np.fromiter(map(pow, record.sq_dist[r][:, order].ravel().tolist(),
+                                   repeat(0.5)), float)
+            values = np.column_stack([record.ws[r][:, order].reshape(-1, m),
+                                      record.es[r][:, order].ravel(), dist])
+            for first in range(0, len(values), step):
+                x = values[first:first + step]
+                k = len(x)
+                text[:k, cut:end] = rows[0][first:first + k]
+                keep[:k, cut:end] = rows[1][first:first + k]
+                for i, j in zip(*np.nonzero(repr_fields(x, fields[:k], kept[:k]))):
+                    rep = repr(float(x[i, j])).encode()
+                    fields[i, j, 1:1 + len(rep)] = np.frombuffer(rep, np.uint8)
+                    kept[i, j] = np.arange(SLOTS) <= len(rep)
+                fields[:k, :, 0], kept[:k, :, 0] = ord(","), True
+                fh.write(np.compress(keep[:k].ravel(), text[:k].ravel()))
 
 
 def metrics_path(out):
@@ -160,11 +182,11 @@ def write_metrics(path, scenario, record):
         writer.writerow(["metric", "agent", "iteration", "value"])
         for aid in sorted(report.msd):
             for i, v in enumerate(report.msd[aid]):
-                writer.writerow(["msd", aid, i + 1, _fmt(v)])
+                writer.writerow(["msd", aid, i + 1, repr(float(v))])
         for aid in sorted(report.steady_state_var):
             var = report.steady_state_var[aid]
             writer.writerow(["steady_state_var", aid, "",
-                             "" if var is None else _fmt(var)])
+                             "" if var is None else repr(float(var))])
         for aid in sorted(report.convergence_iter):
             conv = report.convergence_iter[aid]
             writer.writerow(["convergence_iter", aid, "",
@@ -272,6 +294,9 @@ def build_parser():
 
 
 def main(argv=None):
+    # dlms makes no BLAS call, but numpy's OpenBLAS would start a spinning worker
+    # per further CPU when numpy loads, which comes later, with the first run
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     # stdout is UTF-8 like the files, whatever the locale; surrogateescape
     # writes undecodable bytes of argv paths back unchanged
     sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")

@@ -1,12 +1,15 @@
 import csv
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ import dlms.cli
 import oracle
 from dlms.cli import error_path, main, metrics_path, write_trajectories
 from dlms.errors import DivergenceError
+from dlms.metrics import EnsembleRecord
 from dlms.scenarios import builtin, run
 from strategies import scenarios
 
@@ -97,6 +101,37 @@ def test_trajectory_writer_in_small_pieces_matches_oracle(tmp_path, monkeypatch)
     assert ours.read_bytes() == ref.read_bytes()
 
 
+# at least one value in every layout repr uses, of either sign: decimal points
+# from -3 to 16, exponents of two and three digits, zeros and whole numbers;
+# and values that the writer formats with repr itself
+_LAYOUT_VALUES = [
+    *(v * 10.0**e for e in range(-8, 20) for v in (1.0, 1.25, 0.123456789012345678)),
+    9999999999999998.0, 1e16, 9.999999999999999e-05, 1e-4, 1e22, 1e23, 2.0**53 + 2,
+    1.7976931348623157e308, 2.2250738585072014e-308, 1e-300, 3.5e200, 0.0,
+    5e-324, 2.5e-310, math.inf, math.nan,
+]
+
+
+def test_trajectory_writer_lays_out_every_float_like_the_oracle(tmp_path):
+    """A hand-made record (2 runs, 2 components) with the values above and
+    their negations, -0.0 among them, and one agent so far out that its
+    squared distance overflows to an inf dist_opt."""
+    values = np.array(_LAYOUT_VALUES + [-v for v in _LAYOUT_VALUES])
+    runs, agents, m = 2, 3, 2
+    iterations = -(-len(values) // (agents * m))
+    ws = np.resize(values, (runs, iterations, agents, m))
+    ws[1] = ws[1][::-1]
+    ws[:, :, 2] = 1e200
+    es = np.resize(values[::-1], (runs, iterations, agents))
+    scenario = SimpleNamespace(w_opt=(0.5, -0.25))
+    record = EnsembleRecord(scenario.w_opt, ["b", "c", "a"], ws, es)
+    assert np.isinf(record.sq_dist[..., 2]).all()
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_trajectories(ours, scenario, record)
+    oracle.write_trajectories(ref, scenario, record)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
 def test_metrics_csv_has_convergence_iters(tmp_path):
     out = tmp_path / "t2.csv"
     assert run_cli("run", "table2", "--ensemble", "10", "--out", str(out)) == 0
@@ -169,6 +204,27 @@ def test_setup_does_not_import_numpy(tmp_path):
          f"run {cfg} --out x.csv --seed 3 --set a.mu=0.1"],
         capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "[]\n"
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task")
+                    or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs /proc and more than one CPU")
+def test_verify_starts_no_blas_threads():
+    """numpy's OpenBLAS would start a thread per further CPU when numpy
+    loads; dlms makes no BLAS call and keeps its process to one thread."""
+    probe = (
+        "import os, sys\n"
+        "from dlms.cli import main\n"
+        "main(sys.argv[1:])\n"
+        "print(len(os.listdir('/proc/self/task')))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = src
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "table1", "merge", "--ensemble", "2",
+         "--iterations", "20"], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "1"
 
 
 @pytest.mark.parametrize("unbuffered", ["", "1"])

@@ -12,7 +12,8 @@ import tracemalloc
 
 import pytest
 
-import dlms.engine  # numpy and the engine load before tracing
+import dlms.engine  # numpy and the modules under test load before tracing
+import dlms.floatfmt
 import dlms.prng
 from dlms.claims import balanced_variant, merge_iteration, verify_delay
 from dlms.cli import write_trajectories
@@ -48,10 +49,10 @@ def test_run_table1_peak():
 
 def test_run_table1_in_blocks_peak(monkeypatch):
     """table1's signals in seven blocks of at most 162 iterations, 2^17
-    values each: the records and a block's signals, with no room for a
-    temporary the size of the records."""
+    values (1.04 MB) each: the records and one block's signals, with no
+    room for a second block or for a temporary the size of the records."""
     monkeypatch.setattr(dlms.engine, "_CHUNK_DRAWS", 1 << 17)
-    assert _traced_peak(run, builtin("table1")) <= 13 * MB
+    assert _traced_peak(run, builtin("table1")) <= 11.5 * MB
 
 
 def test_run_table1_fill_and_scan_peak(monkeypatch):
