@@ -33,8 +33,8 @@ def _tables():
     q = np.maximum(bq, 1) - 1075  # subnormals, infinities, nans: any entry
     k = (q * 661_971_961_083 - ((bq > 1) & (np.arange(2) == 1)) * 274_743_187_321) >> 41
     h = (q + (-k * 913_124_641_741 >> 38) + 2).astype(np.uint64)
-    g = []  # 2^125 <= g < 2^126 as four limbs, by k - _K_MIN
-    for e in range(-_K_MIN, -293, -1):  # k = -e up to 292
+    g = []  # floor(10^-k 2^-r) + 1 in [2^125, 2^126) as four limbs, by k - _K_MIN
+    for e in range(-_K_MIN, -293, -1):  # e = -k, k up to 292
         r = (e * 913_124_641_741 >> 38) - 125
         v = (10 ** max(e, 0) << max(-r, 0)) // (10 ** max(-e, 0) << max(r, 0)) + 1
         g.append([v >> 95, v >> 63 & 0xFFFFFFFF, v >> 32 & 0x7FFFFFFF, v & 0xFFFFFFFF])
@@ -64,7 +64,7 @@ def _tables():
         if decpt <= 0:  # 0.00ddd
             kept[[2, 3, *range(4, 4 - decpt), *digits[:n]]] = True
         elif lay < 20:  # dd.ddd or ddd00.0
-            kept[[*digits[:max(n, decpt)], *([6 + 2 * decpt] if decpt < n else [40, 41])]] = True
+            kept[[*digits[:max(n, decpt)], *([6 + 2 * decpt], [40, 41])[decpt >= n]]] = True
         else:  # d.ddde+XX
             kept[[*digits[:n], *[8] * (n > 1), 43, 44, *[45] * (lay - 20), 46, 47]] = True
     return (k.ravel(), h.ravel(), np.array(g, dtype=np.uint64).T.copy(), words,

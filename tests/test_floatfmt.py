@@ -73,5 +73,6 @@ def test_bulk_values_read_as_repr():
     for i in np.flatnonzero(unhandled):
         expected[i] = ""
     if ours != ("\n" + "\n".join(expected)).encode():
-        mismatches = [(e, o) for e, o in zip(expected, ours.decode().split("\n")[1:]) if e != o]
+        mismatches = [(e, o) for e, o in zip(expected, ours.decode().split("\n")[1:])
+                      if e != o]
         raise AssertionError(f"{len(mismatches)} values differ from repr: {mismatches[:5]}")
