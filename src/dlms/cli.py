@@ -36,9 +36,9 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
 # Values per formatted piece of the trajectory CSV. Its bytes and their mask
-# (230 KB each at M = 1) are allocated once per file: buffers this size
+# (172 KB each at M = 1) are allocated once per file: buffers this size
 # allocated per piece would be mapped and faulted in again every time.
-_WRITE_VALUES = 1 << 12
+_WRITE_VALUES = 3 << 10
 
 
 def load_scenario(ref):

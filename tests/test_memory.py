@@ -4,7 +4,7 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 17.44 MB, 9.40 MB,
-10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.53 MB, 1.60 MB, 0.62 MB, 0.77 MB and
+10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.53 MB, 1.27 MB, 0.62 MB, 0.77 MB and
 0.27 MB; the last four are transients above records that are already held.
 """
 
