@@ -425,6 +425,76 @@ def test_config_file_roundtrip(tmp_path):
     assert out.exists()
 
 
+TABLE1_CONFIG = """\
+[network]
+w_opt = 2.0
+iterations = 1000
+seed = 42
+ensemble = 100
+
+[agent]
+id = a
+kind = cooperative
+mu = 0.5
+w0 = 0.0
+input_mean = 0.0
+input_sd = 0.09
+noise_mean = 0.0
+noise_sd = 0.03
+
+[agent]
+id = b
+kind = cooperative
+mu = 0.5
+w0 = 1.0
+input_mean = 0.0
+input_sd = 0.09
+noise_mean = 0.0
+noise_sd = 0.03
+
+[agent]
+id = c
+kind = standalone
+mu = 0.5
+w0 = 0.0
+input_mean = 0.0
+input_sd = 0.09
+noise_mean = 0.0
+noise_sd = 0.03
+counterpart = a
+
+[agent]
+id = d
+kind = standalone
+mu = 0.5
+w0 = 1.0
+input_mean = 0.0
+input_sd = 0.09
+noise_mean = 0.0
+noise_sd = 0.03
+counterpart = b
+
+[agent]
+id = e
+kind = averaging
+sources = c,d
+
+[trust]
+a a 0.5
+a b 0.5
+b a 0.5
+b b 0.5
+c c 1.0
+d d 1.0
+"""
+
+
+def test_serialized_table1_is_pinned():
+    from dlms.scenarios import serialize
+
+    assert serialize(builtin("table1")) == TABLE1_CONFIG
+
+
 class TestVerify:
     def test_speedup_passes_on_heterogeneous_mu(self, capsys):
         assert run_cli("verify", "table2", "speedup", "--ensemble", "20") == 0
