@@ -24,8 +24,6 @@ from .scenarios import (
     with_trust,
 )
 
-CLAIMS = ("merge", "speedup", "delay", "stabilize")
-
 MERGE_START_ITERATION = 10
 MERGE_BAND_FRACTION = 0.05
 DELAY_BAND_FRACTION = 0.01
@@ -68,14 +66,6 @@ def _gap(record, p, q):
 
     d = record.w(p) - record.w(q)
     return np.sqrt(sum_in_order(d * d, axis=-1))
-
-
-def verify_claim(scenario, claim):
-    verifiers = {"merge": verify_merge, "speedup": verify_speedup,
-                 "delay": verify_delay, "stabilize": verify_stabilize}
-    if claim not in verifiers:
-        raise ConfigError(f"unknown claim {claim!r}; valid claims: {', '.join(CLAIMS)}")
-    return verifiers[claim](scenario)
 
 
 def verify_merge(scenario):
@@ -237,3 +227,14 @@ def verify_stabilize(scenario):
         "cooperative": noisy.id,
         "twin": twin.id,
     })
+
+
+_VERIFIERS = {"merge": verify_merge, "speedup": verify_speedup,
+              "delay": verify_delay, "stabilize": verify_stabilize}
+CLAIMS = tuple(_VERIFIERS)
+
+
+def verify_claim(scenario, claim):
+    if claim not in _VERIFIERS:
+        raise ConfigError(f"unknown claim {claim!r}; valid claims: {', '.join(CLAIMS)}")
+    return _VERIFIERS[claim](scenario)

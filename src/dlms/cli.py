@@ -10,24 +10,22 @@ import io
 import json
 import os
 import sys
-from dataclasses import replace
 from itertools import repeat
 from pathlib import Path
 
 from .claims import CLAIMS, verify_claim
 from .errors import ConfigError, DivergenceError, ParseError
-from .network import TrustMatrix
 from .scenarios import (
     AGENT_FIELDS,
+    NETWORK_FIELDS,
+    build,
     builtin,
     builtin_names,
     builtin_summary,
     compute_report,
+    entries,
     parse,
-    parse_vector,
     run,
-    set_agent_field,
-    set_trust,
 )
 
 EXIT_OK = 0
@@ -58,48 +56,37 @@ def load_scenario(ref):
     return parse(text)
 
 
-def _set_agent_field(agents, agent_id, key, value):
-    for i, cfg in enumerate(agents):
-        if cfg.id == agent_id:
-            if key not in AGENT_FIELDS:
-                raise ConfigError(f"unknown agent override key {key!r}")
-            agents[i] = set_agent_field(cfg, key, value)
-            return
-    raise ConfigError(f"override names unknown agent {agent_id!r}")
+def _flag(key):
+    """The CLI option of a [network] key."""
+    return "--" + key.replace("_", "-")
 
 
 def apply_overrides(scenario, args):
-    """Apply all CLI overrides, then validate the resulting scenario once."""
-    updates = {key: getattr(args, key) for key in ("seed", "iterations", "ensemble")
-               if getattr(args, key) is not None}
-    if args.w_opt is not None:
-        try:
-            updates["w_opt"] = parse_vector(args.w_opt)
-        except ValueError as exc:
-            raise ConfigError(f"invalid --w-opt {args.w_opt!r}: {exc}") from None
-
-    agents = list(scenario.agents)
-    rows = [list(r) for r in scenario.trust.rows]
-    adaptive_ids = [cfg.id for cfg in scenario.adaptive_agents()]
-    for item in args.set or ():
-        if "=" not in item:
-            raise ConfigError(f"override {item!r} is not key=value")
-        key, _, value = item.partition("=")
+    """The scenario rebuilt from its config entries with the CLI's overrides
+    on top: each option and ``--set`` item is the entry of its config key,
+    converted and checked as in a config file, and a ParseError names it."""
+    network, sections, trust = entries(scenario)
+    for key in NETWORK_FIELDS:
+        if getattr(args, key) is not None:
+            network[key] = (getattr(args, key), _flag(key))
+    by_id = {section["id"][0]: section for section, _ in sections}
+    for item in args.set:
+        where = f"--set {item!r}"
+        key, eq, text = item.partition("=")
         parts = key.strip().split(".")
-        try:
-            if parts[0] == "trust" and len(parts) == 3:
-                set_trust(rows, adaptive_ids, parts[1], parts[2], value)
-            elif len(parts) == 2:
-                _set_agent_field(agents, parts[0], parts[1], value)
-            else:
-                raise ConfigError(
-                    f"override key {key!r} is neither agent.field nor trust.from.to")
-        except ValueError as exc:
-            raise ConfigError(f"invalid override {item!r}: {exc}") from None
-    if args.set:
-        updates["agents"] = tuple(agents)
-        updates["trust"] = TrustMatrix(tuple(tuple(r) for r in rows))
-    return replace(scenario, **updates) if updates else scenario
+        if not eq:
+            raise ParseError("expected key=value", where)
+        if parts[0] == "trust" and len(parts) == 3:
+            trust[parts[1], parts[2]] = (text, where)
+        elif len(parts) != 2:
+            raise ParseError("the key is neither agent.field nor trust.from.to", where)
+        elif parts[0] not in by_id:
+            raise ParseError(f"unknown agent {parts[0]!r}", where)
+        elif parts[1] not in AGENT_FIELDS:
+            raise ParseError(f"unknown agent override key {parts[1]!r}", where)
+        else:
+            by_id[parts[0]][parts[1]] = (text, where)
+    return build(network, sections, trust)
 
 
 def _csv_field(text):
@@ -260,11 +247,8 @@ def cmd_list(args):
 
 
 def _add_overrides(parser):
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--iterations", type=int, default=None)
-    parser.add_argument("--ensemble", type=int, default=None)
-    parser.add_argument("--w-opt", dest="w_opt", default=None,
-                        help="comma-separated target weight vector")
+    for key in NETWORK_FIELDS:
+        parser.add_argument(_flag(key), dest=key, help=f"the [network] key {key}")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="agent override (id.field=value) or trust "
                              "override (trust.from.to=value)")

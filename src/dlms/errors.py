@@ -9,13 +9,17 @@ class ConfigError(ValueError):
 
 
 class ParseError(ConfigError):
-    """Malformed scenario config text."""
+    """Malformed scenario config text, or a bad value of a CLI override.
 
-    def __init__(self, message, line=None):
-        if line is not None:
-            message = f"line {line}: {message}"
+    ``where`` is the line number of the config text, or the CLI option, that
+    gave the value; the message starts with it.
+    """
+
+    def __init__(self, message, where=None):
+        if where is not None:
+            message = f"{'line ' if isinstance(where, int) else ''}{where}: {message}"
         super().__init__(message)
-        self.line = line
+        self.where = where
 
 
 class DivergenceError(RuntimeError):

@@ -13,12 +13,14 @@ class TrustMatrix:
     """Row-stochastic matrix of trust coefficients.
 
     rows[a][b] is the trust agent a places in agent b's estimate; a zero
-    encodes non-adjacency. Validated once at construction, not per iteration.
+    encodes non-adjacency. Any sequence of rows is stored as tuples of
+    tuples. Validated once at construction, not per iteration.
     """
 
     rows: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         n = len(self.rows)
         for a, row in enumerate(self.rows):
             if len(row) != n:

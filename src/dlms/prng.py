@@ -17,9 +17,6 @@ _MIX2 = 0x94D049BB133111EB
 _TWO_PI = 2.0 * math.pi
 _INV_2_53 = 1.0 / (1 << 53)
 
-# Most draws gaussian_block computes at once.
-_BLOCK_DRAWS = 1 << 16
-
 
 def _mix(z):
     """SplitMix64 finalizer of a Python int, or in place of a uint64 array."""
@@ -53,12 +50,11 @@ def gaussian_block(seeds, count, start=0):
     Output k of a stream is mix(seed + k*gamma), uniform k is
     ((output_k >> 11) + 1) / 2^53 (in (0, 1], so the logarithm is finite),
     and uniforms 2j-1 and 2j give Gaussians 2j-1 and 2j as r*cos(2*pi*u_2j)
-    and r*sin(2*pi*u_2j), with r = sqrt(-2 log u_2j-1). The streams are
-    drawn into a preallocated output a block of seeds at a time: each block
-    holds at most _BLOCK_DRAWS draws (one seed's, if it needs more), which
-    bounds the temporaries. The logarithm goes through ``math.log`` one
-    element at a time because ``numpy.log`` is not always correctly rounded
-    and then differs from libm in the last bit; cos, sin and sqrt agree.
+    and r*sin(2*pi*u_2j), with r = sqrt(-2 log u_2j-1). Its temporaries are
+    a few times the output, so callers bound ``len(seeds) * count``. The
+    logarithm goes through ``math.log`` one element at a time because
+    ``numpy.log`` is not always correctly rounded and then differs from libm
+    in the last bit; cos, sin and sqrt agree.
     """
     import numpy as np
 
@@ -66,19 +62,15 @@ def gaussian_block(seeds, count, start=0):
         raise ValueError(f"gaussian_block start must be even, got start={start}")
     pairs = (count + 1) // 2
     out = np.empty((len(seeds), 2 * pairs))
-    seeds = np.asarray(seeds, dtype=np.uint64)[:, None]
     steps = np.arange(start + 1, start + 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
-    rows = max(1, _BLOCK_DRAWS // max(1, 2 * pairs))
-    for first in range(0, len(seeds), rows):
-        z = _mix(seeds[first:first + rows] + steps)
-        z >>= np.uint64(11)
-        z += np.uint64(1)
-        u = z.astype(np.float64) * _INV_2_53
-        u1, u2 = u[:, 0::2], u[:, 1::2]
-        log_u1 = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
-        r = np.sqrt(-2.0 * log_u1.reshape(u1.shape))
-        theta = _TWO_PI * u2
-        block = out[first:first + rows]
-        np.multiply(r, np.cos(theta), out=block[:, 0::2])
-        np.multiply(r, np.sin(theta), out=block[:, 1::2])
+    z = _mix(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)
+    z >>= np.uint64(11)
+    z += np.uint64(1)
+    u = z.astype(np.float64) * _INV_2_53
+    u1, u2 = u[:, 0::2], u[:, 1::2]
+    log_u1 = np.fromiter(map(math.log, u1.ravel().tolist()), np.float64, u1.size)
+    r = np.sqrt(-2.0 * log_u1.reshape(u1.shape))
+    theta = _TWO_PI * u2
+    np.multiply(r, np.cos(theta), out=out[:, 0::2])
+    np.multiply(r, np.sin(theta), out=out[:, 1::2])
     return out[:, :count]

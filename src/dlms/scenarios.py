@@ -7,6 +7,7 @@ same signal realizations, and a follower e averaging c and d.
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ParseError
@@ -49,7 +50,7 @@ class AgentConfig:
 class Scenario:
     agents: tuple
     trust: TrustMatrix
-    w_opt: tuple
+    w_opt: tuple = (2.0,)
     iterations: int = 1000
     seed: int = 42
     ensemble: int = 100
@@ -211,21 +212,22 @@ def builtin(name):
 
 
 def with_trust(scenario, rows):
-    """Same scenario with the cooperative trust rows replaced."""
-    return replace(scenario, trust=TrustMatrix(tuple(tuple(r) for r in rows)))
+    """Same scenario with the whole trust matrix replaced by ``rows``."""
+    return replace(scenario, trust=TrustMatrix(rows))
 
 
 # ---------------------------------------------------------------------------
 # Config format
 # ---------------------------------------------------------------------------
 
-_NETWORK_KEYS = {"w_opt", "iterations", "seed", "ensemble"}
-
-
 def parse_vector(text):
     """A comma-separated vector of floats; ValueError if a part is no float."""
     return tuple(float(p) for p in text.split(","))
 
+
+# The [network] keys and their converters. Each is the Scenario field of the
+# same name, which holds its default.
+NETWORK_FIELDS = {"w_opt": parse_vector, "iterations": int, "seed": int, "ensemble": int}
 
 # The agent keys a config section and ``--set AGENT.FIELD`` share:
 # key -> (AgentConfig field, GaussianParams field or None, converter).
@@ -242,29 +244,6 @@ _AVERAGING_KEYS = {"id", "kind", "sources"}
 _AGENT_KEYS = {*_AVERAGING_KEYS, *AGENT_FIELDS}
 
 
-def set_agent_field(cfg, key, text):
-    """``cfg`` with the AGENT_FIELDS key ``key`` set from its text value.
-
-    Raises ValueError if the text does not convert, ConfigError if the agent
-    has no signal statistics to set.
-    """
-    name, part, convert = AGENT_FIELDS[key]
-    value = convert(text)
-    if part is not None:
-        params = getattr(cfg, name)
-        if params is None:
-            raise ConfigError(f"agent {cfg.id}: {cfg.kind} agents take no {name}")
-        value = replace(params, **{part: value})
-    return replace(cfg, **{name: value})
-
-
-def set_trust(rows, adaptive_ids, src, dst, coeff):
-    """rows[src][dst] = float(coeff) by adaptive agent id; ConfigError for an unknown id."""
-    if src not in adaptive_ids or dst not in adaptive_ids:
-        raise ConfigError(f"trust entry names unknown adaptive agent {src!r} -> {dst!r}")
-    rows[adaptive_ids.index(src)][adaptive_ids.index(dst)] = float(coeff)
-
-
 def _add_entry(entries, key, value, lineno, name):
     """entries[key] = (value, lineno); a key given twice is a ParseError."""
     if key in entries:
@@ -272,18 +251,16 @@ def _add_entry(entries, key, value, lineno, name):
     entries[key] = (value, lineno)
 
 
-def parse(config_text):
-    """Parse the line-oriented scenario config format.
+def read_entries(config_text):
+    """The entries of a config text, as ``build`` takes them, each with its
+    line number as its ``where``.
 
     Sections: one ``[network]``, one ``[agent]`` per agent, one ``[trust]``
     with ``from to coefficient`` triples. ``#`` starts a comment. Lines end
     at ``\r\n``, ``\r`` or ``\n`` only, so line numbers are an editor's.
     """
-    network = {}
-    agent_sections = []
-    trust_entries = {}
+    network, sections, trust = {}, [], {}
     section = None
-
     for lineno, raw in enumerate(re.split(r"\r\n?|\n", config_text), start=1):
         text = raw.split("#", 1)[0].strip()
         if not text:
@@ -293,7 +270,7 @@ def parse(config_text):
                 raise ParseError(f"unterminated section header {text!r}", lineno)
             section = text[1:-1].strip().lower()
             if section == "agent":
-                agent_sections.append(({}, lineno))
+                sections.append(({}, lineno))
             elif section not in ("network", "trust"):
                 raise ParseError(f"unknown section [{section}]", lineno)
             continue
@@ -305,122 +282,125 @@ def parse(config_text):
                 raise ParseError(
                     f"trust entries are 'from to coefficient' triples, got {text!r}",
                     lineno)
-            try:
-                coeff = float(parts[2])
-            except ValueError:
-                raise ParseError(f"invalid trust coefficient {parts[2]!r}", lineno) from None
-            _add_entry(trust_entries, (parts[0], parts[1]), coeff, lineno,
+            _add_entry(trust, (parts[0], parts[1]), parts[2], lineno,
                        f"trust entry {parts[0]} -> {parts[1]}")
             continue
         if "=" not in text:
             raise ParseError(f"expected key=value, got {text!r}", lineno)
         key, _, value = text.partition("=")
         key = key.strip().lower()
-        value = value.strip()
-        if section == "network":
-            if key not in _NETWORK_KEYS:
-                raise ParseError(f"unknown network key {key!r}", lineno)
-            _add_entry(network, key, value, lineno, f"network key {key!r}")
+        keys, target = ((NETWORK_FIELDS, network) if section == "network"
+                        else (_AGENT_KEYS, sections[-1][0]))
+        if key not in keys:
+            raise ParseError(f"unknown {section} key {key!r}", lineno)
+        _add_entry(target, key, value.strip(), lineno, f"{section} key {key!r}")
+    return network, sections, trust
+
+
+@contextmanager
+def _invalid(name, text, where):
+    """A ValueError in the body is a ParseError naming the text and where."""
+    try:
+        yield
+    except ValueError:
+        raise ParseError(f"invalid {name} {text!r}", where) from None
+
+
+def _build_agent(section, header):
+    """AgentConfig of one agent's entries; ``header`` is where its section starts."""
+    if "id" not in section:
+        raise ParseError("agent section missing id", header)
+    kind, where = section.get("kind", (COOPERATIVE, header))
+    if kind not in _KINDS:
+        raise ParseError(f"unknown agent kind {kind!r}", where)
+    allowed = _AVERAGING_KEYS if kind == AVERAGING else _AGENT_KEYS - {"sources"}
+    for key, (_, where) in section.items():
+        if key not in allowed:
+            raise ParseError(f"{kind} agents take no {key}", where)
+    aid = section["id"][0]
+    if kind == AVERAGING:
+        sources = section.get("sources", ("",))[0].replace(",", " ").split()
+        return AgentConfig(aid, kind, sources=tuple(sources))
+    fields = {"mu": 0.5, "w0": (0.0,), "input": GaussianParams(0.0, 1.0),
+              "noise": GaussianParams(0.0, 0.0)}
+    for key, (name, part, convert) in AGENT_FIELDS.items():
+        if key in section:
+            text, where = section[key]
+            with _invalid(f"{key} value", text, where):
+                value = convert(text)
+                if part is not None:
+                    value = replace(fields[name], **{part: value})
+            fields[name] = value
+    return AgentConfig(aid, kind, **fields)
+
+
+def build(network, sections, trust):
+    """The Scenario of a set of config entries.
+
+    An entry is a ``(text, where)`` pair under its key; ``where``, a line
+    number or the CLI option that gave the text, starts the message of a
+    ParseError about it. ``network`` holds NETWORK_FIELDS keys, ``sections``
+    one ``(entries, where its section starts)`` pair per agent and ``trust``
+    coefficients under ``(from, to)`` adaptive agent ids. A key not given
+    takes its default; a trust row with no entries is identity.
+    """
+    fields = {}
+    for key, (text, where) in network.items():
+        with _invalid(f"{key} value", text, where):
+            fields[key] = NETWORK_FIELDS[key](text)
+    agents = tuple(_build_agent(*section) for section in sections)
+    ids = [cfg.id for cfg in agents if cfg.is_adaptive()]
+    listed = {src for src, _ in trust}
+    rows = [[1.0 if a == b and src not in listed else 0.0 for b in range(len(ids))]
+            for a, src in enumerate(ids)]
+    for (src, dst), (text, where) in trust.items():
+        if src not in ids or dst not in ids:
+            raise ParseError(
+                f"trust entry names unknown adaptive agent {src!r} -> {dst!r}", where)
+        with _invalid("trust coefficient", text, where):
+            rows[ids.index(src)][ids.index(dst)] = float(text)
+    return Scenario(agents=agents, trust=TrustMatrix(rows), **fields)
+
+
+def parse(config_text):
+    """Parse the line-oriented scenario config format (see ``read_entries``)."""
+    return build(*read_entries(config_text))
+
+
+def _text(value):
+    """A field's value as config text; ``str`` of a float is its shortest repr."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+def entries(scenario):
+    """The scenario's config entries, as ``build`` takes them, with no where."""
+    network = {key: (_text(getattr(scenario, key)), None) for key in NETWORK_FIELDS}
+    sections = []
+    for cfg in scenario.agents:
+        values = {"id": cfg.id, "kind": cfg.kind}
+        if cfg.kind == AVERAGING:
+            values["sources"] = cfg.sources
         else:
-            if key not in _AGENT_KEYS:
-                raise ParseError(f"unknown agent key {key!r}", lineno)
-            _add_entry(agent_sections[-1][0], key, value, lineno, f"agent key {key!r}")
-
-    def net_value(key, default, conv):
-        if key not in network:
-            return default
-        value, lineno = network[key]
-        try:
-            return conv(value)
-        except ValueError:
-            raise ParseError(f"invalid {key} value {value!r}", lineno) from None
-
-    w_opt = net_value("w_opt", (2.0,), parse_vector)
-    iterations = net_value("iterations", 1000, int)
-    seed = net_value("seed", 42, int)
-    ensemble = net_value("ensemble", 100, int)
-
-    agents = []
-    for sect, header_lineno in agent_sections:
-        values = {key: value for key, (value, _) in sect.items()}
-        if "id" not in values:
-            raise ParseError("agent section missing id", header_lineno)
-        kind = values.get("kind", COOPERATIVE)
-        if kind not in _KINDS:
-            raise ParseError(f"unknown agent kind {kind!r}", sect["kind"][1])
-        allowed = _AVERAGING_KEYS if kind == AVERAGING else _AGENT_KEYS - {"sources"}
-        for key, (_, lineno) in sect.items():
-            if key not in allowed:
-                raise ParseError(f"{kind} agents take no {key}", lineno)
-        if kind == AVERAGING:
-            sources = values.get("sources", "").replace(",", " ").split()
-            agents.append(AgentConfig(values["id"], kind, sources=tuple(sources)))
-            continue
-        cfg = AgentConfig(values["id"], kind, mu=0.5, w0=(0.0,),
-                          input=GaussianParams(0.0, 1.0), noise=GaussianParams(0.0, 0.0))
-        for key in AGENT_FIELDS:
-            if key in sect:
-                value, lineno = sect[key]
-                try:
-                    cfg = set_agent_field(cfg, key, value)
-                except ValueError:
-                    raise ParseError(f"invalid {key} value {value!r}", lineno) from None
-        agents.append(cfg)
-
-    adaptive_ids = [cfg.id for cfg in agents if cfg.is_adaptive()]
-    n = len(adaptive_ids)
-    rows = [[0.0] * n for _ in range(n)]
-    for (src, dst), (coeff, lineno) in trust_entries.items():
-        try:
-            set_trust(rows, adaptive_ids, src, dst, coeff)
-        except ConfigError as exc:
-            raise ParseError(str(exc), lineno) from None
-    # rows with no trust entries default to identity (standalone-style)
-    listed = {src for src, _ in trust_entries}
-    for i, aid in enumerate(adaptive_ids):
-        if aid not in listed:
-            rows[i][i] = 1.0
-
-    return Scenario(
-        agents=tuple(agents),
-        trust=TrustMatrix(tuple(tuple(r) for r in rows)),
-        w_opt=w_opt,
-        iterations=iterations,
-        seed=seed,
-        ensemble=ensemble,
-    )
+            for key, (name, part, _) in AGENT_FIELDS.items():
+                value = getattr(cfg, name)
+                values[key] = value if part is None else getattr(value, part)
+        sections.append(({key: (_text(value), None) for key, value in values.items()
+                          if value is not None}, None))
+    ids = [cfg.id for cfg in scenario.adaptive_agents()]
+    trust = {(ids[a], ids[b]): (_text(coeff), None)
+             for a, row in enumerate(scenario.trust.rows)
+             for b, coeff in enumerate(row) if coeff != 0.0}
+    return network, sections, trust
 
 
 def serialize(scenario):
     """Render a Scenario in the config format accepted by parse()."""
-    lines = ["[network]"]
-    lines.append("w_opt = " + ",".join(repr(v) for v in scenario.w_opt))
-    lines.append(f"iterations = {scenario.iterations}")
-    lines.append(f"seed = {scenario.seed}")
-    lines.append(f"ensemble = {scenario.ensemble}")
-    for cfg in scenario.agents:
-        lines.append("")
-        lines.append("[agent]")
-        lines.append(f"id = {cfg.id}")
-        lines.append(f"kind = {cfg.kind}")
-        if cfg.kind == AVERAGING:
-            lines.append("sources = " + ",".join(cfg.sources))
-            continue
-        lines.append(f"mu = {cfg.mu!r}")
-        lines.append("w0 = " + ",".join(repr(v) for v in cfg.w0))
-        lines.append(f"input_mean = {cfg.input.mean!r}")
-        lines.append(f"input_sd = {cfg.input.sd!r}")
-        lines.append(f"noise_mean = {cfg.noise.mean!r}")
-        lines.append(f"noise_sd = {cfg.noise.sd!r}")
-        if cfg.counterpart is not None:
-            lines.append(f"counterpart = {cfg.counterpart}")
-    lines.append("")
-    lines.append("[trust]")
-    adaptive = scenario.adaptive_agents()
-    for a, row in enumerate(scenario.trust.rows):
-        for b, coeff in enumerate(row):
-            if coeff != 0.0:
-                lines.append(f"{adaptive[a].id} {adaptive[b].id} {coeff!r}")
+    network, sections, trust = entries(scenario)
+    lines = ["[network]", *(f"{key} = {text}" for key, (text, _) in network.items())]
+    for section, _ in sections:
+        lines += ["", "[agent]", *(f"{key} = {text}" for key, (text, _) in section.items())]
+    lines += ["", "[trust]",
+              *(f"{src} {dst} {text}" for (src, dst), (text, _) in trust.items())]
     return "\n".join(lines) + "\n"
 
 

@@ -495,6 +495,71 @@ def test_serialized_table1_is_pinned():
     assert serialize(builtin("table1")) == TABLE1_CONFIG
 
 
+# table1 without twins, so that one agent's statistics can change alone
+NO_TWINS = "".join(line for line in TABLE1_CONFIG.splitlines(True)
+                   if not line.startswith("counterpart"))
+# option, config key, agent (None for [network]), a good and a bad value
+OVERRIDES = [
+    ("--w-opt", "w_opt", None, "1.5", "1,,2"),
+    ("--iterations", "iterations", None, "20", "2.0"),
+    ("--seed", "seed", None, "7", "x"),
+    ("--ensemble", "ensemble", None, "3", ""),
+    ("--set", "mu", "a", "0.25", "fast"),
+    ("--set", "w0", "b", "0.5", "0,"),
+    ("--set", "input_mean", "a", "0.1", "nan0"),
+    ("--set", "input_sd", "b", "0.2", "-0.2"),
+    ("--set", "noise_mean", "a", "-0.1", "0x10"),
+    ("--set", "noise_sd", "b", "0.05", "-1"),
+    ("--set", "counterpart", "c", "a", None),
+]
+
+
+def config_with(key, agent, value):
+    """NO_TWINS with ``key = value`` in [network], or in the section of ``agent``."""
+    lines = NO_TWINS.splitlines()
+    start = lines.index("[network]" if agent is None else f"id = {agent}")
+    end = lines.index("", start)
+    lines[start:end] = [line for line in lines[start:end]
+                        if not line.startswith(f"{key} =")] + [f"{key} = {value}"]
+    return "\n".join(lines) + "\n"
+
+
+def override(option, key, agent, value):
+    return [option, value if agent is None else f"{agent}.{key}={value}"]
+
+
+def test_every_config_key_has_an_override():
+    from dlms.scenarios import AGENT_FIELDS, NETWORK_FIELDS
+
+    assert [key for _, key, *_ in OVERRIDES] == [*NETWORK_FIELDS, *AGENT_FIELDS]
+
+
+@pytest.mark.parametrize("option, key, agent, good, bad", OVERRIDES)
+def test_an_override_builds_what_its_config_key_builds(tmp_path, option, key, agent,
+                                                       good, bad):
+    from dlms.cli import apply_overrides, build_parser, load_scenario
+    from dlms.scenarios import parse
+
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(NO_TWINS)
+    args = build_parser().parse_args(["run", str(cfg), "--out", "x.csv",
+                                      *override(option, key, agent, good)])
+    expected = parse(config_with(key, agent, good))
+    assert expected != parse(NO_TWINS)
+    assert apply_overrides(load_scenario(str(cfg)), args) == expected
+
+
+@pytest.mark.parametrize("option, key, agent, good, bad",
+                         [case for case in OVERRIDES if case[-1] is not None])
+def test_a_bad_override_value_names_its_option(tmp_path, capsys, option, key, agent,
+                                               good, bad):
+    argv = override(option, key, agent, bad)
+    assert run_cli("run", "table1", *argv, "--out", str(tmp_path / "x.csv")) == 2
+    where = option if agent is None else f"--set {argv[1]!r}"
+    assert capsys.readouterr().err == (
+        f"config error: {where}: invalid {key} value {bad!r}\n")
+
+
 class TestVerify:
     def test_speedup_passes_on_heterogeneous_mu(self, capsys):
         assert run_cli("verify", "table2", "speedup", "--ensemble", "20") == 0

@@ -1,0 +1,92 @@
+"""Fuzz of the CLI's usage contract.
+
+Mutated configs (the serialized table1 and table5 builtins and the
+benchmark's long_horizon config) and mutated option values run through
+``cli.main`` in-process. Whatever the input, the exit code is 0, 1, 2 or 3,
+no exception escapes (SystemExit included), and a usage error (exit 2) is
+exactly one line on stderr. Whether an exit 3 is right is not checked here.
+"""
+
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from dlms.cli import main
+from dlms.scenarios import builtin, serialize
+
+LONG_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "long_horizon.cfg"
+BASES = (serialize(builtin("table1")), serialize(builtin("table5")),
+         LONG_HORIZON.read_text())
+
+# Non-finite, overflowing and signed numbers, spellings that int() or
+# float() take or refuse, control and format characters, empty parts and
+# config syntax. A value that reads as a count is at most 10, or so large
+# (99999999999999) that its record fails to allocate at once, so no example
+# runs long or holds much memory.
+VALUES = ("nan", "inf", "-inf", "1e400", "1e308", "-1e308", "-0.0", "0", "-1",
+          "1", "2", "3", "0.5", "2e12", "99999999999999", "", " ", "0x10", "\u0661",
+          "1_0", "\x00", "\ufeff1", "1,,2", "1,", "x", "a", "c,d", "#", "=",
+          "[agent]", "a b", "1\n2")
+FLAGS = ("--seed", "--iterations", "--ensemble", "--w-opt")
+SET_KEYS = ("a.mu", "b.w0", "a.input_mean", "c.input_sd", "b.noise_mean",
+            "b.noise_sd", "c.counterpart", "trust.a.a", "trust.b.a")
+COMMANDS = (("run",), ("verify", "merge"), ("verify", "speedup"),
+            ("verify", "delay"), ("verify", "stabilize"))
+
+# half the examples leave the config alone, so that the overrides are reached
+line_edits = st.one_of(st.just([]), st.lists(
+    st.tuples(st.sampled_from(("delete", "duplicate", "value")), st.integers(0, 200),
+              st.sampled_from(VALUES)), min_size=1, max_size=3))
+overrides = st.lists(st.tuples(st.sampled_from(FLAGS + SET_KEYS), st.sampled_from(VALUES)),
+                     max_size=3)
+
+
+def mutate(text, edits):
+    """``text`` with each edit applied to the line its index picks: the line
+    deleted or duplicated, or its value (after ``=``, or a trust triple's
+    coefficient) replaced."""
+    lines = text.splitlines()
+    for edit, index, value in edits:
+        if not lines:
+            break
+        i = index % len(lines)
+        if edit == "delete":
+            del lines[i]
+        elif edit == "duplicate":
+            lines.insert(i, lines[i])
+        elif "=" in lines[i]:
+            lines[i] = lines[i].partition("=")[0] + "= " + value
+        else:
+            lines[i] = " ".join(lines[i].split()[:2] + [value])
+    return "\n".join(lines) + "\n"
+
+
+def option(key, value):
+    """One argv item; ``--flag=value`` keeps a value that starts with '-' a value."""
+    return f"{key}={value}" if key in FLAGS else f"--set={key}={value}"
+
+
+@settings(max_examples=150, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(base=st.sampled_from(BASES), edits=line_edits, command=st.sampled_from(COMMANDS),
+       items=overrides)
+def test_any_config_or_override_keeps_the_exit_contract(tmp_path, capsys, base, edits,
+                                                        command, items):
+    config = tmp_path / "fuzz.cfg"
+    config.write_text(mutate(base, edits), encoding="utf-8")
+    verb, *claim = command
+    argv = [verb, str(config), *claim, "--iterations", "30", "--ensemble", "3",
+            *(option(key, value) for key, value in items)]
+    if verb == "run":
+        argv += ["--out", str(tmp_path / "fuzz.csv")]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except BaseException as exc:  # SystemExit included
+        raise AssertionError(f"{argv!r} raised {exc!r}") from exc
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2, 3), argv
+    if code == 2:
+        assert len(err.splitlines()) == 1, (argv, err)

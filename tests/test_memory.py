@@ -14,7 +14,6 @@ import pytest
 
 import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
-import dlms.prng
 from dlms.claims import balanced_variant, merge_iteration, verify_delay
 from dlms.cli import write_trajectories
 from dlms.metrics import steady_state_variance
@@ -56,12 +55,11 @@ def test_run_table1_in_blocks_peak(monkeypatch):
 
 
 def test_run_table1_fill_and_scan_peak(monkeypatch):
-    """With blocks of 4 iterations and of 4096 draws in the generator the
-    signals are small, so the peak is table1's 8.0 MB of records plus the
-    largest temporary: the averaging fill and the divergence scan may not
-    hold one agent's trajectories of every run at once."""
+    """With blocks of 4 iterations, at most 4096 draws a call of the
+    generator, the signals are small, so the peak is table1's 8.0 MB of
+    records plus the largest temporary: the averaging fill and the divergence
+    scan may not hold one agent's trajectories of every run at once."""
     monkeypatch.setattr(dlms.engine, "_CHUNK_DRAWS", 1 << 12)
-    monkeypatch.setattr(dlms.prng, "_BLOCK_DRAWS", 1 << 12)
     assert _traced_peak(run, builtin("table1")) <= 8.5 * MB
 
 

@@ -2,7 +2,6 @@ import math
 
 import pytest
 
-from dlms import prng
 from dlms.errors import ConfigError
 from dlms.prng import derive_seed, gaussian_block
 from oracle import RandomStream
@@ -109,23 +108,17 @@ def test_derive_seed_is_the_next_output_of_the_base_stream(base):
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 7, 2000])
-def test_gaussian_block_is_the_stream_bit_for_bit(monkeypatch, count):
+def test_gaussian_block_is_the_stream_bit_for_bit(count):
     seeds = [0, 1, 42, (1 << 64) - 1, derive_seed(7, 3)]
     streams = [RandomStream(seed) for seed in seeds]
     draws = [[s.next_gaussian() for _ in range(count)] for s in streams]
-    # at 16 draws per block, count 7 (8 draws a seed) runs blocks of 2, 2 and
-    # a ragged 1 seeds and count 2000 one seed per block; at 3, every count
-    # but 0 runs one seed per block
-    for block_draws in (prng._BLOCK_DRAWS, 16, 3):
-        monkeypatch.setattr(prng, "_BLOCK_DRAWS", block_draws)
-        block = gaussian_block(seeds, count)
-        assert block.shape == (len(seeds), count)
-        assert repr(block.tolist()) == repr(draws)
-        # a block that starts at an even offset is that slice of the streams;
-        # offset 18 starts past the first 16 (or 3) draws
-        for start in (k for k in (2, 18, 1000) if k <= count):
-            tail = gaussian_block(seeds, count - start, start)
-            assert repr(tail.tolist()) == repr([d[start:] for d in draws])
+    block = gaussian_block(seeds, count)
+    assert block.shape == (len(seeds), count)
+    assert repr(block.tolist()) == repr(draws)
+    # a block that starts at an even offset is that slice of the streams
+    for start in (k for k in (2, 18, 1000) if k <= count):
+        tail = gaussian_block(seeds, count - start, start)
+        assert repr(tail.tolist()) == repr([d[start:] for d in draws])
 
 
 @pytest.mark.parametrize("start", [1, 3, 1001, -1])
