@@ -15,6 +15,7 @@ from pathlib import Path
 
 from .claims import CLAIMS, verify_claim
 from .errors import ConfigError, DivergenceError, ParseError
+from .metrics import EnsembleSums
 from .scenarios import (
     AGENT_FIELDS,
     NETWORK_FIELDS,
@@ -25,7 +26,6 @@ from .scenarios import (
     compute_report,
     entries,
     parse,
-    run,
 )
 
 EXIT_OK = 0
@@ -37,6 +37,10 @@ EXIT_DIVERGENCE = 3
 # (172 KB each at M = 1) are allocated once per file: buffers this size
 # allocated per piece would be mapped and faulted in again every time.
 _WRITE_VALUES = 3 << 10
+# Estimates per group of runs that `dlms run` simulates, writes and adds to
+# its report before it simulates the next: 1 MB, 26 runs of table1, whose
+# group then holds ~3 MB with its errors and squared distances.
+_GROUP_VALUES = 1 << 17
 
 
 def load_scenario(ref):
@@ -45,14 +49,14 @@ def load_scenario(ref):
         return builtin(ref)
     path = Path(ref)
     if not path.exists():
-        raise ConfigError(f"no such builtin or config file: {ref}")
+        raise ConfigError(f"no such builtin or config file: {ref!r}")
     try:
         text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise ConfigError(f"config file {ref} is not UTF-8 text: byte {exc.start} "
+        raise ConfigError(f"config file {ref!r} is not UTF-8 text: byte {exc.start} "
                           f"({exc.object[exc.start]:#04x}) does not decode") from None
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {ref}: {exc.strerror}") from None
+        raise ConfigError(f"cannot read config file {ref!r}: {exc.strerror}") from None
     return parse(text)
 
 
@@ -105,12 +109,16 @@ def _byte_rows(items):
             np.arange(rows.itemsize) < np.array([[len(b)] for b in items], dtype=int))
 
 
-def write_trajectories(path, scenario, record):
-    """Write the trajectory CSV, one row per run, iteration and agent id in
-    sorted order. A piece of at most _WRITE_VALUES values is one byte matrix
-    with a row per CSV row: the run, then ``,iteration,agent``, each padded,
-    then a ``floatfmt`` field per value (the separator in its slot 0) and
-    ``\\r\\n``; a mask of the bytes to keep compresses it into the file."""
+def write_trajectories(path, scenario, records):
+    """Write the trajectory CSV of ``records``, records of consecutive runs in
+    run order, numbered from 0 on: one row per run, iteration and agent id in
+    sorted order, written a record at a time as ``records`` yields them.
+
+    A piece of at most _WRITE_VALUES values is one byte matrix with a row per
+    CSV row: the run, then ``,iteration,agent``, each padded, then a
+    ``floatfmt`` field per value (the separator in its slot 0) and
+    ``\\r\\n``; a mask of the bytes to keep compresses it into the file. The
+    matrix is laid out anew only when the run numbers grow a digit."""
     import numpy as np
 
     from .floatfmt import SLOTS, repr_fields
@@ -118,38 +126,47 @@ def write_trajectories(path, scenario, record):
     m = len(scenario.w_opt)
     width = m + 2
     header = ["run", "iteration", "agent", *(f"w{j}" for j in range(m)), "e", "dist_opt"]
-    order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
-    ids = [_csv_field(record.agents[a]) for a in order]
-    runs = _byte_rows([str(r).encode() for r in range(len(record))])
-    rows = _byte_rows([f",{i},{aid}".encode() for i in range(1, record.iterations + 1)
-                       for aid in ids])
-    cut, end = runs[0].shape[1], runs[0].shape[1] + rows[0].shape[1]
-    start = -(-end // 8) * 8  # the fields and the rows are word-aligned
-    stop = start + width * SLOTS
     step = max(1, _WRITE_VALUES // width)
-    text, keep = np.zeros((step, stop + 8), np.uint8), np.zeros((step, stop + 8), bool)
-    text[:, stop:stop + 2], keep[:, stop:stop + 2] = np.frombuffer(b"\r\n", np.uint8), True
-    fields = text[:, start:stop].reshape(step, width, SLOTS)
-    kept = keep[:, start:stop].reshape(step, width, SLOTS)
+    done, cut = 0, None
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
-        for r in range(len(record)):
-            text[:, :cut], keep[:, :cut] = runs[0][r], runs[1][r]
-            dist = np.fromiter(map(pow, record.sq_dist[r][:, order].ravel().tolist(),
-                                   repeat(0.5)), float)
-            values = np.column_stack([record.ws[r][:, order].reshape(-1, m),
-                                      record.es[r][:, order].ravel(), dist])
-            for first in range(0, len(values), step):
-                x = values[first:first + step]
-                k = len(x)
-                text[:k, cut:end] = rows[0][first:first + k]
-                keep[:k, cut:end] = rows[1][first:first + k]
-                for i, j in zip(*np.nonzero(repr_fields(x, fields[:k], kept[:k]))):
-                    rep = repr(float(x[i, j])).encode()
-                    fields[i, j, 1:1 + len(rep)] = np.frombuffer(rep, np.uint8)
-                    kept[i, j] = np.arange(SLOTS) <= len(rep)
-                fields[:k, :, 0], kept[:k, :, 0] = ord(","), True
-                fh.write(np.compress(keep[:k].ravel(), text[:k].ravel()))
+        for record in records:
+            if cut is None:
+                order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
+                ids = [_csv_field(record.agents[a]) for a in order]
+                rows = _byte_rows([f",{i},{aid}".encode()
+                                   for i in range(1, record.iterations + 1) for aid in ids])
+            runs = _byte_rows([str(k).encode() for k in range(done, done + len(record))])
+            done += len(record)
+            if runs[0].shape[1] != cut:
+                cut = runs[0].shape[1]
+                end = cut + rows[0].shape[1]
+                start = -(-end // 8) * 8  # the fields and the rows are word-aligned
+                stop = start + width * SLOTS
+                text = np.zeros((step, stop + 8), np.uint8)
+                keep = np.zeros((step, stop + 8), bool)
+                text[:, stop:stop + 2] = np.frombuffer(b"\r\n", np.uint8)
+                keep[:, stop:stop + 2] = True
+                fields = text[:, start:stop].reshape(step, width, SLOTS)
+                kept = keep[:, start:stop].reshape(step, width, SLOTS)
+            for r in range(len(record)):
+                text[:, :cut], keep[:, :cut] = runs[0][r], runs[1][r]
+                dist = np.fromiter(map(pow, record.sq_dist[r][:, order].ravel().tolist(),
+                                       repeat(0.5)), float)
+                values = np.column_stack([record.ws[r][:, order].reshape(-1, m),
+                                          record.es[r][:, order].ravel(), dist])
+                for first in range(0, len(values), step):
+                    x = values[first:first + step]
+                    k = len(x)
+                    text[:k, cut:end] = rows[0][first:first + k]
+                    keep[:k, cut:end] = rows[1][first:first + k]
+                    for i, j in zip(*np.nonzero(repr_fields(x, fields[:k], kept[:k]))):
+                        rep = repr(float(x[i, j])).encode()
+                        fields[i, j, 1:1 + len(rep)] = np.frombuffer(rep, np.uint8)
+                        kept[i, j] = np.arange(SLOTS) <= len(rep)
+                    fields[:k, :, 0], kept[:k, :, 0] = ord(","), True
+                    fh.write(np.compress(keep[:k].ravel(), text[:k].ravel()))
+            del record  # not held while ``records`` makes the next one
 
 
 def metrics_path(out):
@@ -162,8 +179,8 @@ def error_path(out):
     return out.with_name(out.stem + ".error.json")
 
 
-def write_metrics(path, scenario, record):
-    report = compute_report(scenario, record)
+def write_metrics(path, scenario, sums):
+    report = compute_report(scenario, sums)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "agent", "iteration", "value"])
@@ -203,28 +220,68 @@ def cmd_run(args):
     return code
 
 
+def _groups(scenario, sums):
+    """The scenario's runs as records of consecutive runs in run order, each
+    added to ``sums`` before it is yielded: as many runs as hold at most
+    _GROUP_VALUES estimates, and one run at least. On divergence the runs of
+    the group before the divergent one are yielded, if there are any, and
+    the DivergenceError is raised; no later group is simulated."""
+    from .engine import run_ensemble  # numpy loads with the first run, not at import
+
+    values = scenario.iterations * len(scenario.agents) * len(scenario.w_opt)
+    size = max(1, _GROUP_VALUES // values)
+    for first in range(0, scenario.ensemble, size):
+        runs = range(first, min(first + size, scenario.ensemble))
+        try:
+            [record] = run_ensemble(scenario, [scenario.trust], runs)
+        except DivergenceError as exc:
+            if len(exc.completed):
+                yield exc.completed
+            raise
+        sums.add(record)
+        yield record
+        del record  # not held while the next group is simulated
+
+
 def _run_to(scenario, out):
-    """Run the scenario, write ``out`` and its sibling outputs; return the exit code."""
+    """Run the scenario, write ``out`` and its sibling outputs; return the exit code.
+
+    The runs stream through the writer and the report a group at a time (see
+    _groups). The CSV and the metrics are written to temporary siblings and
+    renamed into place once complete, so a failure leaves no partial file and
+    an earlier run's outputs as they were."""
+    parts = {path: path.with_name(f".{path.name}.{os.getpid()}.part")
+             for path in (out, metrics_path(out))}
+    sums = EnsembleSums()
     try:
-        record = run(scenario)
-    except DivergenceError as exc:
-        written = [error_path(out)]
-        if exc.completed:
-            write_trajectories(out, scenario, exc.completed)
-            written.append(out)
-        _remove_stale(out, written)
-        error_path(out).write_text(json.dumps({
-            "error": "divergence",
-            "message": str(exc),
-            "run": exc.run,
-            "agent": exc.agent,
-            "iteration": exc.iteration,
-            "completed_runs": len(exc.completed),
-        }, indent=2) + "\n", encoding="utf-8")
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
-    write_trajectories(out, scenario, record)
-    write_metrics(metrics_path(out), scenario, record)
+        try:
+            write_trajectories(parts[out], scenario, _groups(scenario, sums))
+        except DivergenceError as exc:
+            written = [error_path(out)]
+            if exc.run:  # the runs before the divergent one completed
+                os.replace(parts[out], out)
+                written.append(out)
+            _remove_stale(out, written)
+            error_path(out).write_text(json.dumps({
+                "error": "divergence",
+                "message": str(exc),
+                "run": exc.run,
+                "agent": exc.agent,
+                "iteration": exc.iteration,
+                "completed_runs": exc.run,
+            }, indent=2) + "\n", encoding="utf-8")
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_DIVERGENCE
+        write_metrics(parts[metrics_path(out)], scenario, sums)
+        for path, part in parts.items():
+            os.replace(part, path)
+    except OSError as exc:  # name the output, not its temporary sibling
+        exc.filename = {str(part): path for path, part in parts.items()}.get(
+            str(exc.filename), exc.filename)
+        raise
+    finally:
+        for part in parts.values():
+            part.unlink(missing_ok=True)
     _remove_stale(out, [out, metrics_path(out)])
     return EXIT_OK
 
@@ -277,6 +334,23 @@ def build_parser():
     return parser
 
 
+def _join_values(argv):
+    """``argv`` with each option that takes a value, or its unique prefix,
+    joined to a value that starts with '-', as ``--option=value``: argparse
+    reads such a value (``-1e3``, ``-1,2``) as an option unless it is a plain
+    negative number."""
+    valued = ("--out", "--set", *map(_flag, NETWORK_FIELDS))
+    joined = []
+    for item in argv:
+        option = joined[-1] if joined else ""
+        if (item.startswith("-") and option.startswith("--")
+                and sum(flag.startswith(option) for flag in valued) == 1):
+            joined[-1] += "=" + item
+        else:
+            joined.append(item)
+    return joined
+
+
 def main(argv=None):
     # dlms makes no BLAS call, but numpy's OpenBLAS would start a spinning worker
     # per further CPU when numpy loads, which comes later, with the first run
@@ -285,7 +359,7 @@ def main(argv=None):
     # writes undecodable bytes of argv paths back unchanged
     sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
     try:
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit

@@ -1,7 +1,8 @@
 """Vectorized ensemble engine for combine-then-adapt networks.
 
-Every run of a scenario advances side by side on numpy arrays in one pass
-over the iterations; only the iterations are a Python loop. Variants of a
+The runs of a scenario that one call simulates (all of them, or a group of
+them) advance side by side on numpy arrays in one pass over the iterations;
+only the iterations are a Python loop. Variants of a
 scenario whose trust matrices share one nonzero pattern (a single run is one
 variant) share one draw of the signals and are stacked on a variant axis
 with per-variant combine coefficients, so each iteration is one set of numpy
@@ -54,28 +55,33 @@ def _streams(scenario):
     return owners, [owners.index(owner) for owner in owner_of]
 
 
-def run_ensemble(scenario, trusts):
-    """Every run of the scenario under each trust matrix, one EnsembleRecord each.
+def run_ensemble(scenario, trusts, runs=None):
+    """The runs of the scenario under each trust matrix, one EnsembleRecord each.
 
-    ``trusts`` stands in for ``scenario.trust`` (a single run passes
-    ``[scenario.trust]``); its matrices must share one nonzero pattern, or
-    ValueError is raised before anything runs. On divergence it raises what
-    separate runs in variant order would: the DivergenceError of the first
-    variant that diverges, naming its first divergent run, that run's first
-    divergent iteration and the lowest adaptive agent that diverged there,
-    with ``completed`` that variant's record of the runs before it.
+    ``runs`` are the indices of the runs to simulate, every run of the
+    scenario by default; run k is seeded from ``scenario.seed ^ k`` whatever
+    runs come with it, so a record of some runs holds the trajectories that
+    the same runs have in a record of all of them. ``trusts`` stands in for
+    ``scenario.trust`` (a single run passes ``[scenario.trust]``); its
+    matrices must share one nonzero pattern, or ValueError is raised before
+    anything runs. On divergence it raises what separate runs in variant
+    order would: the DivergenceError of the first variant that diverges,
+    naming its first divergent run (its index k), that run's first divergent
+    iteration and the lowest adaptive agent that diverged there, with
+    ``completed`` that variant's record of the given runs before it.
     """
+    runs = range(scenario.ensemble) if runs is None else runs
     terms = _combine_terms(trusts)
     adaptive = scenario.adaptive_agents()
     averaging = scenario.averaging_agents()
     n = len(adaptive)
     ids = [cfg.id for cfg in adaptive + averaging]
     index = {aid: a for a, aid in enumerate(ids)}
-    shape = (len(trusts), scenario.ensemble, scenario.iterations, len(ids))
+    shape = (len(trusts), len(runs), scenario.iterations, len(ids))
     ws, es = np.empty(shape + (len(scenario.w_opt),)), np.zeros(shape)
     # divergent runs carry inf/nan through the loop and the averages
     with np.errstate(all="ignore"):
-        _simulate(scenario, terms, ws[..., :n, :], es[..., :n])
+        _simulate(scenario, runs, terms, ws[..., :n, :], es[..., :n])
         for run in ws.reshape(-1, *ws.shape[2:]):  # [L, A, M], a run at a time
             for a, cfg in enumerate(averaging, start=n):
                 first, *rest = (index[s] for s in cfg.sources)
@@ -87,9 +93,10 @@ def run_ensemble(scenario, trusts):
     records = [EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
                               ws=ws[v], es=es[v]) for v in range(len(trusts))]
     for record in records:
-        error = _first_divergence(scenario, record.ws[..., :n, :], record.es[..., :n])
+        error = _first_divergence(scenario, runs, record.ws[..., :n, :],
+                                  record.es[..., :n])
         if error is not None:
-            error.completed = record.head(error.run)
+            error.completed = record.head(runs.index(error.run))
             raise error
     return records
 
@@ -149,9 +156,10 @@ def _combine_terms(trusts):
     return cols, coef
 
 
-def _simulate(scenario, terms, ws, es):
+def _simulate(scenario, runs, terms, ws, es):
     """Write the adaptive agents' weights ws [V, R, L, N, M] and errors
-    es [V, R, L, N], one variant per column of the combine terms.
+    es [V, R, L, N] of the R ``runs``, one variant per column of the combine
+    terms.
 
     The weights w [M, N, V, R] are a contiguous view of a buffer of M*N + 1
     rows of [V, R] whose last row is the pad, all -0.0 (see _combine_terms).
@@ -169,7 +177,7 @@ def _simulate(scenario, terms, ws, es):
     adaptive = scenario.adaptive_agents()
     owners = _streams(scenario)[0]
     (v, r, _, n, m), (cols, coef) = ws.shape, terms
-    seeds = [[derive_seed(scenario.seed ^ k, owner) for k in range(r)]
+    seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
              for owner in owners]
     block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)
     buf = np.full((m * n + 1, v, r), -0.0)
@@ -209,11 +217,11 @@ def _simulate(scenario, terms, ws, es):
             wi[...] = np.add(psi, step, out=w)
 
 
-def _first_divergence(scenario, ws, es):
+def _first_divergence(scenario, runs, ws, es):
     """DivergenceError for the first divergent run, or None.
 
     Takes one variant's adaptive weights ws [R, L, N, M] and errors
-    es [R, L, N] and checks them a run at a time, and within a run a block
+    es [R, L, N] of the R ``runs`` and checks them a run at a time, and within a run a block
     of at most _CHUNK_DRAWS weights at a time, so no temporary grows with the
     horizon. Within a run the scalar loop stops at the first iteration
     where, in agent order, an error is non-finite or a new weight is
@@ -237,7 +245,7 @@ def _first_divergence(scenario, ws, es):
                 agent_id = scenario.adaptive_agents()[a].id
                 iteration = first + i + 1
                 return DivergenceError(
-                    f"divergence at run {run}, iteration {iteration}, "
+                    f"divergence at run {runs[run]}, iteration {iteration}, "
                     f"agent {agent_id}: {detail}",
-                    agent=agent_id, iteration=iteration, run=run)
+                    agent=agent_id, iteration=iteration, run=runs[run])
     return None

@@ -26,9 +26,10 @@ class DivergenceError(RuntimeError):
     """A weight estimate became non-finite or exceeded the divergence bound.
 
     Carries enough context to identify the offending run/agent/iteration.
-    ``completed`` is the EnsembleRecord of the ensemble runs that finished
-    before the divergent one (the first ``run`` runs, possibly none); the
-    divergent run's partial trajectory is discarded.
+    ``completed`` is the EnsembleRecord of the runs simulated with it that
+    finished before the divergent one (from ``dlms.run``, the first ``run``
+    runs, possibly none); the divergent run's partial trajectory is
+    discarded.
     """
 
     def __init__(self, message, agent=None, iteration=None, run=None, completed=None):

@@ -1,5 +1,5 @@
-"""Ensemble records and their reductions: MSD, steady-state variance,
-convergence and crossing detection.
+"""Ensemble records and their reductions: the ensemble sums behind the MSD and
+the ensemble mean, steady-state variance, convergence and crossing detection.
 
 Every reduction adds in run order and left to right along iterations and weight
 components, and squares distances with Python's float power (the C library's
@@ -19,6 +19,7 @@ numpy-free.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
+from itertools import repeat
 from operator import add
 
 from .errors import ConfigError
@@ -27,16 +28,18 @@ STEADY_STATE_WINDOW = 0.2
 CONVERGENCE_BAND_FRACTION = 0.1
 
 
-def sum_in_order(values, axis=0):
-    """0.0 + v[0] + v[1] + ... along ``axis``, one addition at a time.
+def sum_in_order(values, axis=0, start=0.0):
+    """start + v[0] + v[1] + ... along ``axis``, one addition at a time.
 
-    Takes any iterable of floats, or an array summed along ``axis``.
+    Takes any iterable of floats, or an array summed along ``axis``. A fold
+    over consecutive pieces passes each piece's sum as the next ``start``:
+    the additions and their order are those of one fold over the whole.
     """
     if axis:
         import numpy as np
 
         values = np.moveaxis(values, axis, 0)
-    return reduce(add, values, 0.0)
+    return reduce(add, values, start)
 
 
 def _pow2(x):
@@ -47,11 +50,21 @@ def _pow2(x):
 
 
 def square(a):
-    """Element-wise ``x ** 2`` with Python's float power; ``inf`` past overflow."""
+    """Element-wise ``x ** 2`` with Python's float power; ``inf`` past overflow.
+
+    ``pow(x, 2.0)`` is the call that ``x ** 2`` makes, so mapping the builtin
+    over the values gives the same bits without a Python frame per value. It
+    raises OverflowError where libm's ``pow`` returns inf; such an array is
+    squared again through ``_pow2``.
+    """
     import numpy as np
 
-    return np.fromiter(map(_pow2, a.ravel().tolist()),
-                       np.float64, a.size).reshape(a.shape)
+    values = a.ravel().tolist()
+    try:
+        out = np.fromiter(map(pow, values, repeat(2.0)), np.float64, a.size)
+    except OverflowError:
+        out = np.fromiter(map(_pow2, values), np.float64, a.size)
+    return out.reshape(a.shape)
 
 
 @dataclass(eq=False)
@@ -116,14 +129,6 @@ class MetricsReport:
     crossing_iter: dict
 
 
-def msd_series(record, agent):
-    """Ensemble-mean squared distance |w(i) - w_opt|^2, one value per iteration."""
-    if not len(record):
-        raise ConfigError("empty ensemble")
-    sq = record.sq_dist[:, :, record.agents.index(agent)]
-    return (sum_in_order(sq) / len(record)).tolist()
-
-
 def steady_state_variance(record, agent):
     """Sample variance of the estimate over the final STEADY_STATE_WINDOW of
     the horizon, one value per run.
@@ -146,6 +151,53 @@ def steady_state_variance(record, agent):
         mean = (0.0 + window.cumsum(axis=0)[-1]) / n
         var[r] = (0.0 + square(window - mean).cumsum(axis=0)[-1]) / (n - 1)
     return sum_in_order(var, axis=-1).tolist()
+
+
+class EnsembleSums:
+    """Sums over the runs of an ensemble, added a record of consecutive runs
+    at a time in run order: of the squared distances, of the estimates and
+    errors, and per agent of the runs' steady-state variances (None once a
+    record's horizon is too short for the window).
+
+    Each sum continues start + v0 + v1 + ... from one record to the next, so
+    however the runs are grouped into records, the sums are bit for bit
+    those over one record of every run.
+    """
+
+    def __init__(self):
+        self.runs = 0
+        self.sq_dist = self.ws = self.es = 0.0
+        self.steady_state_var = {}
+
+    def add(self, record):
+        self.w_opt, self.agents = record.w_opt, record.agents
+        self.runs += len(record)
+        self.sq_dist = sum_in_order(record.sq_dist, start=self.sq_dist)
+        self.ws = sum_in_order(record.ws, start=self.ws)
+        self.es = sum_in_order(record.es, start=self.es)
+        if self.steady_state_var is not None:
+            try:
+                self.steady_state_var = {
+                    aid: sum_in_order(steady_state_variance(record, aid),
+                                      start=self.steady_state_var.get(aid, 0.0))
+                    for aid in record.agents}
+            except ConfigError:
+                self.steady_state_var = None
+        return self
+
+    def _mean(self, total):
+        if not self.runs:
+            raise ConfigError("empty ensemble")
+        return total / self.runs
+
+    def msd(self, agent):
+        """Ensemble-mean squared distance |w(i) - w_opt|^2, one value per iteration."""
+        return self._mean(self.sq_dist)[:, self.agents.index(agent)].tolist()
+
+    def mean(self):
+        """Ensemble-mean trajectory, as a one-run record for the detectors."""
+        ws, es = self._mean(self.ws), self._mean(self.es)
+        return EnsembleRecord(self.w_opt, self.agents, ws=ws[None], es=es[None])
 
 
 def convergence_iteration(record, agent, band):

@@ -11,15 +11,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from .errors import ConfigError, ParseError
-from .metrics import (
-    MetricsReport,
-    convergence_iteration,
-    crossing_iteration,
-    default_band,
-    msd_series,
-    steady_state_variance,
-    sum_in_order,
-)
+from .metrics import MetricsReport, convergence_iteration, crossing_iteration, default_band
 from .network import TrustMatrix
 from .signals import GaussianParams
 
@@ -426,30 +418,19 @@ def scenario_band(scenario):
                         scenario.w_opt)
 
 
-def mean_record(record):
-    """Ensemble-mean trajectory, as a one-run record for the detectors."""
-    if not len(record):
-        raise ConfigError("empty ensemble")
-    n = len(record)
-    return replace(record, ws=(sum_in_order(record.ws) / n)[None],
-                   es=(sum_in_order(record.es) / n)[None])
-
-
-def compute_report(scenario, record):
-    """MetricsReport over an ensemble.
+def compute_report(scenario, sums):
+    """MetricsReport over an ensemble from its EnsembleSums: the records of its
+    runs added to them in run order, all at once or in groups.
 
     Convergence and crossing detection run on the ensemble-mean trajectory;
     steady-state variance is the mean of the per-run variances.
     """
-    mean = mean_record(record)
-    agents = record.agents
-    msd = {aid: msd_series(record, aid) for aid in agents}
-    try:
-        ss_var = {aid: sum_in_order(steady_state_variance(record, aid)) / len(record)
-                  for aid in agents}
-    except ConfigError:
-        # horizon too short for the steady-state window
-        ss_var = {aid: None for aid in agents}
+    mean = sums.mean()
+    agents = sums.agents
+    msd = {aid: sums.msd(aid) for aid in agents}
+    total = sums.steady_state_var
+    # None when the horizon is too short for the steady-state window
+    ss_var = {aid: None if total is None else total[aid] / sums.runs for aid in agents}
     try:
         band = scenario_band(scenario)
         conv = {aid: convergence_iteration(mean, aid, band)[0] for aid in agents}

@@ -84,7 +84,7 @@ def test_trajectory_writer_matches_oracle(scenario, names):
         record = exc.completed
     with tempfile.TemporaryDirectory() as tmp:
         ours, ref = Path(tmp, "ours.csv"), Path(tmp, "ref.csv")
-        write_trajectories(ours, scenario, record)
+        write_trajectories(ours, scenario, [record])
         oracle.write_trajectories(ref, scenario, record)
         assert ours.read_bytes() == ref.read_bytes()
 
@@ -96,7 +96,7 @@ def test_trajectory_writer_in_small_pieces_matches_oracle(tmp_path, monkeypatch)
     scenario = replace(builtin("table1"), iterations=7, ensemble=2)
     record = run(scenario)
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    write_trajectories(ours, scenario, record)
+    write_trajectories(ours, scenario, [record])
     oracle.write_trajectories(ref, scenario, record)
     assert ours.read_bytes() == ref.read_bytes()
 
@@ -127,7 +127,7 @@ def test_trajectory_writer_lays_out_every_float_like_the_oracle(tmp_path):
     record = EnsembleRecord(scenario.w_opt, ["b", "c", "a"], ws, es)
     assert np.isinf(record.sq_dist[..., 2]).all()
     ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-    write_trajectories(ours, scenario, record)
+    write_trajectories(ours, scenario, [record])
     oracle.write_trajectories(ref, scenario, record)
     assert ours.read_bytes() == ref.read_bytes()
 
@@ -144,10 +144,35 @@ def test_metrics_csv_has_convergence_iters(tmp_path):
 
 
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    # the argument is quoted with repr, so a line break in it stays on one line
     assert run_cli("run", "missing.cfg", "--out", str(tmp_path / "x.csv")) == 2
-    assert "missing.cfg" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: no such builtin or config file: 'missing.cfg'\n"
+    assert run_cli("run", "no\nsuch.cfg", "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == (
+        "error: no such builtin or config file: 'no\\nsuch.cfg'\n")
     assert run_cli("run", str(tmp_path), "--out", str(tmp_path / "x.csv")) == 2
-    assert f"cannot read config file {tmp_path}" in capsys.readouterr().err
+    assert f"cannot read config file {str(tmp_path)!r}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, w_opt", [
+    (("--w-opt", "-1e3"), "-1e3"),
+    (("--w-op", "-1e3"), "-1e3"),
+    (("--w-opt", "-1,2", "--set", "a.w0=0,0", "--set", "b.w0=0,0", "--set", "c.w0=0,0",
+      "--set", "d.w0=0,0"), "-1,2"),
+])
+def test_a_value_may_start_with_a_minus_in_either_form(tmp_path, argv, w_opt):
+    """``--w-opt -1e3`` (and its prefix ``--w-op``) runs as ``--w-opt=-1e3``."""
+    runs = []
+    for form in (argv, (f"--w-opt={w_opt}", *argv[2:])):
+        out = tmp_path / f"{len(runs)}.csv"
+        assert run_cli("run", "table1", *SMALL, *form, "--out", str(out)) == 0
+        runs.append((out.read_bytes(), metrics_path(out).read_bytes()))
+    assert runs[0] == runs[1]
+
+
+def test_a_value_that_starts_with_a_minus_is_the_value(tmp_path, capsys):
+    assert run_cli("run", "table1", "--set", "-a.mu=1", "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == "config error: --set '-a.mu=1': unknown agent '-a'\n"
 
 
 def test_invalid_override_is_usage_error(tmp_path):
@@ -375,7 +400,7 @@ def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     assert (result.stderr, "cooperative=é, twin=c\n".encode() in result.stdout) == (b"", True)
     result = dlms("run", "bad.cfg", "--out", "bad.csv")
     assert result.returncode == 2
-    assert b"config file bad.cfg is not UTF-8 text: byte 12 (0xff)" in result.stderr
+    assert b"config file 'bad.cfg' is not UTF-8 text: byte 12 (0xff)" in result.stderr
 
 
 def test_config_with_a_byte_order_mark_runs_like_the_plain_file(tmp_path):

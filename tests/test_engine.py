@@ -58,13 +58,19 @@ def _variants_outcome(run_fn, scenario, trusts):
         return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
 
 
-def _oracle_as_record(scenario):
-    """oracle.run, with its records (and an error's) as an EnsembleRecord."""
-    try:
-        return oracle.as_ensemble_record(scenario, oracle.run(scenario))
-    except DivergenceError as exc:
-        exc.completed = oracle.as_ensemble_record(scenario, exc.completed)
-        raise
+def _oracle_ensemble(scenario, trusts, runs=None):
+    """oracle.run_single over ``runs`` of the scenario's one trust matrix, as
+    run_ensemble returns them: one EnsembleRecord, and an error's completed
+    runs as one too."""
+    assert trusts == [scenario.trust]
+    records = []
+    for r in range(scenario.ensemble) if runs is None else runs:
+        try:
+            records.append(oracle.run_single(scenario, r))
+        except DivergenceError as exc:
+            exc.completed = oracle.as_ensemble_record(scenario, records)
+            raise
+    return [oracle.as_ensemble_record(scenario, records)]
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -183,8 +189,8 @@ def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
     for aid in "abcd":
         args += ["--set", f"{aid}.mu=2.5", "--set", f"{aid}.input_sd=1.0"]
     outputs = []
-    for name, run_fn in (("engine", run), ("oracle", _oracle_as_record)):
-        monkeypatch.setattr(dlms.cli, "run", run_fn)
+    for name, run_fn in (("engine", engine.run_ensemble), ("oracle", _oracle_ensemble)):
+        monkeypatch.setattr(engine, "run_ensemble", run_fn)
         out = tmp_path / name / "d.csv"
         out.parent.mkdir()
         assert dlms.cli.main([*args, "--out", str(out)]) == 3

@@ -2,9 +2,11 @@
 
 Mutated configs (the serialized table1 and table5 builtins and the
 benchmark's long_horizon config) and mutated option values run through
-``cli.main`` in-process. Whatever the input, the exit code is 0, 1, 2 or 3,
-no exception escapes (SystemExit included), and a usage error (exit 2) is
-exactly one line on stderr. Whether an exit 3 is right is not checked here.
+``cli.main`` in-process, each option in its one-item (``--flag=value``) or
+two-item (``--flag value``) form. Whatever the input, the exit code is 0, 1,
+2 or 3, no exception escapes (SystemExit included), and a usage error (exit
+2) is exactly one line on stderr. Whether an exit 3 is right is not checked
+here.
 """
 
 from pathlib import Path
@@ -38,8 +40,9 @@ COMMANDS = (("run",), ("verify", "merge"), ("verify", "speedup"),
 line_edits = st.one_of(st.just([]), st.lists(
     st.tuples(st.sampled_from(("delete", "duplicate", "value")), st.integers(0, 200),
               st.sampled_from(VALUES)), min_size=1, max_size=3))
-overrides = st.lists(st.tuples(st.sampled_from(FLAGS + SET_KEYS), st.sampled_from(VALUES)),
-                     max_size=3)
+# each override as one argv item (--flag=value) or as two (--flag value)
+overrides = st.lists(st.tuples(st.sampled_from(FLAGS + SET_KEYS), st.sampled_from(VALUES),
+                               st.booleans()), max_size=3)
 
 
 def mutate(text, edits):
@@ -62,9 +65,11 @@ def mutate(text, edits):
     return "\n".join(lines) + "\n"
 
 
-def option(key, value):
-    """One argv item; ``--flag=value`` keeps a value that starts with '-' a value."""
-    return f"{key}={value}" if key in FLAGS else f"--set={key}={value}"
+def option(key, value, joined):
+    """The argv items of one override: ``--flag=value`` or ``--flag value``,
+    ``--set=key=value`` or ``--set key=value``."""
+    flag, value = (key, value) if key in FLAGS else ("--set", f"{key}={value}")
+    return [f"{flag}={value}"] if joined else [flag, value]
 
 
 @settings(max_examples=150, derandomize=True, deadline=None,
@@ -78,7 +83,7 @@ def test_any_config_or_override_keeps_the_exit_contract(tmp_path, capsys, base, 
     config.write_text(mutate(base, edits), encoding="utf-8")
     verb, *claim = command
     argv = [verb, str(config), *claim, "--iterations", "30", "--ensemble", "3",
-            *(option(key, value) for key, value in items)]
+            *(item for override in items for item in option(*override))]
     if verb == "run":
         argv += ["--out", str(tmp_path / "fuzz.csv")]
     capsys.readouterr()

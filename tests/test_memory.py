@@ -4,8 +4,9 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 17.44 MB, 9.40 MB,
-10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.53 MB, 1.27 MB, 0.62 MB, 0.77 MB and
-0.27 MB; the last four are transients above records that are already held.
+10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.66 MB, 1.27 MB, 2.24 MB, 7.16 MB,
+0.62 MB, 0.77 MB and 0.27 MB. The writer's 1.27 MB and the last three are
+transients above records that are already held.
 """
 
 import tracemalloc
@@ -15,8 +16,8 @@ import pytest
 import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
 from dlms.claims import balanced_variant, merge_iteration, verify_delay
-from dlms.cli import write_trajectories
-from dlms.metrics import steady_state_variance
+from dlms.cli import main, write_trajectories
+from dlms.metrics import EnsembleSums, steady_state_variance
 from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
 
@@ -82,7 +83,7 @@ def test_compute_report_peak():
     the ensemble-mean record, without a temporary the size of the records."""
     s = builtin("table1")
     record = run(s)
-    assert _traced_peak(compute_report, s, record) <= 6 * MB
+    assert _traced_peak(lambda: compute_report(s, EnsembleSums().add(record))) <= 6 * MB
 
 
 def test_write_trajectories_peak(tmp_path):
@@ -91,7 +92,22 @@ def test_write_trajectories_peak(tmp_path):
     s = builtin("table1")
     record = run(s)
     record.sq_dist  # computed once and cached, outside the traced writer
-    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, record) <= 3 * MB
+    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, [record]) <= 3 * MB
+
+
+@pytest.mark.parametrize("ensemble", [100, 1000])
+def test_cli_run_table1_peak(tmp_path, ensemble):
+    """``dlms run table1`` at 100 iterations, so that 1000 runs trace in
+    seconds. The runs stream through the writer and the report in groups of
+    at most 2^17 estimates, 262 runs here, so 100 and 1000 runs peak alike:
+    one group's records and squared distances (3.1 MB at 262 runs) and the
+    writer, with no room for a second group."""
+    out = tmp_path / "t.csv"
+    argv = ["run", "table1", "--iterations", "100", "--ensemble", str(ensemble),
+            "--out", str(out)]
+    codes = []
+    assert _traced_peak(lambda: codes.append(main(argv))) <= 8 * MB
+    assert codes == [0] and out.exists()
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +122,7 @@ def test_first_divergence_transient(long_horizon):
     s, record = long_horizon
     n = len(s.adaptive_agents())
     ws, es = record.ws[..., :n, :], record.es[..., :n]
-    assert _traced_peak(dlms.engine._first_divergence, s, ws, es) <= 1 * MB
+    assert _traced_peak(dlms.engine._first_divergence, s, range(len(ws)), ws, es) <= 1 * MB
 
 
 def test_steady_state_variance_transient(long_horizon):

@@ -1,14 +1,17 @@
+import math
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dlms.errors import ConfigError
 from dlms.metrics import (
     EnsembleRecord,
+    EnsembleSums,
     convergence_iteration,
     crossing_iteration,
     default_band,
-    msd_series,
     square,
     steady_state_variance,
     sum_in_order,
@@ -73,6 +76,31 @@ class TestReductionOrder:
         x = np.array([[3.0, -1e155], [1e155, 5e-324]])
         assert repr(square(x).tolist()) == repr([[9.0, float("inf")], [float("inf"), 0.0]])
 
+    # around sqrt(DBL_MAX) = 1.3407807929942596e154 the squares go from the
+    # largest finite ones to overflow; below 1.5e-154 they go subnormal
+    ROOT_MAX = math.sqrt(sys.float_info.max)
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e-154, 1e-162,
+             math.inf, -math.inf, math.nan, -math.nan, ROOT_MAX, -ROOT_MAX,
+             math.nextafter(ROOT_MAX, 0.0), math.nextafter(ROOT_MAX, math.inf),
+             -math.nextafter(ROOT_MAX, math.inf), 1e155, sys.float_info.max]
+
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGES)), max_size=40))
+    @example([3.0, -1e155, 0.5, math.nextafter(ROOT_MAX, math.inf), -0.0, math.nan])
+    def test_square_is_float_power_bit_for_bit(self, values):
+        def float_power(v):
+            try:
+                return v ** 2
+            except OverflowError:  # libm's pow returns inf
+                return math.inf
+
+        a = np.array(values, dtype=np.float64)
+        a = a.reshape(-1, 2) if len(values) % 2 == 0 else a
+        got = square(a)
+        assert got.shape == a.shape
+        want = np.array([float_power(v) for v in values], dtype=np.float64)
+        assert got.ravel().view(np.uint64).tolist() == want.view(np.uint64).tolist()
+
     @pytest.mark.parametrize("runs", [3, 0])
     def test_sq_dist_is_the_whole_array_expression(self, runs):
         record = run(dense_trio_with_twins(iterations=50, ensemble=3)).head(runs)
@@ -82,6 +110,10 @@ class TestReductionOrder:
                              .reshape(d.shape), axis=-1)
         assert record.sq_dist.shape == whole.shape == (runs, 50, 7)
         assert record.sq_dist.tobytes() == whole.tobytes()
+
+
+def msd_series(record, agent):
+    return EnsembleSums().add(record).msd(agent)
 
 
 class TestMsdSeries:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from dlms.errors import ConfigError, DivergenceError, ParseError
+from dlms.metrics import EnsembleSums
 from dlms.network import TrustMatrix
 from dlms.scenarios import (
     builtin,
@@ -293,7 +294,7 @@ class TestRun:
 class TestReport:
     def test_compute_report_fields(self):
         s = small(builtin("table2"), iterations=100, ensemble=4)
-        report = compute_report(s, run(s))
+        report = compute_report(s, EnsembleSums().add(run(s)))
         assert set(report.msd) == {"a", "b", "c", "d", "e"}
         assert all(len(v) == 100 for v in report.msd.values())
         assert all(v >= 0 for series in report.msd.values() for v in series)
