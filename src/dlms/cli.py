@@ -25,7 +25,7 @@ from .scenarios import (
     builtin_summary,
     compute_report,
     entries,
-    parse,
+    read_entries,
 )
 
 EXIT_OK = 0
@@ -44,9 +44,9 @@ _GROUP_VALUES = 1 << 17
 
 
 def load_scenario(ref):
-    """Resolve a builtin name or a config file path (UTF-8, BOM skipped)."""
+    """The config entries of a builtin name or a UTF-8 config file path (BOM skipped)."""
     if ref in builtin_names():
-        return builtin(ref)
+        return entries(builtin(ref))
     path = Path(ref)
     if not path.exists():
         raise ConfigError(f"no such builtin or config file: {ref!r}")
@@ -57,7 +57,7 @@ def load_scenario(ref):
                           f"({exc.object[exc.start]:#04x}) does not decode") from None
     except OSError as exc:
         raise ConfigError(f"cannot read config file {ref!r}: {exc.strerror}") from None
-    return parse(text)
+    return read_entries(text)
 
 
 def _flag(key):
@@ -65,15 +65,16 @@ def _flag(key):
     return "--" + key.replace("_", "-")
 
 
-def apply_overrides(scenario, args):
-    """The scenario rebuilt from its config entries with the CLI's overrides
-    on top: each option and ``--set`` item is the entry of its config key,
-    converted and checked as in a config file, and a ParseError names it."""
-    network, sections, trust = entries(scenario)
+def apply_overrides(config, args):
+    """The scenario of config entries (see load_scenario) and the CLI's
+    overrides, built once: each option and ``--set`` item is the entry of its
+    config key, converted and checked as in a file; a ParseError names it."""
+    network, sections, trust = config
     for key in NETWORK_FIELDS:
         if getattr(args, key) is not None:
             network[key] = (getattr(args, key), _flag(key))
-    by_id = {section["id"][0]: section for section, _ in sections}
+    # a section without an id is left for build to report at its line
+    by_id = {section["id"][0]: section for section, _ in sections if "id" in section}
     for item in args.set:
         where = f"--set {item!r}"
         key, eq, text = item.partition("=")

@@ -24,8 +24,10 @@ adaptive agent (a twin's a copy of its stream owner's), so their memory is
 bounded and the loop reads them without a gather. The loop keeps its state
 component-major with the runs last (see ``_simulate``) and copies each
 iteration once into the records, laid out [variant, run, iteration, agent,
-weight component]. Once the pass is over the averaging agents are filled in
-a run at a time and divergence is looked for a block of iterations at a time.
+weight component]. The pass is the only walk over the records: after each
+block of iterations it fills that block's rows of the averaging agents and
+marks where each variant's runs first diverge, and it stops drawing blocks
+once the first variant's first run has diverged.
 
 No matrix products are used, because BLAS may reorder the sums. The combine
 and the prediction are each one ``np.add.reduce`` over their leading axis,
@@ -41,7 +43,7 @@ from .metrics import EnsembleRecord, sum_in_order
 from .prng import derive_seed, gaussian_block
 
 # Values per block of iterations: bounds the signal arrays, N*R*(M+1) values
-# an iteration, and the divergence scan's temporaries, N*M an iteration.
+# an iteration, and the divergence masks, V*R*N*M an iteration.
 _CHUNK_DRAWS = 1 << 16
 
 
@@ -64,41 +66,42 @@ def run_ensemble(scenario, trusts, runs=None):
     the same runs have in a record of all of them. ``trusts`` stands in for
     ``scenario.trust`` (a single run passes ``[scenario.trust]``); its
     matrices must share one nonzero pattern, or ValueError is raised before
-    anything runs. On divergence it raises what separate runs in variant
-    order would: the DivergenceError of the first variant that diverges,
-    naming its first divergent run (its index k), that run's first divergent
-    iteration and the lowest adaptive agent that diverged there, with
-    ``completed`` that variant's record of the given runs before it.
+    anything runs. On divergence it raises, from the marks of _simulate's one
+    pass, what separate runs in variant order would: the DivergenceError of
+    the first variant that diverges, naming its first divergent run (its
+    index k), that run's first divergent iteration and the lowest adaptive
+    agent that diverged there, with ``completed`` that variant's record of
+    the given runs before it.
     """
     runs = range(scenario.ensemble) if runs is None else runs
     terms = _combine_terms(trusts)
     adaptive = scenario.adaptive_agents()
-    averaging = scenario.averaging_agents()
     n = len(adaptive)
-    ids = [cfg.id for cfg in adaptive + averaging]
-    index = {aid: a for a, aid in enumerate(ids)}
+    ids = [cfg.id for cfg in adaptive + scenario.averaging_agents()]
     shape = (len(trusts), len(runs), scenario.iterations, len(ids))
     ws, es = np.empty(shape + (len(scenario.w_opt),)), np.zeros(shape)
     # divergent runs carry inf/nan through the loop and the averages
     with np.errstate(all="ignore"):
-        _simulate(scenario, runs, terms, ws[..., :n, :], es[..., :n])
-        for run in ws.reshape(-1, *ws.shape[2:]):  # [L, A, M], a run at a time
-            for a, cfg in enumerate(averaging, start=n):
-                first, *rest = (index[s] for s in cfg.sources)
-                total = run[:, a]  # summed in place, (w_s0 + w_s1 + ...) / n
-                total[...] = run[:, first]
-                for b in rest:
-                    total += run[:, b]
-                total /= len(cfg.sources)
+        marks = _simulate(scenario, runs, terms, ws, es)
     records = [EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
                               ws=ws[v], es=es[v]) for v in range(len(trusts))]
-    for record in records:
-        error = _first_divergence(scenario, runs, record.ws[..., :n, :],
-                                  record.es[..., :n])
-        if error is not None:
-            error.completed = record.head(runs.index(error.run))
-            raise error
+    if marks.any():
+        v, r = np.argwhere(marks)[0]  # the first variant, then its lowest run
+        i = int(marks[v, r])
+        w, e = ws[v, r, i - 1, :n], es[v, r, i - 1, :n]
+        a = int(_diverged(w, e).argmax())
+        detail = (f"weight estimate diverged: {w[a].tolist()}" if np.isfinite(e[a])
+                  else f"non-finite prediction error {float(e[a])}")
+        raise DivergenceError(
+            f"divergence at run {runs[r]}, iteration {i}, agent {adaptive[a].id}: {detail}",
+            agent=adaptive[a].id, iteration=i, run=runs[r], completed=records[v].head(r))
     return records
+
+
+def _diverged(w, e):
+    """Where an error e [..., N] is non-finite or a weight w [..., N, M] is
+    non-finite or beyond DIVERGENCE_BOUND, per agent [..., N]."""
+    return ~np.isfinite(e) | ~(np.abs(w) <= DIVERGENCE_BOUND).all(axis=-1)
 
 
 def _signals(scenario, seeds, start, stop, x, y):
@@ -157,26 +160,35 @@ def _combine_terms(trusts):
 
 
 def _simulate(scenario, runs, terms, ws, es):
-    """Write the adaptive agents' weights ws [V, R, L, N, M] and errors
-    es [V, R, L, N] of the R ``runs``, one variant per column of the combine
-    terms.
+    """Write the weights ws [V, R, L, A, M] and errors es [V, R, L, A] of the
+    R ``runs``, one variant per column of the combine terms, and return the
+    marks [V, R]: per variant and run, the first iteration (from 1) where
+    _diverged holds for an adaptive agent, or 0.
 
-    The weights w [M, N, V, R] are a contiguous view of a buffer of M*N + 1
-    rows of [V, R] whose last row is the pad, all -0.0 (see _combine_terms).
-    A row index [K, M, N] into it and the coefficients [K, M, N, V, R] are
-    built once, so each iteration's combine is one gather of whole rows, one
-    multiply and one reduce over K into arrays allocated once; every ufunc's
-    last axis is the runs. The prediction reduces the products [M, N, V, R]
-    over M, or folds them one component at a time when N = V = R = 1, and
-    mu*e and the step (mu*e)*x go into arrays allocated once too. The signals
-    come a block at a time into one pair of buffers, already one column per
-    adaptive agent: the most iterations whose N*R*(M+1) values each fit in
-    _CHUNK_DRAWS, at least 2 and even, so each block starts on a Box-Muller
-    pair.
+    The weights w [M, N, V, R] of the N adaptive agents are a contiguous view
+    of a buffer of M*N + 1 rows of [V, R] whose last row is the pad, all -0.0
+    (see _combine_terms). A row index [K, M, N] into it and the coefficients
+    [K, M, N, V, R] are built once, so each iteration's combine is one gather
+    of whole rows, one multiply and one reduce over K into arrays allocated
+    once; every ufunc's last axis is the runs. The prediction reduces the
+    products [M, N, V, R] over M, or folds them one component at a time when
+    N = V = R = 1, and mu*e and the step (mu*e)*x go into arrays allocated
+    once too. The signals come a block at a time into one pair of buffers,
+    already one column per adaptive agent: the most iterations whose
+    N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2 and even, so each
+    block starts on a Box-Muller pair.
+
+    After each block of iterations the loop fills the block's rows of the
+    averaging agents and marks it; a block whose weights' min and max lie
+    within the bound and whose errors' sum is finite needs no mask. Once run
+    0 of variant 0 has a mark, no later block can change the error, so none
+    is drawn.
     """
     adaptive = scenario.adaptive_agents()
+    position = {cfg.id: a for a, cfg in enumerate(adaptive)}
+    sources = [[position[s] for s in cfg.sources] for cfg in scenario.averaging_agents()]
     owners = _streams(scenario)[0]
-    (v, r, _, n, m), (cols, coef) = ws.shape, terms
+    (v, r, _, _, m), (cols, coef), n = ws.shape, terms, len(adaptive)
     seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
              for owner in owners]
     block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)
@@ -192,8 +204,9 @@ def _simulate(scenario, runs, terms, ws, es):
     psi, products, step = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
     pred, mu_e = np.empty(mu.shape), np.empty(mu.shape)
     collapsed = n * v * r == 1  # numpy would add products [M, 1, 1, 1] pairwise
-    # views that each iteration indexes on axis 0 only
-    ws, es = ws.transpose(2, 4, 3, 0, 1), es.transpose(2, 3, 0, 1)
+    marks = np.zeros((v, r), dtype=int)
+    # views of the adaptive agents that each iteration indexes on axis 0 only
+    wl, el = ws[..., :n, :].transpose(2, 4, 3, 0, 1), es[..., :n].transpose(2, 3, 0, 1)
     # one pair of signal buffers serves every block; a fresh pair per block
     # would have the C allocator return and fault in their pages each block
     size = min(block, scenario.iterations)
@@ -203,7 +216,7 @@ def _simulate(scenario, runs, terms, ws, es):
         x, y = _signals(scenario, seeds, start, stop, xs, ys)
         x, y = x[:, :, :, None], y[:, :, None]  # gain a V axis
         # take() gathers the same values as fancy indexing, with less overhead
-        for xi, yi, wi, ei in zip(x, y, ws[start:stop], es[start:stop]):
+        for xi, yi, wi, ei in zip(x, y, wl[start:stop], el[start:stop]):
             np.multiply(coef, buf.take(index, axis=0), out=terms)
             np.add.reduce(terms, axis=0, initial=-0.0, out=psi)
             np.multiply(psi, xi, out=products)
@@ -215,37 +228,19 @@ def _simulate(scenario, runs, terms, ws, es):
             np.multiply(mu, pred, out=mu_e)
             np.multiply(mu_e, xi, out=step)
             wi[...] = np.add(psi, step, out=w)
-
-
-def _first_divergence(scenario, runs, ws, es):
-    """DivergenceError for the first divergent run, or None.
-
-    Takes one variant's adaptive weights ws [R, L, N, M] and errors
-    es [R, L, N] of the R ``runs`` and checks them a run at a time, and within a run a block
-    of at most _CHUNK_DRAWS weights at a time, so no temporary grows with the
-    horizon. Within a run the scalar loop stops at the first iteration
-    where, in agent order, an error is non-finite or a new weight is
-    non-finite or beyond DIVERGENCE_BOUND; the message names that check's
-    value.
-    """
-    _, length, n, m = ws.shape
-    block = max(1, _CHUNK_DRAWS // (n * m))
-    for run in range(len(ws)):
-        for first in range(0, length, block):
-            w, e = ws[run, first:first + block], es[run, first:first + block]
-            bad_e = ~np.isfinite(e)
-            bad = bad_e | ~(np.abs(w) <= DIVERGENCE_BOUND).all(axis=-1)
-            if bad.any():
-                i = int(bad.any(axis=-1).argmax())
-                a = int(bad[i].argmax())
-                if bad_e[i, a]:
-                    detail = f"non-finite prediction error {float(e[i, a])}"
-                else:
-                    detail = f"weight estimate diverged: {w[i, a].tolist()}"
-                agent_id = scenario.adaptive_agents()[a].id
-                iteration = first + i + 1
-                return DivergenceError(
-                    f"divergence at run {runs[run]}, iteration {iteration}, "
-                    f"agent {agent_id}: {detail}",
-                    agent=agent_id, iteration=iteration, run=runs[run])
-    return None
+        rows = ws[:, :, start:stop]
+        for a, (first, *rest) in enumerate(sources, start=n):
+            total = rows[:, :, :, a]  # summed in place, (w_s0 + w_s1 + ...) / n
+            total[...] = rows[:, :, :, first]
+            for b in rest:
+                total += rows[:, :, :, b]
+            total /= len(rest) + 1
+        wb, eb = rows[:, :, :, :n], es[:, :, start:stop, :n]
+        if not (-DIVERGENCE_BOUND <= wb.min() and wb.max() <= DIVERGENCE_BOUND
+                and np.isfinite(eb.sum())):
+            hit = _diverged(wb, eb).any(axis=-1)  # [V, R, iteration]
+            new = (marks == 0) & hit.any(axis=-1)
+            marks[new] = start + 1 + hit.argmax(axis=-1)[new]
+            if marks[0, 0]:
+                break
+    return marks

@@ -80,7 +80,7 @@ class EnsembleRecord:
     w_opt: tuple
     agents: list
     ws: object  # float64 [R, L, A, M]
-    es: object  # float64 [R, L, A]
+    es: object  # float64 [R, L, A]; None in the ensemble mean
 
     def __len__(self):
         return len(self.ws)
@@ -155,9 +155,9 @@ def steady_state_variance(record, agent):
 
 class EnsembleSums:
     """Sums over the runs of an ensemble, added a record of consecutive runs
-    at a time in run order: of the squared distances, of the estimates and
-    errors, and per agent of the runs' steady-state variances (None once a
-    record's horizon is too short for the window).
+    at a time in run order: of the squared distances, of the estimates, and
+    per agent of the runs' steady-state variances (None once a record's
+    horizon is too short for the window).
 
     Each sum continues start + v0 + v1 + ... from one record to the next, so
     however the runs are grouped into records, the sums are bit for bit
@@ -166,7 +166,7 @@ class EnsembleSums:
 
     def __init__(self):
         self.runs = 0
-        self.sq_dist = self.ws = self.es = 0.0
+        self.sq_dist = self.ws = 0.0
         self.steady_state_var = {}
 
     def add(self, record):
@@ -174,7 +174,6 @@ class EnsembleSums:
         self.runs += len(record)
         self.sq_dist = sum_in_order(record.sq_dist, start=self.sq_dist)
         self.ws = sum_in_order(record.ws, start=self.ws)
-        self.es = sum_in_order(record.es, start=self.es)
         if self.steady_state_var is not None:
             try:
                 self.steady_state_var = {
@@ -195,9 +194,8 @@ class EnsembleSums:
         return self._mean(self.sq_dist)[:, self.agents.index(agent)].tolist()
 
     def mean(self):
-        """Ensemble-mean trajectory, as a one-run record for the detectors."""
-        ws, es = self._mean(self.ws), self._mean(self.es)
-        return EnsembleRecord(self.w_opt, self.agents, ws=ws[None], es=es[None])
+        """Ensemble-mean estimates, as a one-run record for the detectors."""
+        return EnsembleRecord(self.w_opt, self.agents, ws=self._mean(self.ws)[None], es=None)
 
 
 def convergence_iteration(record, agent, band):

@@ -585,6 +585,34 @@ def test_a_bad_override_value_names_its_option(tmp_path, capsys, option, key, ag
         f"config error: {where}: invalid {key} value {bad!r}\n")
 
 
+@pytest.mark.parametrize("config, override, error", [
+    (TABLE1_CONFIG.replace("a b 0.5", "a b 0.6"), "trust.a.b=0.5",
+     "error: trust row sum 1.1 != 1 in row 0\n"),
+    (config_with("mu", "a", "fast"), "a.mu=0.5",
+     "config error: line 15: invalid mu value 'fast'\n"),
+], ids=["trust", "mu"])
+def test_a_config_file_is_validated_after_its_overrides(tmp_path, capsys, config,
+                                                        override, error):
+    """An override replaces a bad value of the file before anything checks
+    it; without the override the file's error stands, naming its line."""
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(config)
+    argv = ["run", str(cfg), *SMALL, "--out", str(tmp_path / "x.csv")]
+    assert run_cli(*argv) == 2
+    assert capsys.readouterr().err == error
+    assert run_cli(*argv, "--set", override) == 0
+
+
+def test_an_agent_section_without_id_is_reported_at_its_line(tmp_path, capsys):
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(TABLE1_CONFIG.replace("id = e\n", ""))
+    header = TABLE1_CONFIG.splitlines().index("id = e")  # the line before, from 1
+    assert run_cli("run", str(cfg), "--set", "a.mu=0.25",
+                   "--out", str(tmp_path / "x.csv")) == 2
+    assert capsys.readouterr().err == (
+        f"config error: line {header}: agent section missing id\n")
+
+
 class TestVerify:
     def test_speedup_passes_on_heterogeneous_mu(self, capsys):
         assert run_cli("verify", "table2", "speedup", "--ensemble", "20") == 0

@@ -176,12 +176,24 @@ def test_divergence_matches_oracle(input_sd, message):
 
 
 def test_divergence_in_a_later_block_of_the_scan_matches_oracle(monkeypatch):
-    """4 adaptive agents x M = 1: 36 values make the divergence scan's blocks
-    9 iterations long, so iteration 101 lies inside its twelfth block (and
-    the signals come in blocks of 2 iterations)."""
+    """4 adaptive agents x 4 runs x 2 values: 36 values make blocks of 2
+    iterations, so iteration 101 lies inside the 51st block."""
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", 36)
     s = _unstable(200, 4, 1.0)
     assert _outcome(run, s) == _outcome(oracle.run, s)
+
+
+def test_divergence_in_the_first_run_draws_no_later_block(monkeypatch):
+    """With blocks of 2 iterations, run 0 diverges at iteration 1: no later
+    block can change the error, so none is drawn, where a whole pass would
+    draw 100."""
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", 36)
+    drawn = _drawn_blocks(monkeypatch)
+    s = _unstable(200, 4, 1e308)
+    outcome = _outcome(run, s)
+    assert drawn == [(0, 2)]
+    assert outcome[1][1:3] == (0, 1)
+    assert outcome == _outcome(oracle.run, s)
 
 
 def test_divergent_cli_outputs_match_oracle(tmp_path, monkeypatch):
@@ -339,6 +351,10 @@ _BLOCKS_OF_66 = [(0, 66), (66, 132), (132, 198), (198, 200)]
     # the first variant diverges
     pytest.param((0.99, 0.9), 1600, 1, _BLOCKS_OF_66, id="selfs3-2-1-1"),
     pytest.param((0.5, 0.5, 0.9, 0.99), 1600, 3, _BLOCKS_OF_66, id="selfs4-2-3-3"),
+    # run 3 diverges first in time, at iteration 87, two blocks before run 1
+    # does at 121; the error still names run 1
+    pytest.param((0.99,), 480, 1, [(i, i + 20) for i in range(0, 200, 20)],
+                 id="selfs5-blocks-of-20-1"),
 ])
 def test_divergence_is_that_of_separate_runs_in_variant_order(
         monkeypatch, selfs, chunk_draws, error_run, blocks):

@@ -4,11 +4,12 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 17.44 MB, 9.40 MB,
-10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.66 MB, 1.27 MB, 2.24 MB, 7.16 MB,
-0.62 MB, 0.77 MB and 0.27 MB. The writer's 1.27 MB and the last three are
+10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.58 MB, 1.27 MB, 2.24 MB, 4.01 MB,
+12.35 MB, 0.77 MB and 0.27 MB. The writer's 1.27 MB and the last two are
 transients above records that are already held.
 """
 
+import dataclasses
 import tracemalloc
 
 import pytest
@@ -17,6 +18,7 @@ import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
 from dlms.claims import balanced_variant, merge_iteration, verify_delay
 from dlms.cli import main, write_trajectories
+from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums, steady_state_variance
 from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
@@ -116,13 +118,23 @@ def long_horizon():
     return s, run(s)
 
 
-def test_first_divergence_transient(long_horizon):
-    """The divergence scan of the long_horizon record holds no temporary the
-    size of one run's weights (3.84 MB)."""
-    s, record = long_horizon
-    n = len(s.adaptive_agents())
-    ws, es = record.ws[..., :n, :], record.es[..., :n]
-    assert _traced_peak(dlms.engine._first_divergence, s, range(len(ws)), ws, es) <= 1 * MB
+def test_first_divergence_transient():
+    """long_horizon with twin d at mu 0.45: run 1 diverges at iteration 2326
+    and run 0 at 6132, so every block in between is checked element by
+    element. The records (11.2 MB) and the loop's buffers, with no room for
+    a temporary the size of one run's weights (3.84 MB)."""
+    s = dense_trio_with_twins(iterations=20000, ensemble=2)
+    s = dataclasses.replace(s, agents=tuple(
+        dataclasses.replace(cfg, mu=0.45) if cfg.id == "d" else cfg for cfg in s.agents))
+    errors = []
+
+    def diverge():
+        with pytest.raises(DivergenceError) as excinfo:
+            run(s)
+        errors.append(excinfo.value)
+
+    assert _traced_peak(diverge) <= 14 * MB
+    assert str(errors[0]).startswith("divergence at run 0, iteration 6132, agent d:")
 
 
 def test_steady_state_variance_transient(long_horizon):
