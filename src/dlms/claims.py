@@ -8,7 +8,7 @@ speedup, selfish-trust delay, and noise stabilization.
 import math
 from dataclasses import dataclass, field, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, DivergenceError
 from .metrics import (
     convergence_iteration,
     default_band,
@@ -166,6 +166,30 @@ def balanced_variant(scenario):
     return with_trust(scenario, rows)
 
 
+def run_paired(scenario, other):
+    """Run ``scenario`` and ``other`` (its agents and network, other trust) as
+    one scenario on one draw of the signals: twins of ``other``'s adaptive
+    agents follow every original, with their stream owners as counterparts
+    and ``other``'s trust rows padded with zeros, so they are bit for bit
+    ``run(other)``'s agents. Returns the record and the twins' ids by agent
+    id; on divergence, raises what separate runs raise, ``scenario``'s first."""
+    tick = "'" * max(len(cfg.id) for cfg in scenario.agents)  # no id is taken
+    adaptive = other.adaptive_agents()
+    twins = {cfg.id: cfg.id + tick for cfg in adaptive}
+    agents = [replace(cfg, id=twins[cfg.id], counterpart=cfg.counterpart or cfg.id)
+              for cfg in adaptive]
+    pad = (0.0,) * len(adaptive)
+    rows = [row + pad for row in scenario.trust.rows] + [pad + row for row in other.trust.rows]
+    try:
+        return run(replace(scenario, agents=(*scenario.agents, *agents),
+                           trust=replace(scenario.trust, rows=rows))), twins
+    except DivergenceError as exc:  # it may name a twin
+        error = exc
+    run(scenario)  # separate runs, in order, raise their first error, unchained
+    run(other)
+    raise error
+
+
 def verify_delay(scenario):
     """Selfish trust delays the iteration at which cooperative estimates merge.
 
@@ -174,8 +198,6 @@ def verify_delay(scenario):
     paired runs. Both networks are simulated together on one draw of the
     signals, and each stays bit-identical to a separate run of it.
     """
-    from .engine import run_ensemble  # numpy loads with the first run, not at import
-
     coop = _cooperative_ids(scenario, "delay")
     if not any(scenario.w_opt):
         raise ConfigError("delay claim needs a nonzero w_opt: its merge band is "
@@ -187,9 +209,10 @@ def verify_delay(scenario):
             "rows are already balanced")
     # a run that never merges counts as merging just after the horizon
     horizon = scenario.iterations + 1
+    record, twins = run_paired(scenario, balanced)
     selfish_iters, balanced_iters = (
-        [horizon if it is None else it for it in merge_iteration(record, coop)]
-        for record in run_ensemble(scenario, [scenario.trust, balanced.trust]))
+        [horizon if it is None else it for it in merge_iteration(record, ids)]
+        for ids in (coop, [twins[aid] for aid in coop]))
     wins = sum(s > b for s, b in zip(selfish_iters, balanced_iters))
     fraction = wins / len(selfish_iters)
     return ClaimResult("delay", fraction >= PAIRED_PASS_FRACTION, {

@@ -212,13 +212,9 @@ def _remove_stale(out, written):
 def cmd_run(args):
     scenario = apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
-    try:
-        code = _run_to(scenario, out)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {exc.filename or out}: {exc.strerror}") from None
-    if code == EXIT_OK:
-        print(f"wrote {out} and {metrics_path(out)}")
-    return code
+    _run_to(scenario, out)
+    print(f"wrote {out} and {metrics_path(out)}")
+    return EXIT_OK
 
 
 def _groups(scenario, sums):
@@ -234,7 +230,7 @@ def _groups(scenario, sums):
     for first in range(0, scenario.ensemble, size):
         runs = range(first, min(first + size, scenario.ensemble))
         try:
-            [record] = run_ensemble(scenario, [scenario.trust], runs)
+            record = run_ensemble(scenario, runs)
         except DivergenceError as exc:
             if len(exc.completed):
                 yield exc.completed
@@ -245,12 +241,13 @@ def _groups(scenario, sums):
 
 
 def _run_to(scenario, out):
-    """Run the scenario, write ``out`` and its sibling outputs; return the exit code.
+    """Run the scenario and write ``out`` and its sibling outputs.
 
     The runs stream through the writer and the report a group at a time (see
     _groups). The CSV and the metrics are written to temporary siblings and
     renamed into place once complete, so a failure leaves no partial file and
-    an earlier run's outputs as they were."""
+    an earlier run's outputs as they were. A DivergenceError is raised once
+    its manifest is written; an OSError is a ConfigError naming the output."""
     parts = {path: path.with_name(f".{path.name}.{os.getpid()}.part")
              for path in (out, metrics_path(out))}
     sums = EnsembleSums()
@@ -271,29 +268,23 @@ def _run_to(scenario, out):
                 "iteration": exc.iteration,
                 "completed_runs": exc.run,
             }, indent=2) + "\n", encoding="utf-8")
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DIVERGENCE
+            raise
         write_metrics(parts[metrics_path(out)], scenario, sums)
         for path, part in parts.items():
             os.replace(part, path)
+        _remove_stale(out, [out, metrics_path(out)])
     except OSError as exc:  # name the output, not its temporary sibling
-        exc.filename = {str(part): path for path, part in parts.items()}.get(
+        name = {str(part): path for path, part in parts.items()}.get(
             str(exc.filename), exc.filename)
-        raise
+        raise ConfigError(f"cannot write {name or out}: {exc.strerror}") from None
     finally:
         for part in parts.values():
             part.unlink(missing_ok=True)
-    _remove_stale(out, [out, metrics_path(out)])
-    return EXIT_OK
 
 
 def cmd_verify(args):
     scenario = apply_overrides(load_scenario(args.scenario), args)
-    try:
-        result = verify_claim(scenario, args.claim)
-    except DivergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DIVERGENCE
+    result = verify_claim(scenario, args.claim)
     print(result.summary())
     return EXIT_OK if result.passed else EXIT_FAIL
 
@@ -378,6 +369,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGENCE
     except MemoryError as exc:
         detail = f": {exc}" if str(exc) else ""
         print(f"error: the scenario does not fit in memory{detail}", file=sys.stderr)

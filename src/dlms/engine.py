@@ -2,14 +2,11 @@
 
 The runs of a scenario that one call simulates (all of them, or a group of
 them) advance side by side on numpy arrays in one pass over the iterations;
-only the iterations are a Python loop. Variants of a
-scenario whose trust matrices share one nonzero pattern (a single run is one
-variant) share one draw of the signals and are stacked on a variant axis
-with per-variant combine coefficients, so each iteration is one set of numpy
-calls for all of them. Every floating-point operation is the one the scalar
-reference (``tests/oracle.py``'s ``run_single`` over
-``network.cta_iteration``) performs for that variant, in the same order, so
-each variant's trajectories are bit-identical to a separate run of it:
+only the iterations are a Python loop, each one set of numpy calls for every
+run. Every floating-point operation is the one the scalar reference
+(``tests/oracle.py``'s ``run_single`` over ``network.cta_iteration``)
+performs, in the same order, so each run's trajectories are bit-identical to
+the reference's:
 
 - combine skips zero trust coefficients, starts from s*w (exactly w when s is
   1.0) and adds the later terms left to right. Rows with fewer terms than
@@ -23,11 +20,11 @@ The signals are drawn a block of iterations at a time, one column per
 adaptive agent (a twin's a copy of its stream owner's), so their memory is
 bounded and the loop reads them without a gather. The loop keeps its state
 component-major with the runs last (see ``_simulate``) and copies each
-iteration once into the records, laid out [variant, run, iteration, agent,
-weight component]. The pass is the only walk over the records: after each
-block of iterations it fills that block's rows of the averaging agents and
-marks where each variant's runs first diverge, and it stops drawing blocks
-once the first variant's first run has diverged.
+iteration once into the records, laid out [run, iteration, agent, weight
+component]. The pass is the only walk over the records: after each block of
+iterations it fills that block's rows of the averaging agents and marks where
+each run first diverges, and it stops drawing blocks once the first run has
+diverged.
 
 No matrix products are used, because BLAS may reorder the sums. The combine
 and the prediction are each one ``np.add.reduce`` over their leading axis,
@@ -43,7 +40,7 @@ from .metrics import EnsembleRecord, sum_in_order
 from .prng import derive_seed, gaussian_block
 
 # Values per block of iterations: bounds the signal arrays, N*R*(M+1) values
-# an iteration, and the divergence masks, V*R*N*M an iteration.
+# an iteration, and the divergence masks, R*N*M an iteration.
 _CHUNK_DRAWS = 1 << 16
 
 
@@ -57,45 +54,39 @@ def _streams(scenario):
     return owners, [owners.index(owner) for owner in owner_of]
 
 
-def run_ensemble(scenario, trusts, runs=None):
-    """The runs of the scenario under each trust matrix, one EnsembleRecord each.
+def run_ensemble(scenario, runs=None):
+    """The EnsembleRecord of the scenario's runs.
 
     ``runs`` are the indices of the runs to simulate, every run of the
     scenario by default; run k is seeded from ``scenario.seed ^ k`` whatever
     runs come with it, so a record of some runs holds the trajectories that
-    the same runs have in a record of all of them. ``trusts`` stands in for
-    ``scenario.trust`` (a single run passes ``[scenario.trust]``); its
-    matrices must share one nonzero pattern, or ValueError is raised before
-    anything runs. On divergence it raises, from the marks of _simulate's one
-    pass, what separate runs in variant order would: the DivergenceError of
-    the first variant that diverges, naming its first divergent run (its
-    index k), that run's first divergent iteration and the lowest adaptive
-    agent that diverged there, with ``completed`` that variant's record of
-    the given runs before it.
+    the same runs have in a record of all of them. On divergence it raises,
+    from the marks of _simulate's one pass, the DivergenceError of the first
+    divergent run (its index k), naming that run's first divergent iteration
+    and the lowest adaptive agent that diverged there, with ``completed`` the
+    record of the given runs before it.
     """
     runs = range(scenario.ensemble) if runs is None else runs
-    terms = _combine_terms(trusts)
     adaptive = scenario.adaptive_agents()
     n = len(adaptive)
     ids = [cfg.id for cfg in adaptive + scenario.averaging_agents()]
-    shape = (len(trusts), len(runs), scenario.iterations, len(ids))
+    shape = (len(runs), scenario.iterations, len(ids))
     ws, es = np.empty(shape + (len(scenario.w_opt),)), np.zeros(shape)
     # divergent runs carry inf/nan through the loop and the averages
     with np.errstate(all="ignore"):
-        marks = _simulate(scenario, runs, terms, ws, es)
-    records = [EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
-                              ws=ws[v], es=es[v]) for v in range(len(trusts))]
+        marks = _simulate(scenario, runs, ws, es)
+    record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids, ws=ws, es=es)
     if marks.any():
-        v, r = np.argwhere(marks)[0]  # the first variant, then its lowest run
-        i = int(marks[v, r])
-        w, e = ws[v, r, i - 1, :n], es[v, r, i - 1, :n]
+        r = int(marks.nonzero()[0][0])
+        i = int(marks[r])
+        w, e = ws[r, i - 1, :n], es[r, i - 1, :n]
         a = int(_diverged(w, e).argmax())
         detail = (f"weight estimate diverged: {w[a].tolist()}" if np.isfinite(e[a])
                   else f"non-finite prediction error {float(e[a])}")
         raise DivergenceError(
             f"divergence at run {runs[r]}, iteration {i}, agent {adaptive[a].id}: {detail}",
-            agent=adaptive[a].id, iteration=i, run=runs[r], completed=records[v].head(r))
-    return records
+            agent=adaptive[a].id, iteration=i, run=runs[r], completed=record.head(r))
+    return record
 
 
 def _diverged(w, e):
@@ -136,44 +127,37 @@ def _signals(scenario, seeds, start, stop, x, y):
     return x, y
 
 
-def _combine_terms(trusts):
-    """Nonzero trust terms, K per row (the most of any row): columns [K, N]
-    and coefficients [K, N, V], laid out [position, row, variant].
+def _combine_terms(trust):
+    """Nonzero trust terms, K per row (the most of any row): columns and
+    coefficients [K, N], laid out [position, row].
 
     Position k holds each row's k-th nonzero coefficient, so adding the
     positions in order reproduces the scalar combine. A row's missing
     positions point at column N, the pad, which holds -0.0, with coefficient
     1.0: 1.0 * -0.0 is -0.0, and x + -0.0 is x bit for bit for every double x,
-    so they change nothing. ValueError if the nonzero patterns differ.
+    so they change nothing.
     """
-    terms, *others = ([[b for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
-                      for trust in trusts)
-    if any(pattern != terms for pattern in others):
-        raise ValueError("trust matrices of the variants differ in their nonzero pattern")
-    n, depth = len(terms), max(len(t) for t in terms)
-    cols = np.full((depth, n), n)
-    coef = np.ones((depth, n, len(trusts)))
-    for a, row in enumerate(terms):
-        cols[:len(row), a] = row
-        coef[:len(row), a] = [[trust.rows[a][b] for trust in trusts] for b in row]
-    return cols, coef
+    n = trust.size
+    terms = [[b for b, s in enumerate(row) if s != 0.0] for row in trust.rows]
+    depth = max(map(len, terms))
+    cols = np.array([row + [n] * (depth - len(row)) for row in terms]).T
+    return cols, np.c_[np.array(trust.rows), np.ones(n)][np.arange(n), cols]
 
 
-def _simulate(scenario, runs, terms, ws, es):
-    """Write the weights ws [V, R, L, A, M] and errors es [V, R, L, A] of the
-    R ``runs``, one variant per column of the combine terms, and return the
-    marks [V, R]: per variant and run, the first iteration (from 1) where
-    _diverged holds for an adaptive agent, or 0.
+def _simulate(scenario, runs, ws, es):
+    """Write the weights ws [R, L, A, M] and errors es [R, L, A] of the R
+    ``runs`` and return the marks [R]: per run, the first iteration (from 1)
+    where _diverged holds for an adaptive agent, or 0.
 
-    The weights w [M, N, V, R] of the N adaptive agents are a contiguous view
-    of a buffer of M*N + 1 rows of [V, R] whose last row is the pad, all -0.0
-    (see _combine_terms). A row index [K, M, N] into it and the coefficients
-    [K, M, N, V, R] are built once, so each iteration's combine is one gather
-    of whole rows, one multiply and one reduce over K into arrays allocated
+    The weights w [M, N, R] of the N adaptive agents are a contiguous view of
+    a buffer of M*N + 1 rows of [R] whose last row is the pad, all -0.0 (see
+    _combine_terms). A row index [K, M, N] into it and the coefficients
+    [K, M, N, R] are built once, so each iteration's combine is one gather of
+    whole rows, one multiply and one reduce over K into arrays allocated
     once; every ufunc's last axis is the runs. The prediction reduces the
-    products [M, N, V, R] over M, or folds them one component at a time when
-    N = V = R = 1, and mu*e and the step (mu*e)*x go into arrays allocated
-    once too. The signals come a block at a time into one pair of buffers,
+    products [M, N, R] over M, or folds them one component at a time when
+    N = R = 1, and mu*e and the step (mu*e)*x go into arrays allocated once
+    too. The signals come a block at a time into one pair of buffers,
     already one column per adaptive agent: the most iterations whose
     N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2 and even, so each
     block starts on a Box-Muller pair.
@@ -181,32 +165,32 @@ def _simulate(scenario, runs, terms, ws, es):
     After each block of iterations the loop fills the block's rows of the
     averaging agents and marks it; a block whose weights' min and max lie
     within the bound and whose errors' sum is finite needs no mask. Once run
-    0 of variant 0 has a mark, no later block can change the error, so none
-    is drawn.
+    0 has a mark, no later block can change the error, so none is drawn.
     """
     adaptive = scenario.adaptive_agents()
     position = {cfg.id: a for a, cfg in enumerate(adaptive)}
     sources = [[position[s] for s in cfg.sources] for cfg in scenario.averaging_agents()]
     owners = _streams(scenario)[0]
-    (v, r, _, _, m), (cols, coef), n = ws.shape, terms, len(adaptive)
+    (r, _, _, m), n = ws.shape, len(adaptive)
+    cols, coef = _combine_terms(scenario.trust)
     seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
              for owner in owners]
     block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)
-    buf = np.full((m * n + 1, v, r), -0.0)
-    w = buf[:-1].reshape(m, n, v, r)
-    w[...] = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None, None]
+    buf = np.full((m * n + 1, r), -0.0)
+    w = buf[:-1].reshape(m, n, r)
+    w[...] = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None]
     slots = np.full((m, n + 1), m * n)  # the buffer row of each w, and the pad
     slots[:, :n] = np.arange(m * n).reshape(m, n)
     index = np.ascontiguousarray(slots[:, cols].swapaxes(0, 1))
-    coef = np.broadcast_to(coef[:, None, :, :, None], (*index.shape, v, r)).copy()
-    mu = np.array([[[cfg.mu] * r] * v for cfg in adaptive], dtype=np.float64)
+    coef = np.broadcast_to(coef[:, None, :, None], (*index.shape, r)).copy()
+    mu = np.array([[cfg.mu] * r for cfg in adaptive], dtype=np.float64)
     terms = np.empty(coef.shape)
     psi, products, step = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
     pred, mu_e = np.empty(mu.shape), np.empty(mu.shape)
-    collapsed = n * v * r == 1  # numpy would add products [M, 1, 1, 1] pairwise
-    marks = np.zeros((v, r), dtype=int)
+    collapsed = n * r == 1  # numpy would add products [M, 1, 1] pairwise
+    marks = np.zeros(r, dtype=int)
     # views of the adaptive agents that each iteration indexes on axis 0 only
-    wl, el = ws[..., :n, :].transpose(2, 4, 3, 0, 1), es[..., :n].transpose(2, 3, 0, 1)
+    wl, el = ws[..., :n, :].transpose(1, 3, 2, 0), es[..., :n].transpose(1, 2, 0)
     # one pair of signal buffers serves every block; a fresh pair per block
     # would have the C allocator return and fault in their pages each block
     size = min(block, scenario.iterations)
@@ -214,7 +198,6 @@ def _simulate(scenario, runs, terms, ws, es):
     for start in range(0, scenario.iterations, block):
         stop = min(start + block, scenario.iterations)
         x, y = _signals(scenario, seeds, start, stop, xs, ys)
-        x, y = x[:, :, :, None], y[:, :, None]  # gain a V axis
         # take() gathers the same values as fancy indexing, with less overhead
         for xi, yi, wi, ei in zip(x, y, wl[start:stop], el[start:stop]):
             np.multiply(coef, buf.take(index, axis=0), out=terms)
@@ -228,19 +211,19 @@ def _simulate(scenario, runs, terms, ws, es):
             np.multiply(mu, pred, out=mu_e)
             np.multiply(mu_e, xi, out=step)
             wi[...] = np.add(psi, step, out=w)
-        rows = ws[:, :, start:stop]
+        rows = ws[:, start:stop]
         for a, (first, *rest) in enumerate(sources, start=n):
-            total = rows[:, :, :, a]  # summed in place, (w_s0 + w_s1 + ...) / n
-            total[...] = rows[:, :, :, first]
+            total = rows[:, :, a]  # summed in place, (w_s0 + w_s1 + ...) / n
+            total[...] = rows[:, :, first]
             for b in rest:
-                total += rows[:, :, :, b]
+                total += rows[:, :, b]
             total /= len(rest) + 1
-        wb, eb = rows[:, :, :, :n], es[:, :, start:stop, :n]
+        wb, eb = rows[:, :, :n], es[:, start:stop, :n]
         if not (-DIVERGENCE_BOUND <= wb.min() and wb.max() <= DIVERGENCE_BOUND
                 and np.isfinite(eb.sum())):
-            hit = _diverged(wb, eb).any(axis=-1)  # [V, R, iteration]
+            hit = _diverged(wb, eb).any(axis=-1)  # [R, iteration]
             new = (marks == 0) & hit.any(axis=-1)
             marks[new] = start + 1 + hit.argmax(axis=-1)[new]
-            if marks[0, 0]:
+            if marks[0]:
                 break
     return marks

@@ -7,6 +7,8 @@ platform with IEEE-754 doubles and the same libm.
 
 import math
 
+import numpy as np
+
 from .errors import ConfigError
 
 _MASK64 = (1 << 64) - 1
@@ -56,8 +58,6 @@ def gaussian_block(seeds, count, start=0):
     ``numpy.log`` is not always correctly rounded and then differs from libm
     in the last bit; cos, sin and sqrt agree.
     """
-    import numpy as np
-
     if start % 2:
         raise ValueError(f"gaussian_block start must be even, got start={start}")
     pairs = (count + 1) // 2

@@ -408,8 +408,7 @@ def run(scenario):
     """
     from .engine import run_ensemble  # numpy loads with the first run, not at import
 
-    [record] = run_ensemble(scenario, [scenario.trust])
-    return record
+    return run_ensemble(scenario)
 
 
 def scenario_band(scenario):

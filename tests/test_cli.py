@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -16,10 +17,13 @@ from hypothesis import strategies as st
 
 import dlms.cli
 import oracle
+from dlms.claims import verify_claim
 from dlms.cli import error_path, main, metrics_path, write_trajectories
-from dlms.errors import DivergenceError
+from dlms.errors import ConfigError, DivergenceError
 from dlms.metrics import EnsembleRecord
-from dlms.scenarios import builtin, run
+from dlms.network import TrustMatrix
+from dlms.scenarios import AgentConfig, Scenario, builtin, run
+from dlms.signals import GaussianParams
 from strategies import scenarios
 
 
@@ -424,6 +428,80 @@ def test_counterpart_naming_its_own_agent_is_usage_error(tmp_path, capsys):
         assert run_cli("run", *argv, "--out", str(tmp_path / "x.csv")) == 2
         assert capsys.readouterr().err == (
             "error: agent c: counterpart must name another agent\n")
+
+
+def _agent(aid, **fields):
+    """A cooperative agent with unit input and no noise, unless ``fields``
+    say otherwise."""
+    stats = {"input": GaussianParams(0.0, 1.0), "noise": GaussianParams(0.0, 0.0)}
+    return AgentConfig(aid, "cooperative", **{"mu": 0.5, "w0": (0.0,), **stats, **fields})
+
+
+_PAIR = "[agent]\nid = p\nmu = 0.1\n[agent]\nid = q\nmu = 0.2\n"
+
+
+# The CLI cases are (command, builtin name or config text, further argv) and
+# the text of the one stderr line that names the field, agent or line; the
+# errors the CLI cannot reach are raised by a call of the Python API.
+@pytest.mark.parametrize("case, names", [
+    (("run", "table1", ["--iterations", "0"]), "error: iterations must be >= 1, got 0"),
+    (("run", "table1", ["--ensemble", "0"]), "error: ensemble must be >= 1, got 0"),
+    (("run", "table1", ["--seed", "-1"]),
+     "error: seed must be an unsigned 64-bit integer, got -1"),
+    (("run", "[network]\niterations = 5\n", []), "error: scenario has no agents"),
+    (("run", "[agent]\nid = p\n[agent]\nid = p\n", []),
+     "error: duplicate agent ids: ['p', 'p']"),
+    (("run", "[agent]\nid = p\n[agent]\nid = e\nkind = averaging\n", []),
+     "error: agent e: averaging agents need >= 1 source"),
+    (("run", "[agent]\nid = p\n[agent]\nid = e\nkind = averaging\nsources = zz\n", []),
+     "error: agent e: source 'zz' is not an adaptive agent"),
+    (("run", "table1", ["--set", "d.counterpart=c"]),
+     "error: agent d: counterpart chains are not allowed"),
+    (("run", "[agent]\nid = p\n[foo]\n", []), "config error: line 3: unknown section [foo]"),
+    (("run", "[agent]\nid = p\n[trust]\np p\n", []),
+     "config error: line 4: trust entries are 'from to coefficient' triples, got 'p p'"),
+    (("run", "[network]\niterations\n", []),
+     "config error: line 2: expected key=value, got 'iterations'"),
+    (("run", "table1", ["--set", "trust.a.zz=0.5"]),
+     "config error: --set 'trust.a.zz=0.5': trust entry names unknown adaptive agent "
+     "'a' -> 'zz'"),
+    (("run", "table1", ["--set", "a.mu"]), "config error: --set 'a.mu': expected key=value"),
+    (("run", "table1", ["--set", "a.b.c=1"]),
+     "config error: --set 'a.b.c=1': the key is neither agent.field nor trust.from.to"),
+    (("verify", "[agent]\nid = p\n", ["merge"]),
+     "error: merge claim needs at least two cooperative agents"),
+    (("verify", _PAIR, ["speedup"]),
+     "error: claim needs exactly one averaging agent, found 0"),
+    (("verify", "[agent]\nid = s\nkind = standalone\n", ["stabilize"]),
+     "error: stabilize claim needs a cooperative agent"),
+    (("verify", "table5", ["stabilize", "--set", "d.counterpart="]),
+     "error: stabilize claim needs a standalone twin of agent 'b'"),
+    (lambda: Scenario(agents=(AgentConfig("x", "bogus"),), trust=TrustMatrix(())),
+     "agent x: unknown kind 'bogus'"),
+    (lambda: Scenario(agents=(_agent("p", input=None),), trust=TrustMatrix(((1.0,),))),
+     "agent p: input and noise statistics required"),
+    (lambda: Scenario(agents=(_agent("p", sources=("p",)),),
+                      trust=TrustMatrix(((1.0,),))),
+     "agent p: only averaging agents take sources"),
+    (lambda: TrustMatrix(((1.0,), (0.0, 1.0))), "trust row 0 has length 1, expected 2"),
+    (lambda: replace(builtin("table1"), w_opt=()), "w_opt must have at least one component"),
+    (lambda: verify_claim(builtin("table1"), "bogus"),
+     "unknown claim 'bogus'; valid claims: "),
+])
+def test_config_error_names_its_field(tmp_path, capsys, case, names):
+    if callable(case):
+        with pytest.raises(ConfigError, match=re.escape(names)):
+            case()
+        return
+    command, ref, argv = case
+    if "\n" in ref:
+        (tmp_path / "s.cfg").write_text(ref)
+        ref = str(tmp_path / "s.cfg")
+    if command == "run":
+        argv = [*argv, "--out", str(tmp_path / "x.csv")]
+    assert run_cli(command, ref, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [names]
 
 
 @pytest.mark.parametrize("argv", [("run", "table1", "--out", "x.csv"),

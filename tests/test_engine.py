@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 import dlms.cli
 import oracle
 from dlms import engine
-from dlms.claims import balanced_variant
+from dlms.claims import balanced_variant, run_paired, verify_delay
 from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
 from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
@@ -45,24 +45,35 @@ def _outcome(run_fn, scenario):
         return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
 
 
-def _separate_runs(scenario, trusts):
-    """One run() per trust matrix, in order, as run_ensemble returns them."""
-    return [run(dataclasses.replace(scenario, trust=t)) for t in trusts]
+def _agents(record, ids, names=None):
+    """The record of the agents ``ids`` of ``record``, named ``names``."""
+    columns = [record.agents.index(aid) for aid in ids]
+    return dataclasses.replace(record, agents=list(names or ids),
+                               ws=record.ws[:, :, columns], es=record.es[:, :, columns])
 
 
-def _variants_outcome(run_fn, scenario, trusts):
-    """Per variant records, or the first error and its completed records."""
+def _networks_outcome(scenario, other, run_fn=None):
+    """The records of the scenario and of ``other``'s adaptive agents, from
+    run_paired or from separate runs of ``run_fn``; or the first error and
+    the records completed before it."""
+    ids = [cfg.id for cfg in other.adaptive_agents()]
     try:
-        return [_bits(record) for record in run_fn(scenario, trusts)], None
+        if run_fn is None:
+            record, twins = run_paired(scenario, other)
+            originals = [aid for aid in record.agents if aid not in twins.values()]
+            first = _agents(record, originals)
+            second = _agents(record, [twins[aid] for aid in ids], ids)
+        else:
+            first, second = run_fn(scenario), _agents(run_fn(other), ids)
+        return [_bits(first), _bits(second)], None
     except DivergenceError as exc:
         return _bits(exc.completed), (str(exc), exc.run, exc.iteration, exc.agent)
 
 
-def _oracle_ensemble(scenario, trusts, runs=None):
-    """oracle.run_single over ``runs`` of the scenario's one trust matrix, as
-    run_ensemble returns them: one EnsembleRecord, and an error's completed
-    runs as one too."""
-    assert trusts == [scenario.trust]
+def _oracle_ensemble(scenario, runs=None):
+    """oracle.run_single over ``runs`` of the scenario, as run_ensemble
+    returns them: one EnsembleRecord, and an error's completed runs as one
+    too."""
     records = []
     for r in range(scenario.ensemble) if runs is None else runs:
         try:
@@ -70,7 +81,7 @@ def _oracle_ensemble(scenario, trusts, runs=None):
         except DivergenceError as exc:
             exc.completed = oracle.as_ensemble_record(scenario, records)
             raise
-    return [oracle.as_ensemble_record(scenario, records)]
+    return oracle.as_ensemble_record(scenario, records)
 
 
 @pytest.mark.parametrize("name", builtin_names())
@@ -130,13 +141,14 @@ def test_short_row_between_cooperative_rows_matches_oracle_and_separate_runs():
     trust = TrustMatrix(((0.9, 0.0, 0.1), (0.0, 1.0, 0.0), (0.2, 0.0, 0.8)))
     s = Scenario(agents=agents, trust=trust, w_opt=(-1.0, 0.5, -0.25),
                  iterations=30, ensemble=3)
-    trusts = [trust, balanced_variant(s).trust]
-    records = engine.run_ensemble(s, trusts)
-    assert all(np.signbit(record.w("s")).all() and not record.w("s").any()
-               for record in records)
-    paired = [_bits(record) for record in records]
-    assert paired == [_bits(oracle.run(dataclasses.replace(s, trust=t))) for t in trusts]
-    assert (paired, None) == _variants_outcome(_separate_runs, s, trusts)
+    balanced = balanced_variant(s)
+    record, twins = run_paired(s, balanced)
+    assert all(np.signbit(record.w(aid)).all() and not record.w(aid).any()
+               for aid in ("s", twins["s"]))
+    paired = _networks_outcome(s, balanced)
+    assert paired[1] is None
+    assert paired == _networks_outcome(s, balanced, _oracle_ensemble)
+    assert paired == _networks_outcome(s, balanced, run)
 
 
 @settings(max_examples=60, deadline=None,
@@ -303,10 +315,10 @@ def _selfish(scenario, s_self):
           suppress_health_check=[HealthCheck.too_slow])
 @given(scenario=scenarios())
 def test_paired_variants_match_separate_runs(chunk_draws, scenario):
-    trusts = [scenario.trust, balanced_variant(scenario).trust]
+    balanced = balanced_variant(scenario)
     with mock.patch.object(engine, "_CHUNK_DRAWS", chunk_draws):
-        paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
-    assert paired == _variants_outcome(_separate_runs, scenario, trusts)
+        paired = _networks_outcome(scenario, balanced)
+    assert paired == _networks_outcome(scenario, balanced, run)
 
 
 @pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 1200, 2400])
@@ -316,13 +328,13 @@ def test_paired_variants_match_separate_runs(chunk_draws, scenario):
     _selfish(_unstable(200, 4, 1.0), 0.9),
 ], ids=["table1", "divergent"])
 def test_paired_table1_matches_separate_runs(monkeypatch, chunk_draws, scenario):
-    # table1 fills 4 adaptive agents x 2 values per iteration and run: 1200
-    # values make blocks of 30 iterations of 5 runs, and of 36 (37 rounded
-    # down to even) of 4 runs; 2400 makes blocks of 60 and of 74
+    # the pair fills 8 adaptive agents x 2 values per iteration and run: 1200
+    # values make blocks of 14 iterations of 5 runs, and of 18 of 4 runs;
+    # 2400 makes blocks of 30 and of 36 (37 rounded down to even)
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
-    trusts = [scenario.trust, balanced_variant(scenario).trust]
-    paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
-    assert paired == _variants_outcome(_separate_runs, scenario, trusts)
+    balanced = balanced_variant(scenario)
+    paired = _networks_outcome(scenario, balanced)
+    assert paired == _networks_outcome(scenario, balanced, run)
 
 
 def _one_unstable_agent(s_self):
@@ -336,40 +348,61 @@ def _one_unstable_agent(s_self):
                     trust=TrustMatrix(((0.5, 0.5), (1.0 - s_self, s_self))))
 
 
-# 2 adaptive agents x 6 runs x 2 values = 24 values per iteration: 1600
-# values make blocks of 66 iterations (rounded down to even), 4800 one block
-_BLOCKS_OF_66 = [(0, 66), (66, 132), (132, 198), (198, 200)]
-
-
 # explicit ids, kept stable when the parameters change
 @pytest.mark.parametrize("selfs, chunk_draws, error_run, blocks", [
-    # only the later variant diverges
-    pytest.param((0.5, 0.99), 1600, 1, _BLOCKS_OF_66, id="selfs0-2-1-3"),
-    # the later variant diverges in an earlier run, the earlier variant wins
-    pytest.param((0.9, 0.99), 1600, 3, _BLOCKS_OF_66, id="selfs1-2-3-2"),
-    pytest.param((0.9, 0.99), 4800, 3, [(0, 200)], id="selfs2-6-3-1"),
-    # the first variant diverges
-    pytest.param((0.99, 0.9), 1600, 1, _BLOCKS_OF_66, id="selfs3-2-1-1"),
-    pytest.param((0.5, 0.5, 0.9, 0.99), 1600, 3, _BLOCKS_OF_66, id="selfs4-2-3-3"),
-    # run 3 diverges first in time, at iteration 87, two blocks before run 1
-    # does at 121; the error still names run 1
+    # only the balanced network diverges
+    pytest.param((0.5, 0.99), 1600, 1, None, id="selfs0-2-1-3"),
+    # the balanced network diverges in an earlier run, the scenario wins
+    pytest.param((0.9, 0.99), 1600, 3, None, id="selfs1-2-3-2"),
+    pytest.param((0.9, 0.99), 4800, 3, None, id="selfs2-6-3-1"),
+    # the scenario diverges
+    pytest.param((0.99, 0.9), 1600, 1, None, id="selfs3-2-1-1"),
+    # both diverge in the same run at the same iteration: the error names
+    # the scenario's agent b, not its twin
+    pytest.param((0.99, 0.99), 1600, 1, None, id="selfs4-2-3-3"),
+    # one network, 2 adaptive agents x 6 runs x 2 values = 24 values per
+    # iteration, so 480 values make blocks of 20 iterations: run 3 diverges
+    # first in time, at iteration 87, two blocks before run 1 does at 121;
+    # the error still names run 1
     pytest.param((0.99,), 480, 1, [(i, i + 20) for i in range(0, 200, 20)],
                  id="selfs5-blocks-of-20-1"),
 ])
 def test_divergence_is_that_of_separate_runs_in_variant_order(
         monkeypatch, selfs, chunk_draws, error_run, blocks):
+    """A pair raises what separate runs of its networks raise, the
+    scenario's first; one network raises its first divergent run's error."""
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
     drawn = _drawn_blocks(monkeypatch)
-    scenario = _one_unstable_agent(0.5)
-    trusts = [_one_unstable_agent(s).trust for s in selfs]
-    paired = _variants_outcome(engine.run_ensemble, scenario, trusts)
-    assert drawn == blocks
-    assert paired[1][1] == error_run
-    assert paired == _variants_outcome(_separate_runs, scenario, trusts)
+    scenario, *other = map(_one_unstable_agent, selfs)
+    if other:
+        outcome = _networks_outcome(scenario, *other)
+        assert outcome == _networks_outcome(scenario, *other, run)
+    else:
+        outcome = _outcome(run, scenario)
+        assert drawn == blocks
+        assert outcome == _outcome(oracle.run, scenario)
+    assert outcome[1][1] == error_run
 
 
-def test_variants_must_share_the_nonzero_pattern():
-    s = builtin("table1")
-    trusts = [s.trust, TrustMatrix.identity(4)]
-    with pytest.raises(ValueError, match="differ in their nonzero pattern"):
-        engine.run_ensemble(s, trusts)
+def test_verify_delay_draws_the_signals_of_one_network():
+    """The balanced network runs as twins of the selfish one's agents, in
+    the same simulation, on the signals that one run of the scenario draws."""
+    s = _selfish(dataclasses.replace(builtin("table1"), iterations=300, ensemble=5), 0.9)
+
+    def simulations_and_values(fn):
+        values, block = [], engine.gaussian_block
+
+        def counted(seeds, count, start=0):
+            values.append(len(seeds) * count)
+            return block(seeds, count, start)
+
+        with mock.patch.object(engine, "gaussian_block", counted), mock.patch.object(
+                engine, "run_ensemble", wraps=engine.run_ensemble) as simulate:
+            fn(s)
+        return simulate.call_count, sum(values)
+
+    one_network = simulations_and_values(run)
+    # 2 stream owners x 2 values an iteration x 5 runs x 300 iterations
+    assert one_network == (1, 2 * 2 * 5 * 300)
+    assert simulations_and_values(verify_delay) == one_network
+    assert verify_delay(s).passed

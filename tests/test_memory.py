@@ -3,7 +3,7 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 17.44 MB, 9.40 MB,
+peaks with numpy 2.4.6, in the order of the tests: 15.43 MB, 9.40 MB,
 10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 4.58 MB, 1.27 MB, 2.24 MB, 4.01 MB,
 12.35 MB, 0.77 MB and 0.27 MB. The writer's 1.27 MB and the last two are
 transients above records that are already held.
@@ -16,7 +16,7 @@ import pytest
 
 import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
-from dlms.claims import balanced_variant, merge_iteration, verify_delay
+from dlms.claims import balanced_variant, merge_iteration, run_paired, verify_delay
 from dlms.cli import main, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums, steady_state_variance
@@ -41,8 +41,10 @@ def _traced_peak(fn, *args):
 
 
 def test_verify_delay_peak():
-    """Both 100 x 1000 networks of the selfish table1 are held at once."""
-    assert _traced_peak(verify_delay, _selfish_table1()) <= 19 * MB
+    """Both 100 x 1000 networks of the selfish table1 in one record, with one
+    averaging agent: no room for the balanced network's averaging agent
+    beside it."""
+    assert _traced_peak(verify_delay, _selfish_table1()) <= 16.5 * MB
 
 
 def test_run_table1_peak():
@@ -146,10 +148,9 @@ def test_steady_state_variance_transient(long_horizon):
 
 
 def test_merge_iteration_transient():
-    """The delay claim's merge detection on its two 100 x 1000 records, a
-    group of runs at a time."""
+    """The delay claim's merge detection on both networks of its 100 x 1000
+    paired record, a group of runs at a time."""
     selfish = _selfish_table1()
-    records = dlms.engine.run_ensemble(
-        selfish, [selfish.trust, balanced_variant(selfish).trust])
-    assert _traced_peak(lambda: [merge_iteration(r, ["a", "b"])
-                                 for r in records]) <= 0.5 * MB
+    record, twins = run_paired(selfish, balanced_variant(selfish))
+    assert _traced_peak(lambda: [merge_iteration(record, ids) for ids in
+                                 (["a", "b"], [twins["a"], twins["b"]])]) <= 0.5 * MB

@@ -83,7 +83,7 @@ def _streamed(scenario, out, runs_per_group):
             redirect_stderr(err):
         code = main(["run", str(config), "--out", str(out)])
     config.unlink()
-    calls = [list(call.args[2]) for call in simulate.call_args_list]
+    calls = [list(call.args[1]) for call in simulate.call_args_list]
     return code, _files(out), err.getvalue(), calls
 
 
