@@ -7,11 +7,14 @@ speedup, selfish-trust delay, and noise stabilization.
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from operator import and_
 
 from .errors import ConfigError, DivergenceError
 from .metrics import (
     convergence_iteration,
     default_band,
+    first_iteration,
     steady_state_variance,
     sum_in_order,
 )
@@ -45,6 +48,13 @@ class ClaimResult:
         return f"{status} {self.claim}: " + ", ".join(parts)
 
 
+def _paired(claim, wins, required, **details):
+    """Result of a claim won by at least ``required`` of its runs' ``wins``."""
+    fraction = int(sum(wins)) / len(wins)
+    return ClaimResult(claim, fraction >= required,
+                       {"win_fraction": fraction, "required": required, **details})
+
+
 def _cooperative_ids(scenario, claim):
     ids = [cfg.id for cfg in scenario.agents if cfg.kind == COOPERATIVE]
     if len(ids) < 2:
@@ -60,11 +70,11 @@ def _single_averaging_id(scenario):
     return ids[0]
 
 
-def _gap(record, p, q):
+def _gap(w_p, w_q):
     """Distance |w_p - w_q| between two agents' estimates per run and iteration."""
     import numpy as np
 
-    d = record.w(p) - record.w(q)
+    d = w_p - w_q
     return np.sqrt(sum_in_order(d * d, axis=-1))
 
 
@@ -93,7 +103,7 @@ def verify_merge(scenario):
 
     worst_gap = 0.0
     for aid in coop:
-        gaps = sum_in_order(_gap(record, aid, avg_id)) / len(record)
+        gaps = sum_in_order(_gap(record.w(aid), record.w(avg_id))) / len(record)
         worst_gap = max([worst_gap, *gaps[MERGE_START_ITERATION - 1:].tolist()])
     return ClaimResult("merge", worst_gap < threshold, {
         "worst_mean_gap": worst_gap,
@@ -112,22 +122,13 @@ def verify_speedup(scenario):
     record = run(scenario)
 
     limits = convergence_iteration(record, avg_id, band)
-    convs = zip(*(convergence_iteration(record, aid, band) for aid in coop))
-    wins = sum(
-        all(conv is not None and conv < (math.inf if limit is None else limit)
-            for conv in run_convs)
-        for limit, run_convs in zip(limits, convs))
-    fraction = wins / len(record)
-    return ClaimResult("speedup", fraction >= PAIRED_PASS_FRACTION, {
-        "win_fraction": fraction,
-        "required": PAIRED_PASS_FRACTION,
-        "band": band,
-    })
+    wins = reduce(and_, (convergence_iteration(record, aid, band) < limits for aid in coop))
+    return _paired("speedup", wins, PAIRED_PASS_FRACTION, band=band)
 
 
 def merge_iteration(record, coop_ids):
     """Per run, the first iteration where all cooperative estimates agree
-    within DELAY_BAND_FRACTION of |w_opt|, or None.
+    within DELAY_BAND_FRACTION of |w_opt|, or iterations + 1.
 
     The runs are taken a group at a time, at most _MERGE_GROUP_VALUES weight
     components of one agent per group, which bounds the temporaries while
@@ -139,15 +140,12 @@ def merge_iteration(record, coop_ids):
     group = max(1, _MERGE_GROUP_VALUES // (record.iterations * len(record.w_opt)))
     merged = []
     for first in range(0, len(record), group):
-        runs = replace(record, ws=record.ws[first:first + group],
-                       es=record.es[first:first + group])
-        spread = np.maximum.reduce([_gap(runs, p, q)
+        runs = slice(first, first + group)
+        spread = np.maximum.reduce([_gap(record.w(p)[runs], record.w(q)[runs])
                                     for k, p in enumerate(coop_ids)
                                     for q in coop_ids[k + 1:]])
-        hit = spread < threshold
-        merged += [i + 1 if h else None
-                   for h, i in zip(hit.any(axis=1).tolist(), hit.argmax(axis=1).tolist())]
-    return merged
+        merged.append(first_iteration(spread < threshold, record.iterations + 1))
+    return np.concatenate(merged)
 
 
 def balanced_variant(scenario):
@@ -207,20 +205,13 @@ def verify_delay(scenario):
         raise ConfigError(
             "delay claim needs selfish trust; the scenario's cooperative "
             "rows are already balanced")
-    # a run that never merges counts as merging just after the horizon
-    horizon = scenario.iterations + 1
     record, twins = run_paired(scenario, balanced)
-    selfish_iters, balanced_iters = (
-        [horizon if it is None else it for it in merge_iteration(record, ids)]
-        for ids in (coop, [twins[aid] for aid in coop]))
-    wins = sum(s > b for s, b in zip(selfish_iters, balanced_iters))
-    fraction = wins / len(selfish_iters)
-    return ClaimResult("delay", fraction >= PAIRED_PASS_FRACTION, {
-        "win_fraction": fraction,
-        "required": PAIRED_PASS_FRACTION,
-        "median_selfish_merge": sorted(selfish_iters)[len(selfish_iters) // 2],
-        "median_balanced_merge": sorted(balanced_iters)[len(balanced_iters) // 2],
-    })
+    # a run that never merges counts as merging just after the horizon
+    selfish_iters, balanced_iters = (merge_iteration(record, ids)
+                                     for ids in (coop, [twins[aid] for aid in coop]))
+    return _paired("delay", selfish_iters > balanced_iters, PAIRED_PASS_FRACTION,
+                   median_selfish_merge=int(sorted(selfish_iters)[len(selfish_iters) // 2]),
+                   median_balanced_merge=int(sorted(balanced_iters)[len(balanced_iters) // 2]))
 
 
 def verify_stabilize(scenario):
@@ -241,15 +232,10 @@ def verify_stabilize(scenario):
     twin = twins[0]
     record = run(scenario)
 
-    wins = sum(coop < solo for coop, solo in zip(
-        steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id)))
-    fraction = wins / len(record)
-    return ClaimResult("stabilize", fraction >= STABILIZE_PASS_FRACTION, {
-        "win_fraction": fraction,
-        "required": STABILIZE_PASS_FRACTION,
-        "cooperative": noisy.id,
-        "twin": twin.id,
-    })
+    wins = [coop < solo for coop, solo in zip(
+        steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id))]
+    return _paired("stabilize", wins, STABILIZE_PASS_FRACTION,
+                   cooperative=noisy.id, twin=twin.id)
 
 
 _VERIFIERS = {"merge": verify_merge, "speedup": verify_speedup,

@@ -303,8 +303,13 @@ def _add_overrides(parser):
                              "override (trust.from.to=value)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one error line, not argparse's usage block and exit
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="dlms",
         description="Simulate networks of cooperating LMS adaptive filters.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -350,9 +355,9 @@ def main(argv=None):
     # stdout is UTF-8 like the files, whatever the locale; surrogateescape
     # writes undecodable bytes of argv paths back unchanged
     sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
-    parser = build_parser()
-    args = parser.parse_args(_join_values(sys.argv[1:] if argv is None else argv))
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_join_values(argv))
         code = args.func(args)
         sys.stdout.flush()  # a closed stdout fails here, not at exit
         return code

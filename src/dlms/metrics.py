@@ -198,41 +198,44 @@ class EnsembleSums:
         return EnsembleRecord(self.w_opt, self.agents, ws=self._mean(self.ws)[None], es=None)
 
 
+def first_iteration(hits, never):
+    """Per run, the first iteration whose ``hits`` [R, L] entry is True, or ``never``."""
+    import numpy as np
+
+    return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, never)
+
+
 def convergence_iteration(record, agent, band):
     """Per run, the smallest i such that |w(j) - w_opt| <= band for every j >= i.
 
-    A run's entry is None when its trajectory is not inside the band at the
-    horizon end (never converged, or left the band again).
+    A run's entry is iterations + 1 when its trajectory is not inside the band
+    at the horizon end (never converged, or left the band again).
     """
     if band <= 0:
         raise ConfigError(f"convergence band must be positive, got {band}")
-    outside = record.dist(agent) > band
-    last = record.iterations - 1
-    # index of the last iteration outside the band
-    violations = last - outside[:, ::-1].argmax(axis=1)
-    return [1 if not any_out else None if v == last else v + 2
-            for any_out, v in zip(outside.any(axis=1).tolist(), violations.tolist())]
+    length = record.iterations
+    # one past the last iteration outside the band, counted from the end
+    return length + 2 - first_iteration(record.dist(agent)[:, ::-1] > band, length + 1)
 
 
 def crossing_iteration(record, agent_p, agent_q):
     """Per run, the first iteration where the distance-to-optimum ordering of
     p and q flips.
 
-    Defined for scalar weights only. A run's entry is None if the agents
-    start tied or the initial ordering never reverses.
+    Defined for scalar weights only. A run's entry is iterations + 1 if the
+    agents start tied or the initial ordering never reverses.
     """
     if len(record.w_opt) != 1:
         raise ConfigError("crossing detection requires scalar weights (M=1)")
-    if record.iterations < 2:
-        return [None] * len(record)
     import numpy as np
 
+    if record.iterations < 2:  # argmax takes no empty axis
+        return np.full(len(record), record.iterations + 1)
     with np.errstate(invalid="ignore"):  # distances past overflow are inf
         diff = record.dist(agent_p) - record.dist(agent_q)
         # a tie at the start (0.0 * d) never counts as a flip
         flipped = diff[:, :1] * diff[:, 1:] < 0
-    return [k + 2 if hit else None for hit, k in
-            zip(flipped.any(axis=1).tolist(), flipped.argmax(axis=1).tolist())]
+    return 1 + first_iteration(flipped, record.iterations)
 
 
 def default_band(w0s, w_opt, fraction=CONVERGENCE_BAND_FRACTION):

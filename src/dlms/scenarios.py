@@ -430,15 +430,18 @@ def compute_report(scenario, sums):
     total = sums.steady_state_var
     # None when the horizon is too short for the steady-state window
     ss_var = {aid: None if total is None else total[aid] / sums.runs for aid in agents}
+
+    def found(iterations):  # None for "never", iterations + 1
+        return int(iterations[0]) if iterations[0] <= mean.iterations else None
     try:
         band = scenario_band(scenario)
-        conv = {aid: convergence_iteration(mean, aid, band)[0] for aid in agents}
+        conv = {aid: found(convergence_iteration(mean, aid, band)) for aid in agents}
     except ConfigError:
         conv = {aid: None for aid in agents}
     crossings = {}
     if len(scenario.w_opt) == 1:
         for i, p in enumerate(agents):
             for q in agents[i + 1:]:
-                crossings[(p, q)] = crossing_iteration(mean, p, q)[0]
+                crossings[(p, q)] = found(crossing_iteration(mean, p, q))
     return MetricsReport(msd=msd, steady_state_var=ss_var,
                          convergence_iter=conv, crossing_iter=crossings)

@@ -158,6 +158,32 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert f"cannot read config file {str(tmp_path)!r}: " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, error", [
+    (("verify", "table1", "bogus"), "dlms verify: argument claim: invalid choice: 'bogus'"),
+    (("run", "table1"), "dlms run: the following arguments are required: --out"),
+    ((), "dlms: the following arguments are required: command"),
+    (("frob",), "dlms: argument command: invalid choice: 'frob'"),
+    (("run", "table1", "--out", "x.csv", "--bogus", "1"),
+     "dlms: unrecognized arguments: --bogus 1"),
+    (("verify",), "dlms verify: the following arguments are required: scenario, claim"),
+], ids=["bad-claim", "no-out", "empty", "bad-command", "unknown-option", "no-scenario"])
+def test_a_malformed_command_line_is_one_error_line(tmp_path, monkeypatch, capsys, argv,
+                                                    error):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {error}") and len(err.splitlines()) == 1, err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("run", "--help")])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exited:
+        run_cli(*argv)
+    assert exited.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: dlms")
+
+
 @pytest.mark.parametrize("argv, w_opt", [
     (("--w-opt", "-1e3"), "-1e3"),
     (("--w-op", "-1e3"), "-1e3"),
@@ -766,6 +792,19 @@ class TestVerify:
                        "--iterations", "20", "--set", "a.w0=1e155") == 3
         assert capsys.readouterr().err.startswith(
             "error: divergence at run 0, iteration 1, agent a:")
+
+    @pytest.mark.parametrize("name, claim, overrides", [
+        ("table1", "merge", ()), ("table2", "speedup", ()),
+        ("table1", "delay", ("--set", "trust.a.a=0.9", "--set", "trust.a.b=0.1",
+                             "--set", "trust.b.b=0.9", "--set", "trust.b.a=0.1")),
+        ("table5", "stabilize", ())])
+    def test_claim_details_are_plain_python(self, name, claim, overrides):
+        from dlms.cli import apply_overrides, build_parser, load_scenario
+
+        args = build_parser().parse_args(["verify", name, claim, "--ensemble", "4",
+                                          "--iterations", "100", *overrides])
+        details = verify_claim(apply_overrides(load_scenario(name), args), claim).details
+        assert {type(v) for v in details.values()} <= {int, float, str}, details
 
     def test_merge_passes_on_table1(self):
         assert run_cli("verify", "table1", "merge", "--ensemble", "10") == 0

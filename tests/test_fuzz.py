@@ -1,12 +1,13 @@
 """Fuzz of the CLI's usage contract.
 
 Mutated configs (the serialized table1 and table5 builtins and the
-benchmark's long_horizon config) and mutated option values run through
-``cli.main`` in-process, each option in its one-item (``--flag=value``) or
-two-item (``--flag value``) form. Whatever the input, the exit code is 0, 1,
-2 or 3, no exception escapes (SystemExit included), and a usage error (exit
-2) is exactly one line on stderr. Whether an exit 3 is right is not checked
-here.
+benchmark's long_horizon config), mutated option values and mutated command
+shapes (an argv item dropped, a claim, option or subcommand that does not
+exist) run through ``cli.main`` in-process, each option in its one-item
+(``--flag=value``) or two-item (``--flag value``) form. Whatever the input,
+the exit code is 0, 1, 2 or 3, no exception escapes (SystemExit included),
+and a usage error (exit 2) is exactly one line on stderr. Whether an exit 3
+is right is not checked here.
 """
 
 from pathlib import Path
@@ -43,6 +44,9 @@ line_edits = st.one_of(st.just([]), st.lists(
 # each override as one argv item (--flag=value) or as two (--flag value)
 overrides = st.lists(st.tuples(st.sampled_from(FLAGS + SET_KEYS), st.sampled_from(VALUES),
                                st.booleans()), max_size=3)
+# half the examples keep the command's shape
+shapes = st.one_of(st.just(None), st.tuples(
+    st.sampled_from(("drop", "claim", "option", "subcommand")), st.integers(0, 30)))
 
 
 def mutate(text, edits):
@@ -65,6 +69,23 @@ def mutate(text, edits):
     return "\n".join(lines) + "\n"
 
 
+def reshape(argv, shape):
+    """``argv`` with one item dropped, its claim or subcommand replaced by one
+    that does not exist, or an unknown option put in, as ``shape`` picks."""
+    if shape is None:
+        return argv
+    kind, index = shape
+    if kind == "drop":
+        i = index % len(argv)
+        return argv[:i] + argv[i + 1:]
+    if kind == "claim":
+        return ["verify", argv[1], "bogus", *argv[2 + (argv[0] == "verify"):]]
+    if kind == "option":
+        i = index % (len(argv) + 1)
+        return argv[:i] + ["--bogus"] + argv[i:]
+    return ["frob", *argv[1:]]
+
+
 def option(key, value, joined):
     """The argv items of one override: ``--flag=value`` or ``--flag value``,
     ``--set=key=value`` or ``--set key=value``."""
@@ -72,13 +93,13 @@ def option(key, value, joined):
     return [f"{flag}={value}"] if joined else [flag, value]
 
 
-@settings(max_examples=150, derandomize=True, deadline=None,
+@settings(max_examples=300, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture,
                                  HealthCheck.too_slow])
 @given(base=st.sampled_from(BASES), edits=line_edits, command=st.sampled_from(COMMANDS),
-       items=overrides)
+       items=overrides, shape=shapes)
 def test_any_config_or_override_keeps_the_exit_contract(tmp_path, capsys, base, edits,
-                                                        command, items):
+                                                        command, items, shape):
     config = tmp_path / "fuzz.cfg"
     config.write_text(mutate(base, edits), encoding="utf-8")
     verb, *claim = command
@@ -86,6 +107,7 @@ def test_any_config_or_override_keeps_the_exit_contract(tmp_path, capsys, base, 
             *(item for override in items for item in option(*override))]
     if verb == "run":
         argv += ["--out", str(tmp_path / "fuzz.csv")]
+    argv = reshape(argv, shape)
     capsys.readouterr()
     try:
         code = main(argv)

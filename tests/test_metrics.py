@@ -1,10 +1,13 @@
 import math
 import sys
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from dlms.claims import DELAY_BAND_FRACTION, merge_iteration
 from dlms.errors import ConfigError
 from dlms.metrics import (
     EnsembleRecord,
@@ -12,11 +15,14 @@ from dlms.metrics import (
     convergence_iteration,
     crossing_iteration,
     default_band,
+    first_iteration,
     square,
     steady_state_variance,
     sum_in_order,
 )
-from dlms.scenarios import run
+from dlms.network import TrustMatrix
+from dlms.scenarios import AgentConfig, Scenario, compute_report, run, scenario_band
+from dlms.signals import GaussianParams
 from oracle import RandomStream, weighted_sum_variance
 from strategies import dense_trio_with_twins
 
@@ -164,7 +170,7 @@ class TestConvergenceIteration:
 
     def test_never(self):
         rec = _record({"a": [0.0, 0.5, 1.0]})
-        assert convergence_iteration(rec, "a", 0.1)[0] is None
+        assert convergence_iteration(rec, "a", 0.1)[0] == 4
 
     def test_reentry(self):
         # inside at 10, out at 12, inside for good at 30
@@ -182,11 +188,11 @@ class TestConvergenceIteration:
 class TestCrossingIteration:
     def test_identical_trajectories(self):
         rec = _record({"p": [0.0, 1.0], "q": [0.0, 1.0]})
-        assert crossing_iteration(rec, "p", "q")[0] is None
+        assert crossing_iteration(rec, "p", "q")[0] == 3
 
     def test_order_preserved(self):
         rec = _record({"p": [1.9, 1.95], "q": [0.0, 0.5]})
-        assert crossing_iteration(rec, "p", "q")[0] is None
+        assert crossing_iteration(rec, "p", "q")[0] == 3
 
     def test_crossing_at_five(self):
         p = [0.0, 0.4, 0.8, 1.2, 1.8, 1.9]
@@ -198,6 +204,103 @@ class TestCrossingIteration:
         rec = _record({"p": [[0.0, 0.0]], "q": [[1.0, 1.0]]}, w_opt=(1.0, 1.0))
         with pytest.raises(ConfigError):
             crossing_iteration(rec, "p", "q")
+
+
+# Around w_opt = 2.0: inside and outside the convergence band (0.2 for agents
+# that start at 0.0) and the merge band (0.02), ties, and NaN distances.
+DETECTOR_VALUES = (2.0, 2.005, 2.1, 1.85, 2.2, 1.0, 0.0, 3.5, math.nan)
+
+
+@st.composite
+def detector_records(draw):
+    """A record of 1-4 runs of agents p, q and r over 1-30 iterations; each
+    trajectory takes its values from DETECTOR_VALUES, or stays at one of them
+    (all inside or all outside a band)."""
+    length = draw(st.integers(1, 30))
+    trajectory = st.one_of(
+        st.lists(st.sampled_from(DETECTOR_VALUES), min_size=length, max_size=length),
+        st.sampled_from(DETECTOR_VALUES).map(lambda v: [v] * length))
+    runs = draw(st.lists(st.fixed_dictionaries({a: trajectory for a in "pqr"}),
+                         min_size=1, max_size=4))
+    return _record(*runs)
+
+
+def first_hit(hits, never):
+    return next((i + 1 for i, hit in enumerate(hits) if hit), never)
+
+
+def converged_at(dist, band):
+    """The smallest i, 1 to len(dist) + 1, with no distance from i on outside the band."""
+    return next(i + 1 for i in range(len(dist) + 1) if not any(d > band for d in dist[i:]))
+
+
+def crossed_at(dp, dq):
+    return next((i + 1 for i in range(1, len(dp)) if (dp[0] - dq[0]) * (dp[i] - dq[i]) < 0),
+                len(dp) + 1)
+
+
+def merged_at(ws, threshold):
+    """The first iteration where every pair of the trajectories ``ws`` is closer
+    than ``threshold``."""
+    return next((i + 1 for i in range(len(ws[0]))
+                 if all(math.sqrt((a[i] - b[i]) * (a[i] - b[i])) < threshold
+                        for a, b in combinations(ws, 2))), len(ws[0]) + 1)
+
+
+class TestDetectorsAgainstScans:
+    """Every detector against a scan in plain Python, "never" as iterations + 1."""
+
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+        st.lists(st.booleans(), min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_first_iteration(self, rows):
+        never = len(rows[0]) + 1
+        assert first_iteration(np.array(rows), never).tolist() == \
+            [first_hit(row, never) for row in rows]
+
+    @settings(deadline=None)
+    @given(detector_records(), st.integers(1, 40))
+    def test_detectors(self, record, group_values):
+        band = 0.2
+        for aid in "pqr":
+            assert convergence_iteration(record, aid, band).tolist() == \
+                [converged_at(d, band) for d in record.dist(aid).tolist()]
+        for p, q in combinations("pqr", 2):
+            assert crossing_iteration(record, p, q).tolist() == \
+                [crossed_at(dp, dq) for dp, dq in
+                 zip(record.dist(p).tolist(), record.dist(q).tolist())]
+        threshold = DELAY_BAND_FRACTION * 2.0
+        # groups as small as one run
+        with mock.patch("dlms.claims._MERGE_GROUP_VALUES", group_values):
+            for ids in (["p", "q"], ["p", "q", "r"]):
+                assert merge_iteration(record, ids).tolist() == \
+                    [merged_at([record.w(aid)[r, :, 0].tolist() for aid in ids], threshold)
+                     for r in range(len(record))]
+
+    @settings(deadline=None)
+    @given(detector_records())
+    def test_report_maps_never_to_none(self, record):
+        agents = tuple(AgentConfig(aid, "standalone", mu=0.1, w0=(0.0,),
+                                   input=GaussianParams(0.0, 1.0),
+                                   noise=GaussianParams(0.0, 0.1)) for aid in "pqr")
+        scenario = Scenario(agents=agents, trust=TrustMatrix.identity(3),
+                            iterations=record.iterations, ensemble=len(record))
+        sums = EnsembleSums().add(record)
+        report = compute_report(scenario, sums)
+        mean = sums.mean()
+        never = record.iterations + 1
+
+        def expected(iteration):
+            return None if iteration == never else iteration
+
+        band = scenario_band(scenario)
+        assert band == 0.2
+        assert report.convergence_iter == {
+            aid: expected(converged_at(mean.dist(aid)[0].tolist(), band)) for aid in "pqr"}
+        assert report.crossing_iter == {
+            (p, q): expected(crossed_at(mean.dist(p)[0].tolist(), mean.dist(q)[0].tolist()))
+            for p, q in combinations("pqr", 2)}
+        values = [*report.convergence_iter.values(), *report.crossing_iter.values()]
+        assert {type(v) for v in values} <= {int, type(None)}
 
 
 class TestWeightedSumVariance:
