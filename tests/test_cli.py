@@ -147,6 +147,78 @@ def test_metrics_csv_has_convergence_iters(tmp_path):
         assert conv[aid] != ""
 
 
+# Adaptive agents listed out of id order, b before a, then an averaging agent
+# A whose id sorts before both.
+_UNSORTED = """\
+[network]
+iterations = {iterations}
+ensemble = 2
+
+[agent]
+id = b
+mu = 0.5
+w0 = {w0_b}
+input_sd = 0.09
+noise_sd = 0.03
+
+[agent]
+id = a
+mu = 0.2
+w0 = {w0_a}
+input_sd = 0.09
+noise_sd = 0.03
+
+[agent]
+id = A
+kind = averaging
+sources = b a
+
+[trust]
+b b 0.5
+b a 0.5
+a a 0.5
+a b 0.5
+"""
+
+
+@pytest.mark.parametrize("iterations, w0_b, w0_a, expected", [
+    # 5 iterations leave no steady-state window, and nothing converges; each
+    # crossing pair is named in agent order, then the pairs are sorted
+    (5, 1, 0, """\
+steady_state_var,A,,
+steady_state_var,a,,
+steady_state_var,b,,
+convergence_iter,A,,
+convergence_iter,a,,
+convergence_iter,b,,
+crossing_iter,a:A,,4
+crossing_iter,b:A,,4
+crossing_iter,b:a,,4
+"""),
+    # both start at w_opt: the convergence band is undefined
+    (10, 2, 2, """\
+steady_state_var,A,,2.174007167966554e-08
+steady_state_var,a,,2.800450236462634e-07
+steady_state_var,b,,4.951627377473205e-07
+convergence_iter,A,,
+convergence_iter,a,,
+convergence_iter,b,,
+crossing_iter,a:A,,6
+crossing_iter,b:A,,10
+crossing_iter,b:a,,6
+"""),
+], ids=["unsorted_agents", "undefined_band"])
+def test_metrics_csv_rows_after_the_msd(tmp_path, iterations, w0_b, w0_a, expected):
+    cfg, out = tmp_path / "edge.cfg", tmp_path / "edge.csv"
+    cfg.write_text(_UNSORTED.format(iterations=iterations, w0_b=w0_b, w0_a=w0_a))
+    assert run_cli("run", str(cfg), "--out", str(out)) == 0
+    lines = metrics_path(out).read_bytes().decode().split("\r\n")
+    assert lines[0] == "metric,agent,iteration,value"
+    assert [line.split(",")[:3] for line in lines[1:1 + 3 * iterations]] == \
+        [["msd", aid, str(i)] for aid in ("A", "a", "b") for i in range(1, iterations + 1)]
+    assert "\n".join(lines[1 + 3 * iterations:]) == expected
+
+
 def test_missing_config_file_is_usage_error(tmp_path, capsys):
     # the argument is quoted with repr, so a line break in it stays on one line
     assert run_cli("run", "missing.cfg", "--out", str(tmp_path / "x.csv")) == 2
