@@ -2,7 +2,7 @@
 using the combine-then-adapt diffusion strategy."""
 
 from .errors import ConfigError, DivergenceError, ParseError
-from .metrics import EnsembleRecord, MetricsReport
+from .metrics import EnsembleRecord
 from .network import TrustMatrix
 from .scenarios import AgentConfig, Scenario, builtin, parse, run, serialize
 from .signals import GaussianParams
@@ -13,7 +13,6 @@ __all__ = [
     "DivergenceError",
     "EnsembleRecord",
     "GaussianParams",
-    "MetricsReport",
     "ParseError",
     "Scenario",
     "TrustMatrix",

@@ -181,25 +181,11 @@ def error_path(out):
 
 
 def write_metrics(path, scenario, sums):
-    report = compute_report(scenario, sums)
+    rows = compute_report(scenario, sums)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["metric", "agent", "iteration", "value"])
-        for aid in sorted(report.msd):
-            for i, v in enumerate(report.msd[aid]):
-                writer.writerow(["msd", aid, i + 1, repr(float(v))])
-        for aid in sorted(report.steady_state_var):
-            var = report.steady_state_var[aid]
-            writer.writerow(["steady_state_var", aid, "",
-                             "" if var is None else repr(float(var))])
-        for aid in sorted(report.convergence_iter):
-            conv = report.convergence_iter[aid]
-            writer.writerow(["convergence_iter", aid, "",
-                             "" if conv is None else conv])
-        for (p, q) in sorted(report.crossing_iter):
-            cross = report.crossing_iter[(p, q)]
-            writer.writerow(["crossing_iter", f"{p}:{q}", "",
-                             "" if cross is None else cross])
+        writer.writerows(rows)
 
 
 def _remove_stale(out, written):

@@ -119,16 +119,6 @@ class EnsembleRecord:
         return np.sqrt(self.sq_dist[:, :, self.agents.index(agent)])
 
 
-@dataclass
-class MetricsReport:
-    """Summary metrics for an ensemble of runs of one scenario."""
-
-    msd: dict
-    steady_state_var: dict
-    convergence_iter: dict
-    crossing_iter: dict
-
-
 def steady_state_variance(record, agent):
     """Sample variance of the estimate over the final STEADY_STATE_WINDOW of
     the horizon, one value per run.

@@ -9,9 +9,10 @@ import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
+from itertools import combinations
 
 from .errors import ConfigError, ParseError
-from .metrics import MetricsReport, convergence_iteration, crossing_iteration, default_band
+from .metrics import convergence_iteration, crossing_iteration, default_band
 from .network import TrustMatrix
 from .signals import GaussianParams
 
@@ -418,30 +419,34 @@ def scenario_band(scenario):
 
 
 def compute_report(scenario, sums):
-    """MetricsReport over an ensemble from its EnsembleSums: the records of its
-    runs added to them in run order, all at once or in groups.
+    """The metrics CSV's rows ``[metric, agent, iteration, value]`` over an
+    ensemble, from its EnsembleSums: the records of its runs added to them in
+    run order, all at once or in groups.
 
-    Convergence and crossing detection run on the ensemble-mean trajectory;
-    steady-state variance is the mean of the per-run variances.
+    The MSD rows come first, by agent id and then iteration; then by agent id
+    the steady-state variance, the mean of the per-run variances, and the
+    convergence iteration; then, for scalar weights only, the crossing
+    iteration of each pair, named in record order and sorted. Convergence and
+    crossing detection run on the ensemble-mean trajectory. A value is "" for
+    "never", for an undefined band and for a horizon too short for the
+    steady-state window.
     """
     mean = sums.mean()
-    agents = sums.agents
-    msd = {aid: sums.msd(aid) for aid in agents}
+    ids = sorted(sums.agents)
     total = sums.steady_state_var
-    # None when the horizon is too short for the steady-state window
-    ss_var = {aid: None if total is None else total[aid] / sums.runs for aid in agents}
+    rows = [["msd", aid, i, v] for aid in ids for i, v in enumerate(sums.msd(aid), 1)]
+    rows += [["steady_state_var", aid, "", "" if total is None else total[aid] / sums.runs]
+             for aid in ids]
 
-    def found(iterations):  # None for "never", iterations + 1
-        return int(iterations[0]) if iterations[0] <= mean.iterations else None
+    def found(iterations):  # "" for "never", iterations + 1
+        return int(iterations[0]) if iterations[0] <= mean.iterations else ""
     try:
         band = scenario_band(scenario)
-        conv = {aid: found(convergence_iteration(mean, aid, band)) for aid in agents}
+        conv = [found(convergence_iteration(mean, aid, band)) for aid in ids]
     except ConfigError:
-        conv = {aid: None for aid in agents}
-    crossings = {}
+        conv = [""] * len(ids)
+    rows += [["convergence_iter", aid, "", c] for aid, c in zip(ids, conv)]
     if len(scenario.w_opt) == 1:
-        for i, p in enumerate(agents):
-            for q in agents[i + 1:]:
-                crossings[(p, q)] = found(crossing_iteration(mean, p, q))
-    return MetricsReport(msd=msd, steady_state_var=ss_var,
-                         convergence_iter=conv, crossing_iter=crossings)
+        rows += [["crossing_iter", f"{p}:{q}", "", found(crossing_iteration(mean, p, q))]
+                 for p, q in sorted(combinations(sums.agents, 2))]
+    return rows

@@ -278,29 +278,31 @@ class TestDetectorsAgainstScans:
 
     @settings(deadline=None)
     @given(detector_records())
-    def test_report_maps_never_to_none(self, record):
+    def test_report_writes_never_as_empty(self, record):
         agents = tuple(AgentConfig(aid, "standalone", mu=0.1, w0=(0.0,),
                                    input=GaussianParams(0.0, 1.0),
                                    noise=GaussianParams(0.0, 0.1)) for aid in "pqr")
         scenario = Scenario(agents=agents, trust=TrustMatrix.identity(3),
                             iterations=record.iterations, ensemble=len(record))
         sums = EnsembleSums().add(record)
-        report = compute_report(scenario, sums)
+        rows = compute_report(scenario, sums)
         mean = sums.mean()
         never = record.iterations + 1
 
         def expected(iteration):
-            return None if iteration == never else iteration
+            return "" if iteration == never else iteration
 
         band = scenario_band(scenario)
         assert band == 0.2
-        assert report.convergence_iter == {
-            aid: expected(converged_at(mean.dist(aid)[0].tolist(), band)) for aid in "pqr"}
-        assert report.crossing_iter == {
-            (p, q): expected(crossed_at(mean.dist(p)[0].tolist(), mean.dist(q)[0].tolist()))
-            for p, q in combinations("pqr", 2)}
-        values = [*report.convergence_iter.values(), *report.crossing_iter.values()]
-        assert {type(v) for v in values} <= {int, type(None)}
+        assert [row for row in rows if row[0] == "convergence_iter"] == [
+            ["convergence_iter", aid, "", expected(converged_at(mean.dist(aid)[0].tolist(), band))]
+            for aid in "pqr"]
+        assert [row for row in rows if row[0] == "crossing_iter"] == [
+            ["crossing_iter", f"{p}:{q}", "",
+             expected(crossed_at(mean.dist(p)[0].tolist(), mean.dist(q)[0].tolist()))]
+            for p, q in combinations("pqr", 2)]
+        values = [row[3] for row in rows if row[0] in ("convergence_iter", "crossing_iter")]
+        assert {type(v) for v in values} <= {int, str}
 
 
 class TestWeightedSumVariance:

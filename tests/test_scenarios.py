@@ -294,11 +294,12 @@ class TestRun:
 class TestReport:
     def test_compute_report_fields(self):
         s = small(builtin("table2"), iterations=100, ensemble=4)
-        report = compute_report(s, EnsembleSums().add(run(s)))
-        assert set(report.msd) == {"a", "b", "c", "d", "e"}
-        assert all(len(v) == 100 for v in report.msd.values())
-        assert all(v >= 0 for series in report.msd.values() for v in series)
-        assert ("a", "b") in report.crossing_iter
+        rows = compute_report(s, EnsembleSums().add(run(s)))
+        msd = [row for row in rows if row[0] == "msd"]
+        assert [(aid, i) for _, aid, i, _ in msd] == \
+            [(aid, i) for aid in "abcde" for i in range(1, 101)]
+        assert all(v >= 0 for *_, v in msd)
+        assert [row[1] for row in rows if row[0] == "crossing_iter"][0] == "a:b"
 
 
 def test_run_single_seeding_is_documented_mix():
