@@ -200,6 +200,22 @@ class TestCrossingIteration:
         rec = _record({"p": p, "q": q})
         assert crossing_iteration(rec, "p", "q")[0] == 5
 
+    # distances to w_opt = 2.0
+    @pytest.mark.parametrize("p, q, expected", [
+        ([0.0], [1.0], 2),
+        ([0.0, 1.9], [1.0, 1.0], 2),
+        ([1.0, 0.0, 1.9], [3.0, 1.0, 1.0], 4),
+        ([math.inf, 3.0, 1.9], [1.0, 1.0, 1.0], 3),
+        ([math.inf, 1.9], [-math.inf, 1.0], 3),
+    ], ids=["one_iteration", "flip_at_two", "tie_at_one", "inf_at_one", "nan_diff_at_one"])
+    def test_short_horizons_and_start_values(self, p, q, expected):
+        """One or two iterations; a tie at the start never flips; from an
+        infinite distance at the start, the first iteration closer than q
+        flips (inf * 0.0 at a tie is NaN, not a flip); both infinite at the
+        start is a NaN difference, which never flips."""
+        rec = _record({"p": p, "q": q})
+        assert crossing_iteration(rec, "p", "q").tolist() == [expected]
+
     def test_vector_weights_rejected(self):
         rec = _record({"p": [[0.0, 0.0]], "q": [[1.0, 1.0]]}, w_opt=(1.0, 1.0))
         with pytest.raises(ConfigError):
