@@ -8,6 +8,7 @@ speedup, selfish-trust delay, and noise stabilization.
 import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from itertools import combinations
 from operator import and_
 
 from .errors import ConfigError, DivergenceError
@@ -32,8 +33,6 @@ MERGE_BAND_FRACTION = 0.05
 DELAY_BAND_FRACTION = 0.01
 PAIRED_PASS_FRACTION = 0.90
 STABILIZE_PASS_FRACTION = 0.95
-# Weight components of one agent that merge_iteration takes per group of runs.
-_MERGE_GROUP_VALUES = 1 << 13
 
 
 @dataclass
@@ -70,12 +69,15 @@ def _single_averaging_id(scenario):
     return ids[0]
 
 
-def _gap(w_p, w_q):
-    """Distance |w_p - w_q| between two agents' estimates per run and iteration."""
+def _gaps(record, pairs):
+    """Per run, one run at a time, the distances |w_p - w_q| [P, L] between
+    the estimates of each pair (p, q) of agents."""
     import numpy as np
 
-    d = w_p - w_q
-    return np.sqrt(sum_in_order(d * d, axis=-1))
+    p, q = (np.array([record.agents.index(aid) for aid in ids]) for ids in zip(*pairs))
+    for w in record.ws.transpose(0, 3, 2, 1):  # [M, A, L]
+        d = w[:, p] - w[:, q]
+        yield np.sqrt(sum_in_order(d * d))
 
 
 def verify_merge(scenario):
@@ -101,10 +103,8 @@ def verify_merge(scenario):
                           f"got {scenario.iterations}")
     record = run(scenario)
 
-    worst_gap = 0.0
-    for aid in coop:
-        gaps = sum_in_order(_gap(record.w(aid), record.w(avg_id))) / len(record)
-        worst_gap = max([worst_gap, *gaps[MERGE_START_ITERATION - 1:].tolist()])
+    gaps = sum_in_order(_gaps(record, [(aid, avg_id) for aid in coop])) / len(record)
+    worst_gap = max([0.0, *gaps[:, MERGE_START_ITERATION - 1:].ravel().tolist()])
     return ClaimResult("merge", worst_gap < threshold, {
         "worst_mean_gap": worst_gap,
         "threshold": threshold,
@@ -128,24 +128,13 @@ def verify_speedup(scenario):
 
 def merge_iteration(record, coop_ids):
     """Per run, the first iteration where all cooperative estimates agree
-    within DELAY_BAND_FRACTION of |w_opt|, or iterations + 1.
-
-    The runs are taken a group at a time, at most _MERGE_GROUP_VALUES weight
-    components of one agent per group, which bounds the temporaries while
-    keeping the numpy calls per run few.
-    """
+    within DELAY_BAND_FRACTION of |w_opt|, or iterations + 1."""
     import numpy as np
 
     threshold = DELAY_BAND_FRACTION * math.sqrt(sum_in_order(x * x for x in record.w_opt))
-    group = max(1, _MERGE_GROUP_VALUES // (record.iterations * len(record.w_opt)))
-    merged = []
-    for first in range(0, len(record), group):
-        runs = slice(first, first + group)
-        spread = np.maximum.reduce([_gap(record.w(p)[runs], record.w(q)[runs])
-                                    for k, p in enumerate(coop_ids)
-                                    for q in coop_ids[k + 1:]])
-        merged.append(first_iteration(spread < threshold, record.iterations + 1))
-    return np.concatenate(merged)
+    pairs = combinations(coop_ids, 2)
+    merged = np.array([gaps.max(axis=0) < threshold for gaps in _gaps(record, pairs)])
+    return first_iteration(merged, record.iterations + 1)
 
 
 def balanced_variant(scenario):

@@ -219,13 +219,11 @@ def crossing_iteration(record, agent_p, agent_q):
         raise ConfigError("crossing detection requires scalar weights (M=1)")
     import numpy as np
 
-    if record.iterations < 2:  # argmax takes no empty axis
-        return np.full(len(record), record.iterations + 1)
     with np.errstate(invalid="ignore"):  # distances past overflow are inf
         diff = record.dist(agent_p) - record.dist(agent_q)
-        # a tie at the start (0.0 * d) never counts as a flip
-        flipped = diff[:, :1] * diff[:, 1:] < 0
-    return 1 + first_iteration(flipped, record.iterations)
+        # neither d0 * d0 at the start nor a tie there (0.0 * d) counts as a flip
+        flipped = diff[:, :1] * diff < 0
+    return first_iteration(flipped, record.iterations + 1)
 
 
 def default_band(w0s, w_opt, fraction=CONVERGENCE_BAND_FRACTION):

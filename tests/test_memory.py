@@ -4,9 +4,9 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 15.43 MB, 9.40 MB,
-10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 5.12 MB, 1.27 MB, 2.24 MB, 4.01 MB,
-12.35 MB, 0.77 MB and 0.27 MB. The writer's 1.27 MB and the last two are
-transients above records that are already held.
+9.40 MB, 10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 5.12 MB, 1.27 MB, 2.24 MB,
+3.97 MB, 12.35 MB, 0.77 MB and 0.22 MB. The writer's 1.27 MB and the last
+two are transients above records that are already held.
 """
 
 import dataclasses
@@ -16,7 +16,13 @@ import pytest
 
 import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
-from dlms.claims import balanced_variant, merge_iteration, run_paired, verify_delay
+from dlms.claims import (
+    balanced_variant,
+    merge_iteration,
+    run_paired,
+    verify_delay,
+    verify_merge,
+)
 from dlms.cli import main, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums, steady_state_variance
@@ -45,6 +51,14 @@ def test_verify_delay_peak():
     averaging agent: no room for the balanced network's averaging agent
     beside it."""
     assert _traced_peak(verify_delay, _selfish_table1()) <= 16.5 * MB
+
+
+def test_verify_merge_peak():
+    """table1's 100 x 1000 simulation, then the merge claim's gaps one run at
+    a time, below the simulation's own peak. Three temporaries the size of
+    one agent's trajectories of every run, the gaps of all runs at once,
+    peaked at 10.41 MB."""
+    assert _traced_peak(verify_merge, builtin("table1")) <= 10 * MB
 
 
 def test_run_table1_peak():
@@ -150,7 +164,7 @@ def test_steady_state_variance_transient(long_horizon):
 
 def test_merge_iteration_transient():
     """The delay claim's merge detection on both networks of its 100 x 1000
-    paired record, a group of runs at a time."""
+    paired record, one run at a time."""
     selfish = _selfish_table1()
     record, twins = run_paired(selfish, balanced_variant(selfish))
     assert _traced_peak(lambda: [merge_iteration(record, ids) for ids in

@@ -1,7 +1,6 @@
 import math
 import sys
 from itertools import combinations
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -274,8 +273,8 @@ class TestDetectorsAgainstScans:
             [first_hit(row, never) for row in rows]
 
     @settings(deadline=None)
-    @given(detector_records(), st.integers(1, 40))
-    def test_detectors(self, record, group_values):
+    @given(detector_records())
+    def test_detectors(self, record):
         band = 0.2
         for aid in "pqr":
             assert convergence_iteration(record, aid, band).tolist() == \
@@ -285,12 +284,10 @@ class TestDetectorsAgainstScans:
                 [crossed_at(dp, dq) for dp, dq in
                  zip(record.dist(p).tolist(), record.dist(q).tolist())]
         threshold = DELAY_BAND_FRACTION * 2.0
-        # groups as small as one run
-        with mock.patch("dlms.claims._MERGE_GROUP_VALUES", group_values):
-            for ids in (["p", "q"], ["p", "q", "r"]):
-                assert merge_iteration(record, ids).tolist() == \
-                    [merged_at([record.w(aid)[r, :, 0].tolist() for aid in ids], threshold)
-                     for r in range(len(record))]
+        for ids in (["p", "q"], ["p", "q", "r"]):
+            assert merge_iteration(record, ids).tolist() == \
+                [merged_at([record.w(aid)[r, :, 0].tolist() for aid in ids], threshold)
+                 for r in range(len(record))]
 
     @settings(deadline=None)
     @given(detector_records())
