@@ -13,20 +13,15 @@ from operator import and_
 
 from .errors import ConfigError, DivergenceError
 from .metrics import (
+    EnsembleRecord,
     convergence_iteration,
     default_band,
     first_iteration,
+    steady_state_start,
     steady_state_variance,
     sum_in_order,
 )
-from .scenarios import (
-    AVERAGING,
-    COOPERATIVE,
-    STANDALONE,
-    run,
-    scenario_band,
-    with_trust,
-)
+from .scenarios import AVERAGING, COOPERATIVE, STANDALONE, scenario_band, with_trust
 
 MERGE_START_ITERATION = 10
 MERGE_BAND_FRACTION = 0.05
@@ -69,15 +64,22 @@ def _single_averaging_id(scenario):
     return ids[0]
 
 
+def _blocks(scenario):
+    """The scenario's ensemble a block of iterations at a time (engine.blocks)."""
+    from .engine import blocks  # numpy loads with the first run, not at import
+
+    return blocks(scenario)
+
+
 def _gaps(record, pairs):
-    """Per run, one run at a time, the distances |w_p - w_q| [P, L] between
-    the estimates of each pair (p, q) of agents."""
+    """The distances |w_p - w_q| [R, P, L] between the estimates of each pair
+    (p, q) of agents."""
     import numpy as np
 
     p, q = (np.array([record.agents.index(aid) for aid in ids]) for ids in zip(*pairs))
-    for w in record.ws.transpose(0, 3, 2, 1):  # [M, A, L]
-        d = w[:, p] - w[:, q]
-        yield np.sqrt(sum_in_order(d * d))
+    w = record.ws.transpose(3, 0, 2, 1)  # [M, R, A, L]
+    d = w[:, :, p] - w[:, :, q]
+    return np.sqrt(sum_in_order(d * d))
 
 
 def verify_merge(scenario):
@@ -101,10 +103,12 @@ def verify_merge(scenario):
     if scenario.iterations < MERGE_START_ITERATION:
         raise ConfigError(f"merge claim needs iterations >= {MERGE_START_ITERATION}, "
                           f"got {scenario.iterations}")
-    record = run(scenario)
-
-    gaps = sum_in_order(_gaps(record, [(aid, avg_id) for aid in coop])) / len(record)
-    worst_gap = max([0.0, *gaps[:, MERGE_START_ITERATION - 1:].ravel().tolist()])
+    pairs = [(aid, avg_id) for aid in coop]
+    worst_gap = 0.0  # a nan gap never wins Python's max against a number
+    for start, block in _blocks(scenario):
+        gaps = sum_in_order(_gaps(block, pairs)) / len(block)  # [P, B], in run order
+        late = gaps[:, max(0, MERGE_START_ITERATION - 1 - start):]
+        worst_gap = max([worst_gap, *late.ravel().tolist()])
     return ClaimResult("merge", worst_gap < threshold, {
         "worst_mean_gap": worst_gap,
         "threshold": threshold,
@@ -119,22 +123,30 @@ def verify_speedup(scenario):
         raise ConfigError("speedup claim needs heterogeneous learning rates")
     avg_id = _single_averaging_id(scenario)
     band = scenario_band(scenario)
-    record = run(scenario)
+    import numpy as np
 
-    limits = convergence_iteration(record, avg_id, band)
-    wins = reduce(and_, (convergence_iteration(record, aid, band) < limits for aid in coop))
+    conv = dict.fromkeys([avg_id, *coop], 0)
+    for start, block in _blocks(scenario):
+        conv = {aid: np.maximum(last, convergence_iteration(block, aid, band, start))
+                for aid, last in conv.items()}
+    limits = conv.pop(avg_id)
+    wins = reduce(and_, (iterations < limits for iterations in conv.values()))
     return _paired("speedup", wins, PAIRED_PASS_FRACTION, band=band)
 
 
-def merge_iteration(record, coop_ids):
+def merge_iteration(record, coop_ids, start=0, never=None):
     """Per run, the first iteration where all cooperative estimates agree
-    within DELAY_BAND_FRACTION of |w_opt|, or iterations + 1."""
-    import numpy as np
+    within DELAY_BAND_FRACTION of |w_opt|, or ``never``, by default one past
+    the record's last iteration.
 
+    The record holds the iterations from start + 1 on, so the minimum over
+    consecutive records, each given the horizon's ``never``, is the whole
+    horizon's.
+    """
     threshold = DELAY_BAND_FRACTION * math.sqrt(sum_in_order(x * x for x in record.w_opt))
-    pairs = combinations(coop_ids, 2)
-    merged = np.array([gaps.max(axis=0) < threshold for gaps in _gaps(record, pairs)])
-    return first_iteration(merged, record.iterations + 1)
+    merged = _gaps(record, combinations(coop_ids, 2)).max(axis=1) < threshold
+    never = start + record.iterations + 1 if never is None else never
+    return start + first_iteration(merged, never - start)
 
 
 def balanced_variant(scenario):
@@ -153,13 +165,12 @@ def balanced_variant(scenario):
     return with_trust(scenario, rows)
 
 
-def run_paired(scenario, other):
-    """Run ``scenario`` and ``other`` (its agents and network, other trust) as
-    one scenario on one draw of the signals: twins of ``other``'s adaptive
+def pair(scenario, other):
+    """``scenario`` and ``other`` (its agents and network, other trust) as one
+    scenario, on one draw of the signals: twins of ``other``'s adaptive
     agents follow every original, with their stream owners as counterparts
     and ``other``'s trust rows padded with zeros, so they are bit for bit
-    ``run(other)``'s agents. Returns the record and the twins' ids by agent
-    id; on divergence, raises what separate runs raise, ``scenario``'s first."""
+    ``other``'s agents. Returns it and the twins' ids by agent id."""
     tick = "'" * max(len(cfg.id) for cfg in scenario.agents)  # no id is taken
     adaptive = other.adaptive_agents()
     twins = {cfg.id: cfg.id + tick for cfg in adaptive}
@@ -167,13 +178,22 @@ def run_paired(scenario, other):
               for cfg in adaptive]
     pad = (0.0,) * len(adaptive)
     rows = [row + pad for row in scenario.trust.rows] + [pad + row for row in other.trust.rows]
+    return replace(scenario, agents=(*scenario.agents, *agents),
+                   trust=replace(scenario.trust, rows=rows)), twins
+
+
+def run_paired(scenario, other, fold):
+    """``fold(blocks, twins)`` over the blocks of ``scenario`` and ``other``
+    run as one scenario (see ``pair``); on divergence, raises what separate
+    runs raise, ``scenario``'s first."""
+    joint, twins = pair(scenario, other)
     try:
-        return run(replace(scenario, agents=(*scenario.agents, *agents),
-                           trust=replace(scenario.trust, rows=rows))), twins
+        return fold(_blocks(joint), twins)
     except DivergenceError as exc:  # it may name a twin
         error = exc
-    run(scenario)  # separate runs, in order, raise their first error, unchained
-    run(other)
+    for separate in (scenario, other):  # in order, raise their first error, unchained
+        for _ in _blocks(separate):
+            pass
     raise error
 
 
@@ -194,10 +214,20 @@ def verify_delay(scenario):
         raise ConfigError(
             "delay claim needs selfish trust; the scenario's cooperative "
             "rows are already balanced")
-    record, twins = run_paired(scenario, balanced)
+    import numpy as np
+
     # a run that never merges counts as merging just after the horizon
-    selfish_iters, balanced_iters = (merge_iteration(record, ids)
-                                     for ids in (coop, [twins[aid] for aid in coop]))
+    never = scenario.iterations + 1
+
+    def merges(blocks, twins):
+        groups = (coop, [twins[aid] for aid in coop])
+        first = [never] * len(groups)
+        for start, block in blocks:
+            first = [np.minimum(it, merge_iteration(block, ids, start, never))
+                     for it, ids in zip(first, groups)]
+        return first
+
+    selfish_iters, balanced_iters = run_paired(scenario, balanced, merges)
     return _paired("delay", selfish_iters > balanced_iters, PAIRED_PASS_FRACTION,
                    median_selfish_merge=int(sorted(selfish_iters)[len(selfish_iters) // 2]),
                    median_balanced_merge=int(sorted(balanced_iters)[len(balanced_iters) // 2]))
@@ -219,10 +249,22 @@ def verify_stabilize(scenario):
         raise ConfigError(
             f"stabilize claim needs a standalone twin of agent {noisy.id!r}")
     twin = twins[0]
-    record = run(scenario)
+    import numpy as np
+
+    # the two agents' rows of the final window, copied block by block
+    length, ids = scenario.iterations, [noisy.id, twin.id]
+    first = steady_state_start(length)
+    window = np.empty((scenario.ensemble, length - first, len(ids), len(scenario.w_opt)))
+    for start, block in _blocks(scenario):
+        skip = max(0, first - start)  # the block's iterations before the window
+        if skip < block.iterations:
+            cols = [block.agents.index(aid) for aid in ids]
+            window[:, start + skip - first:start + block.iterations - first] = \
+                block.ws[:, skip:, cols]
+    record = EnsembleRecord(tuple(scenario.w_opt), ids, ws=window, es=None)
 
     wins = [coop < solo for coop, solo in zip(
-        steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id))]
+        *(steady_state_variance(record, aid, length) for aid in ids))]
     return _paired("stabilize", wins, STABILIZE_PASS_FRACTION,
                    cooperative=noisy.id, twin=twin.id)
 

@@ -20,11 +20,13 @@ The signals are drawn a block of iterations at a time, one column per
 adaptive agent (a twin's a copy of its stream owner's), so their memory is
 bounded and the loop reads them without a gather. The loop keeps its state
 component-major with the runs last (see ``_simulate``) and copies each
-iteration once into the records, laid out [run, iteration, agent, weight
-component]. The pass is the only walk over the records: after each block of
-iterations it fills that block's rows of the averaging agents and marks where
-each run first diverges, and it stops drawing blocks once the first run has
-diverged.
+iteration once into a block of records, laid out [run, iteration, agent,
+weight component]. The pass is the only walk over the records: after each
+block of iterations it fills that block's rows of the averaging agents, scans
+them for divergence and hands the block on, and it stops drawing blocks once
+the first run has diverged. ``run_ensemble`` has the blocks written straight
+into the record of every iteration; ``blocks`` hands a claim one block of
+every run at a time, so its memory grows with the ensemble, not the horizon.
 
 No matrix products are used, because BLAS may reorder the sums. The combine
 and the prediction are each one ``np.add.reduce`` over their leading axis,
@@ -32,6 +34,8 @@ from an initial -0.0 (-0.0 + t0 is t0 bit for bit) and 0.0 respectively.
 numpy adds such an axis in order unless every other extent is 1; then it adds
 pairwise, so a lone adaptive agent in one run folds its prediction instead.
 """
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -60,33 +64,53 @@ def run_ensemble(scenario, runs=None):
     ``runs`` are the indices of the runs to simulate, every run of the
     scenario by default; run k is seeded from ``scenario.seed ^ k`` whatever
     runs come with it, so a record of some runs holds the trajectories that
-    the same runs have in a record of all of them. On divergence it raises,
-    from the marks of _simulate's one pass, the DivergenceError of the first
-    divergent run (its index k), naming that run's first divergent iteration
-    and the lowest adaptive agent that diverged there, with ``completed`` the
-    record of the given runs before it.
+    the same runs have in a record of all of them. _simulate writes each
+    block of iterations straight into the record. On divergence it raises
+    _simulate's DivergenceError, with ``completed`` the record of the given
+    runs before the divergent one.
     """
     runs = range(scenario.ensemble) if runs is None else runs
-    adaptive = scenario.adaptive_agents()
-    n = len(adaptive)
-    ids = [cfg.id for cfg in adaptive + scenario.averaging_agents()]
+    ids = _agent_ids(scenario)
     shape = (len(runs), scenario.iterations, len(ids))
-    ws, es = np.empty(shape + (len(scenario.w_opt),)), np.zeros(shape)
-    # divergent runs carry inf/nan through the loop and the averages
-    with np.errstate(all="ignore"):
-        marks = _simulate(scenario, runs, ws, es)
-    record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids, ws=ws, es=es)
-    if marks.any():
-        r = int(marks.nonzero()[0][0])
-        i = int(marks[r])
-        w, e = ws[r, i - 1, :n], es[r, i - 1, :n]
-        a = int(_diverged(w, e).argmax())
-        detail = (f"weight estimate diverged: {w[a].tolist()}" if np.isfinite(e[a])
-                  else f"non-finite prediction error {float(e[a])}")
-        raise DivergenceError(
-            f"divergence at run {runs[r]}, iteration {i}, agent {adaptive[a].id}: {detail}",
-            agent=adaptive[a].id, iteration=i, run=runs[r], completed=record.head(r))
+    record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
+                            ws=np.empty(shape + (len(scenario.w_opt),)), es=np.zeros(shape))
+    try:
+        for _ in _simulate(scenario, runs, record):
+            pass
+    except DivergenceError as exc:
+        exc.completed = record.head(runs.index(exc.run))
+        raise
     return record
+
+
+def blocks(scenario):
+    """The scenario's ensemble, every run a block of iterations at a time.
+
+    Yields per block its first iteration's index ``start`` and an
+    EnsembleRecord of every run's iterations start + 1 on, whose arrays the
+    next block overwrites. On divergence it raises, after the block that
+    decides it, what ``run_ensemble`` raises, with ``completed`` None. The
+    consumer's loop runs under ``np.errstate(all="ignore")`` as the engine
+    does: a divergent run's blocks may hold inf and nan until then.
+    """
+    return _simulate(scenario, range(scenario.ensemble))
+
+
+def _agent_ids(scenario):
+    """The ids of the record's agents in column order: adaptive, then averaging."""
+    return [cfg.id for cfg in scenario.adaptive_agents() + scenario.averaging_agents()]
+
+
+def _divergence(adaptive, run, iteration, w, e):
+    """The DivergenceError of ``run`` at ``iteration``, naming the lowest
+    adaptive agent that diverged there, from the weights w [N, M] and errors
+    e [N] of that iteration."""
+    a = int(_diverged(w, e).argmax())
+    detail = (f"weight estimate diverged: {w[a].tolist()}" if np.isfinite(e[a])
+              else f"non-finite prediction error {float(e[a])}")
+    return DivergenceError(
+        f"divergence at run {run}, iteration {iteration}, agent {adaptive[a].id}: {detail}",
+        agent=adaptive[a].id, iteration=iteration, run=run)
 
 
 def _diverged(w, e):
@@ -144,10 +168,13 @@ def _combine_terms(trust):
     return cols, np.c_[np.array(trust.rows), np.ones(n)][np.arange(n), cols]
 
 
-def _simulate(scenario, runs, ws, es):
-    """Write the weights ws [R, L, A, M] and errors es [R, L, A] of the R
-    ``runs`` and return the marks [R]: per run, the first iteration (from 1)
-    where _diverged holds for an adaptive agent, or 0.
+def _simulate(scenario, runs, record=None):
+    """Simulate the R ``runs`` a block of iterations at a time and yield per
+    block its first iteration's index ``start`` and an EnsembleRecord of its
+    weights ws [R, B, A, M] and errors es [R, B, A]: views of ``record``'s
+    arrays when it is the record of every iteration, else of one block's
+    buffers that every block reuses. On divergence it raises, once no later
+    block can change it, the DivergenceError of the first divergent run.
 
     The weights w [M, N, R] of the N adaptive agents are a contiguous view of
     a buffer of M*N + 1 rows of [R] whose last row is the pad, all -0.0 (see
@@ -160,70 +187,88 @@ def _simulate(scenario, runs, ws, es):
     too. The signals come a block at a time into one pair of buffers,
     already one column per adaptive agent: the most iterations whose
     N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2 and even, so each
-    block starts on a Box-Muller pair.
+    block starts on a Box-Muller pair. Every buffer is allocated before the
+    per-run seeds are derived, so an ensemble too large for memory fails at
+    once.
 
     After each block of iterations the loop fills the block's rows of the
-    averaging agents and marks it; a block whose weights' min and max lie
-    within the bound and whose errors' sum is finite needs no mask. Once run
-    0 has a mark, no later block can change the error, so none is drawn.
+    averaging agents and scans it for divergence; a block whose weights' min
+    and max lie within the bound and whose errors' sum is finite needs no
+    mask. The error of a divergent run below every one found so far is
+    built while its block is at hand. Once run 0 has diverged, no later
+    block can change the error, so none is drawn.
     """
     adaptive = scenario.adaptive_agents()
     position = {cfg.id: a for a, cfg in enumerate(adaptive)}
     sources = [[position[s] for s in cfg.sources] for cfg in scenario.averaging_agents()]
-    owners = _streams(scenario)[0]
-    (r, _, _, m), n = ws.shape, len(adaptive)
-    cols, coef = _combine_terms(scenario.trust)
-    seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
-             for owner in owners]
+    r, n, m, length = len(runs), len(adaptive), len(scenario.w_opt), scenario.iterations
     block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)
+    size = min(block, length)
+    whole = record is not None
+    if not whole:
+        ids = _agent_ids(scenario)
+        record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
+                                ws=np.empty((r, size, len(ids), m)),
+                                es=np.zeros((r, size, len(ids))))
     buf = np.full((m * n + 1, r), -0.0)
+    # one pair of signal buffers serves every block; a fresh pair per block
+    # would have the C allocator return and fault in their pages each block
+    xs, ys = np.empty((size, m, n, r)), np.empty((size, n, r))
+    cols, coef = _combine_terms(scenario.trust)
     w = buf[:-1].reshape(m, n, r)
     w[...] = np.array([cfg.w0 for cfg in adaptive], dtype=np.float64).T[:, :, None]
     slots = np.full((m, n + 1), m * n)  # the buffer row of each w, and the pad
     slots[:, :n] = np.arange(m * n).reshape(m, n)
     index = np.ascontiguousarray(slots[:, cols].swapaxes(0, 1))
     coef = np.broadcast_to(coef[:, None, :, None], (*index.shape, r)).copy()
-    mu = np.array([[cfg.mu] * r for cfg in adaptive], dtype=np.float64)
+    mu = np.array([cfg.mu for cfg in adaptive], dtype=np.float64)[:, None].repeat(r, axis=1)
     terms = np.empty(coef.shape)
     psi, products, step = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
     pred, mu_e = np.empty(mu.shape), np.empty(mu.shape)
     collapsed = n * r == 1  # numpy would add products [M, 1, 1] pairwise
-    marks = np.zeros(r, dtype=int)
-    # views of the adaptive agents that each iteration indexes on axis 0 only
-    wl, el = ws[..., :n, :].transpose(1, 3, 2, 0), es[..., :n].transpose(1, 2, 0)
-    # one pair of signal buffers serves every block; a fresh pair per block
-    # would have the C allocator return and fault in their pages each block
-    size = min(block, scenario.iterations)
-    xs, ys = np.empty((size, m, n, r)), np.empty((size, n, r))
-    for start in range(0, scenario.iterations, block):
-        stop = min(start + block, scenario.iterations)
-        x, y = _signals(scenario, seeds, start, stop, xs, ys)
-        # take() gathers the same values as fancy indexing, with less overhead
-        for xi, yi, wi, ei in zip(x, y, wl[start:stop], el[start:stop]):
-            np.multiply(coef, buf.take(index, axis=0), out=terms)
-            np.add.reduce(terms, axis=0, initial=-0.0, out=psi)
-            np.multiply(psi, xi, out=products)
-            if collapsed:
-                pred[...] = sum_in_order(products)
-            else:
-                np.add.reduce(products, axis=0, initial=0.0, out=pred)
-            ei[...] = np.subtract(yi, pred, out=pred)
-            np.multiply(mu, pred, out=mu_e)
-            np.multiply(mu_e, xi, out=step)
-            wi[...] = np.add(psi, step, out=w)
-        rows = ws[:, start:stop]
-        for a, (first, *rest) in enumerate(sources, start=n):
-            total = rows[:, :, a]  # summed in place, (w_s0 + w_s1 + ...) / n
-            total[...] = rows[:, :, first]
-            for b in rest:
-                total += rows[:, :, b]
-            total /= len(rest) + 1
-        wb, eb = rows[:, :, :n], es[:, start:stop, :n]
-        if not (-DIVERGENCE_BOUND <= wb.min() and wb.max() <= DIVERGENCE_BOUND
-                and np.isfinite(eb.sum())):
-            hit = _diverged(wb, eb).any(axis=-1)  # [R, iteration]
-            new = (marks == 0) & hit.any(axis=-1)
-            marks[new] = start + 1 + hit.argmax(axis=-1)[new]
-            if marks[0]:
+    seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
+             for owner in _streams(scenario)[0]]
+    failed, error = r, None  # the first divergent run so far, r for none
+    # divergent runs carry inf/nan through the loop and the averages
+    with np.errstate(all="ignore"):
+        for start in range(0, length, block):
+            stop = min(start + block, length)
+            at = start if whole else 0
+            rows = replace(record, ws=record.ws[:, at:at + stop - start],
+                           es=record.es[:, at:at + stop - start])
+            wb, eb = rows.ws[:, :, :n], rows.es[:, :, :n]
+            x, y = _signals(scenario, seeds, start, stop, xs, ys)
+            # views of the adaptive agents that each iteration indexes on axis 0
+            # only; take() gathers the same values as fancy indexing, with less
+            # overhead
+            for xi, yi, wi, ei in zip(x, y, wb.transpose(1, 3, 2, 0), eb.transpose(1, 2, 0)):
+                np.multiply(coef, buf.take(index, axis=0), out=terms)
+                np.add.reduce(terms, axis=0, initial=-0.0, out=psi)
+                np.multiply(psi, xi, out=products)
+                if collapsed:
+                    pred[...] = sum_in_order(products)
+                else:
+                    np.add.reduce(products, axis=0, initial=0.0, out=pred)
+                ei[...] = np.subtract(yi, pred, out=pred)
+                np.multiply(mu, pred, out=mu_e)
+                np.multiply(mu_e, xi, out=step)
+                wi[...] = np.add(psi, step, out=w)
+            for a, (first, *rest) in enumerate(sources, start=n):
+                total = rows.ws[:, :, a]  # summed in place, (w_s0 + w_s1 + ...) / n
+                total[...] = rows.ws[:, :, first]
+                for b in rest:
+                    total += rows.ws[:, :, b]
+                total /= len(rest) + 1
+            if not (-DIVERGENCE_BOUND <= wb.min() and wb.max() <= DIVERGENCE_BOUND
+                    and np.isfinite(eb.sum())):
+                hit = _diverged(wb, eb).any(axis=-1)  # [R, iteration]
+                k = int(hit.any(axis=-1).argmax())
+                if hit[k].any() and k < failed:
+                    i = int(hit[k].argmax())
+                    failed = k
+                    error = _divergence(adaptive, runs[k], start + 1 + i, wb[k, i], eb[k, i])
+            yield start, rows
+            if failed == 0:
                 break
-    return marks
+        if error is not None:
+            raise error

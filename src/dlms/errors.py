@@ -29,7 +29,8 @@ class DivergenceError(RuntimeError):
     ``completed`` is the EnsembleRecord of the runs simulated with it that
     finished before the divergent one (from ``dlms.run``, the first ``run``
     runs, possibly none); the divergent run's partial trajectory is
-    discarded.
+    discarded. A claim streams its ensemble and keeps no record, so its
+    error's ``completed`` is None.
     """
 
     def __init__(self, message, agent=None, iteration=None, run=None, completed=None):

@@ -119,23 +119,31 @@ class EnsembleRecord:
         return np.sqrt(self.sq_dist[:, :, self.agents.index(agent)])
 
 
-def steady_state_variance(record, agent):
+def steady_state_start(length):
+    """The index of the first iteration of the steady-state window, the final
+    STEADY_STATE_WINDOW of a horizon of ``length`` iterations."""
+    return length - math.ceil(STEADY_STATE_WINDOW * length)
+
+
+def steady_state_variance(record, agent, horizon=None):
     """Sample variance of the estimate over the final STEADY_STATE_WINDOW of
     the horizon, one value per run.
 
-    For vector weights the per-component sample variances are summed. The
-    window is reduced one run at a time, so its temporaries are one run's.
+    The record holds the horizon's last iterations, all of them unless
+    ``horizon`` says how many there are. For vector weights the
+    per-component sample variances are summed. The window is reduced one run
+    at a time, so its temporaries are one run's.
     """
     import numpy as np
 
-    length = record.iterations
-    windows = record.w(agent)[:, length - math.ceil(STEADY_STATE_WINDOW * length):]
-    n = windows.shape[1]
+    length = record.iterations if horizon is None else horizon
+    n = length - steady_state_start(length)
     if n < 2:
         # ceil(STEADY_STATE_WINDOW * length) >= 2 from this length on
         minimum = math.floor(1 / STEADY_STATE_WINDOW) + 1
         raise ConfigError(f"steady-state variance needs iterations >= {minimum}, "
                           f"got {length}")
+    windows = record.w(agent)[:, record.iterations - n:]
     var = np.empty((len(record), windows.shape[-1]))
     for r, window in enumerate(windows):
         mean = (0.0 + window.cumsum(axis=0)[-1]) / n
@@ -195,15 +203,18 @@ def first_iteration(hits, never):
     return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, never)
 
 
-def convergence_iteration(record, agent, band):
+def convergence_iteration(record, agent, band, start=0):
     """Per run, the smallest i such that |w(j) - w_opt| <= band for every j >= i.
 
     A run's entry is iterations + 1 when its trajectory is not inside the band
-    at the horizon end (never converged, or left the band again).
+    at the horizon end (never converged, or left the band again). A record of
+    the iterations from start + 1 on gives one past a run's last iteration
+    outside the band, or 1 if none is, so the maximum over consecutive
+    records is the whole horizon's.
     """
     if band <= 0:
         raise ConfigError(f"convergence band must be positive, got {band}")
-    length = record.iterations
+    length = start + record.iterations
     # one past the last iteration outside the band, counted from the end
     return length + 2 - first_iteration(record.dist(agent)[:, ::-1] > band, length + 1)
 

@@ -9,19 +9,45 @@ to right from 0.0, as Python 3.11's builtin ``sum`` does (3.12 compensates
 the rounding). ``RandomStream`` draws one value at a time the stream that
 ``prng.gaussian_block`` computes in blocks. ``write_trajectories`` is the
 row-by-row ``csv.writer`` form of the trajectory CSV that ``dlms run``
-writes.
+writes. ``verify_claim`` evaluates each claim on ``dlms.run``'s whole
+record, one run at a time where the claims fold the engine's blocks.
 """
 
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import combinations
+from operator import and_
 
 import numpy as np
 
+from dlms import scenarios
+from dlms.claims import (
+    DELAY_BAND_FRACTION,
+    MERGE_BAND_FRACTION,
+    MERGE_START_ITERATION,
+    PAIRED_PASS_FRACTION,
+    STABILIZE_PASS_FRACTION,
+    ClaimResult,
+    _cooperative_ids,
+    _paired,
+    _single_averaging_id,
+    balanced_variant,
+    pair,
+)
 from dlms.errors import ConfigError, DivergenceError
 from dlms.filters import predict
-from dlms.metrics import EnsembleRecord
+from dlms.metrics import (
+    EnsembleRecord,
+    convergence_iteration,
+    default_band,
+    first_iteration,
+    steady_state_variance,
+    sum_in_order,
+)
 from dlms.network import AgentState, cta_iteration
+from dlms.scenarios import COOPERATIVE, STANDALONE
 from dlms.prng import _GAMMA, _INV_2_53, _MASK64, _TWO_PI, _mix, derive_seed
 from dlms.signals import SignalSample
 
@@ -277,3 +303,122 @@ def write_trajectories(path, scenario, record):
                 for aid, w, e, d in zip(ids, ws, es, sq):
                     writer.writerow([r, i, aid, *map(repr, w), repr(e),
                                      repr(d ** 0.5)])
+
+
+# ---------------------------------------------------------------------------
+# Claims on whole records
+# ---------------------------------------------------------------------------
+
+def gaps(record, pairs):
+    """Per run, one run at a time, the distances |w_p - w_q| [P, L] between
+    the estimates of each pair (p, q) of agents."""
+    p, q = (np.array([record.agents.index(aid) for aid in ids]) for ids in zip(*pairs))
+    for w in record.ws.transpose(0, 3, 2, 1):  # [M, A, L]
+        d = w[:, p] - w[:, q]
+        yield np.sqrt(sum_in_order(d * d))
+
+
+def merge_iteration(record, coop_ids):
+    """Per run, the first iteration where all cooperative estimates agree
+    within DELAY_BAND_FRACTION of |w_opt|, or iterations + 1."""
+    threshold = DELAY_BAND_FRACTION * math.sqrt(sum_in_order(x * x for x in record.w_opt))
+    pairs = combinations(coop_ids, 2)
+    merged = np.array([g.max(axis=0) < threshold for g in gaps(record, pairs)])
+    return first_iteration(merged, record.iterations + 1)
+
+
+def run_paired(scenario, other):
+    """``dlms.run`` of ``scenario`` and ``other`` as one scenario (see
+    ``claims.pair``): the record and the twins' ids by agent id; on
+    divergence, what separate runs raise, ``scenario``'s first."""
+    joint, twins = pair(scenario, other)
+    try:
+        return scenarios.run(joint), twins
+    except DivergenceError as exc:  # it may name a twin
+        error = exc
+    scenarios.run(scenario)  # separate runs, in order, raise their first error, unchained
+    scenarios.run(other)
+    raise error
+
+
+def verify_merge(scenario):
+    coop = _cooperative_ids(scenario, "merge")
+    adaptive = scenario.adaptive_agents()
+    coop_rows = [scenario.trust.rows[i] for i, cfg in enumerate(adaptive)
+                 if cfg.kind == COOPERATIVE]
+    if any(row != coop_rows[0] for row in coop_rows[1:]):
+        raise ConfigError("merge claim needs identical cooperative trust rows")
+    avg_id = _single_averaging_id(scenario)
+    threshold = default_band([cfg.w0 for cfg in adaptive], scenario.w_opt,
+                             MERGE_BAND_FRACTION)
+    if scenario.iterations < MERGE_START_ITERATION:
+        raise ConfigError(f"merge claim needs iterations >= {MERGE_START_ITERATION}, "
+                          f"got {scenario.iterations}")
+    record = scenarios.run(scenario)
+
+    mean = sum_in_order(gaps(record, [(aid, avg_id) for aid in coop])) / len(record)
+    worst_gap = max([0.0, *mean[:, MERGE_START_ITERATION - 1:].ravel().tolist()])
+    return ClaimResult("merge", worst_gap < threshold, {
+        "worst_mean_gap": worst_gap,
+        "threshold": threshold,
+    })
+
+
+def verify_speedup(scenario):
+    coop = _cooperative_ids(scenario, "speedup")
+    mus = {cfg.mu for cfg in scenario.agents if cfg.kind == COOPERATIVE}
+    if len(mus) < 2:
+        raise ConfigError("speedup claim needs heterogeneous learning rates")
+    avg_id = _single_averaging_id(scenario)
+    band = scenarios.scenario_band(scenario)
+    record = scenarios.run(scenario)
+
+    limits = convergence_iteration(record, avg_id, band)
+    wins = reduce(and_, (convergence_iteration(record, aid, band) < limits for aid in coop))
+    return _paired("speedup", wins, PAIRED_PASS_FRACTION, band=band)
+
+
+def verify_delay(scenario):
+    coop = _cooperative_ids(scenario, "delay")
+    if not any(scenario.w_opt):
+        raise ConfigError("delay claim needs a nonzero w_opt: its merge band is "
+                          f"{DELAY_BAND_FRACTION:.0%} of |w_opt|")
+    balanced = balanced_variant(scenario)
+    if balanced.trust == scenario.trust:
+        raise ConfigError(
+            "delay claim needs selfish trust; the scenario's cooperative "
+            "rows are already balanced")
+    record, twins = run_paired(scenario, balanced)
+    selfish_iters, balanced_iters = (merge_iteration(record, ids)
+                                     for ids in (coop, [twins[aid] for aid in coop]))
+    return _paired("delay", selfish_iters > balanced_iters, PAIRED_PASS_FRACTION,
+                   median_selfish_merge=int(sorted(selfish_iters)[len(selfish_iters) // 2]),
+                   median_balanced_merge=int(sorted(balanced_iters)[len(balanced_iters) // 2]))
+
+
+def verify_stabilize(scenario):
+    coop_cfgs = [cfg for cfg in scenario.agents if cfg.kind == COOPERATIVE]
+    if not coop_cfgs:
+        raise ConfigError("stabilize claim needs a cooperative agent")
+    noisy = max(coop_cfgs, key=lambda cfg: cfg.noise.sd)
+    twins = [cfg for cfg in scenario.agents
+             if cfg.kind == STANDALONE and cfg.counterpart == noisy.id]
+    if not twins:
+        raise ConfigError(
+            f"stabilize claim needs a standalone twin of agent {noisy.id!r}")
+    twin = twins[0]
+    record = scenarios.run(scenario)
+
+    wins = [coop < solo for coop, solo in zip(
+        steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id))]
+    return _paired("stabilize", wins, STABILIZE_PASS_FRACTION,
+                   cooperative=noisy.id, twin=twin.id)
+
+
+_VERIFIERS = {"merge": verify_merge, "speedup": verify_speedup,
+              "delay": verify_delay, "stabilize": verify_stabilize}
+
+
+def verify_claim(scenario, claim):
+    """The claim's ClaimResult, from ``dlms.run``'s whole record."""
+    return _VERIFIERS[claim](scenario)

@@ -11,7 +11,7 @@ import statistics
 
 import pytest
 
-import dlms.claims
+import dlms.engine
 from dlms.claims import merge_iteration, verify_merge, verify_speedup, verify_stabilize
 from dlms.errors import DivergenceError
 from dlms.metrics import crossing_iteration
@@ -49,12 +49,12 @@ def ensembles():
 
 
 def _serve(monkeypatch, ensembles, name):
-    """Make the claims' run() return the session ensemble of builtin ``name``
-    instead of simulating it again."""
+    """Make the engine stream the claims the session ensemble of builtin
+    ``name`` as one block instead of simulating it again."""
     def served(scenario):
         assert scenario == builtin(name)
-        return ensembles[name]
-    monkeypatch.setattr(dlms.claims, "run", served)
+        yield 0, ensembles[name]
+    monkeypatch.setattr(dlms.engine, "blocks", served)
 
 
 @pytest.fixture(scope="session")

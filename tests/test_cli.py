@@ -602,12 +602,17 @@ def test_config_error_names_its_field(tmp_path, capsys, case, names):
     assert err.splitlines() == [names]
 
 
-@pytest.mark.parametrize("argv", [("run", "table1", "--out", "x.csv"),
-                                  ("verify", "table1", "merge")])
+# dlms run allocates the record of a group of runs, 355 PiB at this horizon;
+# dlms verify streams a block of iterations at a time, so a long horizon
+# runs, but a block of every run of this ensemble needs 7.1 PiB
+@pytest.mark.parametrize("argv", [("run", "table1", "--out", "x.csv",
+                                   "--iterations", "99999999999999"),
+                                  ("verify", "table1", "merge",
+                                   "--ensemble", "99999999999999")])
 def test_scenario_too_large_for_memory_is_usage_error(tmp_path, capsys, monkeypatch, argv):
-    # the record alone needs 355 PiB, so the allocation fails at once
+    # the first allocation fails at once
     monkeypatch.chdir(tmp_path)
-    assert run_cli(*argv, "--iterations", "99999999999999") == 2
+    assert run_cli(*argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the scenario does not fit in memory: ")
@@ -831,7 +836,7 @@ class TestVerify:
 
     def test_delay_needs_a_nonzero_w_opt(self, capsys):
         # the merge band is 1% of |w_opt|: at w_opt = 0 no run could merge
-        with mock.patch("dlms.engine.run_ensemble") as simulate:
+        with mock.patch("dlms.engine._simulate") as simulate:
             assert run_cli("verify", "table1", "delay", "--w-opt", "0",
                            "--set", "trust.a.a=0.9", "--set", "trust.a.b=0.1",
                            "--set", "trust.b.b=0.9", "--set", "trust.b.a=0.1") == 2
@@ -840,7 +845,7 @@ class TestVerify:
             "error: delay claim needs a nonzero w_opt: its merge band is 1% of |w_opt|\n")
 
     def test_merge_needs_its_start_iteration(self, capsys):
-        with mock.patch("dlms.claims.run") as simulate:
+        with mock.patch("dlms.engine._simulate") as simulate:
             assert run_cli("verify", "table1", "merge", "--iterations", "9",
                            "--ensemble", "4") == 2
         simulate.assert_not_called()

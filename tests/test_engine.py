@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 import dlms.cli
 import oracle
 from dlms import engine
-from dlms.claims import balanced_variant, run_paired, verify_delay
+from dlms.claims import balanced_variant, verify_delay
 from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
 from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
@@ -54,12 +54,12 @@ def _agents(record, ids, names=None):
 
 def _networks_outcome(scenario, other, run_fn=None):
     """The records of the scenario and of ``other``'s adaptive agents, from
-    run_paired or from separate runs of ``run_fn``; or the first error and
-    the records completed before it."""
+    oracle.run_paired or from separate runs of ``run_fn``; or the first
+    error and the records completed before it."""
     ids = [cfg.id for cfg in other.adaptive_agents()]
     try:
         if run_fn is None:
-            record, twins = run_paired(scenario, other)
+            record, twins = oracle.run_paired(scenario, other)
             originals = [aid for aid in record.agents if aid not in twins.values()]
             first = _agents(record, originals)
             second = _agents(record, [twins[aid] for aid in ids], ids)
@@ -142,7 +142,7 @@ def test_short_row_between_cooperative_rows_matches_oracle_and_separate_runs():
     s = Scenario(agents=agents, trust=trust, w_opt=(-1.0, 0.5, -0.25),
                  iterations=30, ensemble=3)
     balanced = balanced_variant(s)
-    record, twins = run_paired(s, balanced)
+    record, twins = oracle.run_paired(s, balanced)
     assert all(np.signbit(record.w(aid)).all() and not record.w(aid).any()
                for aid in ("s", twins["s"]))
     paired = _networks_outcome(s, balanced)
@@ -397,7 +397,7 @@ def test_verify_delay_draws_the_signals_of_one_network():
             return block(seeds, count, start)
 
         with mock.patch.object(engine, "gaussian_block", counted), mock.patch.object(
-                engine, "run_ensemble", wraps=engine.run_ensemble) as simulate:
+                engine, "_simulate", wraps=engine._simulate) as simulate:
             fn(s)
         return simulate.call_count, sum(values)
 

@@ -3,10 +3,12 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 15.43 MB, 9.40 MB,
-9.40 MB, 10.78 MB, 8.12 MB, 12.35 MB, 4.25 MB, 5.12 MB, 1.27 MB, 2.24 MB,
-3.97 MB, 12.35 MB, 0.77 MB and 0.22 MB. The writer's 1.27 MB and the last
-two are transients above records that are already held.
+peaks with numpy 2.4.6, in the order of the tests: 1.61 MB, 2.04 MB,
+2.28 MB and 2.46 MB; the horizon pairs 2.06/2.06 MB, 2.38/2.38 MB,
+1.57/1.57 MB and 2.11/2.31 MB; then 9.40 MB, 10.78 MB, 8.13 MB, 12.35 MB,
+4.24 MB, 5.11 MB, 1.27 MB, 2.24 MB, 3.94 MB, 12.36 MB and 0.77 MB. The
+claims stream a block of every run at a time. The writer's 1.27 MB and the
+last one are transients above records that are already held.
 """
 
 import dataclasses
@@ -16,16 +18,10 @@ import pytest
 
 import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
-from dlms.claims import (
-    balanced_variant,
-    merge_iteration,
-    run_paired,
-    verify_delay,
-    verify_merge,
-)
+from dlms.claims import verify_claim, verify_delay, verify_merge, verify_speedup
 from dlms.cli import main, write_trajectories
 from dlms.errors import DivergenceError
-from dlms.metrics import EnsembleSums, steady_state_variance
+from dlms.metrics import EnsembleSums, steady_state_start, steady_state_variance
 from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
 
@@ -47,18 +43,48 @@ def _traced_peak(fn, *args):
 
 
 def test_verify_delay_peak():
-    """Both 100 x 1000 networks of the selfish table1 in one record, with one
-    averaging agent: no room for the balanced network's averaging agent
-    beside it."""
-    assert _traced_peak(verify_delay, _selfish_table1()) <= 16.5 * MB
+    """Both 100-run networks of the selfish table1 as one network of 9
+    agents, streamed in blocks of 40 iterations: one block's records and
+    signals (1.1 MB) and the merge detection's temporaries, with no room for
+    a record of every iteration (16.2 MB at 1000)."""
+    assert _traced_peak(verify_delay, _selfish_table1()) <= 1.75 * MB
 
 
 def test_verify_merge_peak():
-    """table1's 100 x 1000 simulation, then the merge claim's gaps one run at
-    a time, below the simulation's own peak. Three temporaries the size of
-    one agent's trajectories of every run, the gaps of all runs at once,
-    peaked at 10.41 MB."""
-    assert _traced_peak(verify_merge, builtin("table1")) <= 10 * MB
+    """table1's 100 runs streamed in blocks of 80 iterations, each folded
+    into the ensemble-mean gaps as it comes, with no room for a record of
+    every iteration (8.0 MB)."""
+    assert _traced_peak(verify_merge, builtin("table1")) <= 2.2 * MB
+
+
+def test_verify_stabilize_long_horizon_peak():
+    """long_horizon's 2 x 20,000 iterations streamed: the two agents' rows
+    of the final 4,000 iterations (0.26 MB) and one block's buffers, with no
+    room for the record of every iteration (11.2 MB)."""
+    s = dense_trio_with_twins(iterations=20000, ensemble=2)
+    assert _traced_peak(verify_claim, s, "stabilize") <= 2.5 * MB
+
+
+def test_verify_speedup_peak():
+    """table2's 100 runs streamed: each block's distances to the target, one
+    run's Python floats at a time, beside one block's buffers."""
+    assert _traced_peak(verify_speedup, builtin("table2")) <= 2.7 * MB
+
+
+@pytest.mark.parametrize("claim, name", [
+    ("merge", "table1"), ("speedup", "table2"), ("delay", "selfish"),
+    ("stabilize", "table1")])
+def test_claim_memory_does_not_grow_with_the_horizon(claim, name):
+    """20 runs, so that 4000 iterations trace in seconds: a record of the
+    3000 further iterations of 9 agents would be 8.6 MB. Only stabilize
+    holds per iteration, its two agents' rows of the final window."""
+    s = _selfish_table1() if name == "selfish" else builtin(name)
+    peaks = [_traced_peak(verify_claim, dataclasses.replace(
+        s, iterations=length, ensemble=20), claim) for length in (1000, 4000)]
+    window = 0
+    if claim == "stabilize":  # 2 agents x 20 runs x 8 bytes a window row
+        window = 2 * 20 * 8 * (steady_state_start(1000) - steady_state_start(4000) + 3000)
+    assert peaks[1] <= peaks[0] + window + 0.5 * MB
 
 
 def test_run_table1_peak():
@@ -160,12 +186,3 @@ def test_steady_state_variance_transient(long_horizon):
     record = long_horizon[1]
     assert _traced_peak(lambda: [steady_state_variance(record, aid)
                                  for aid in ("c", "f")]) <= 1 * MB
-
-
-def test_merge_iteration_transient():
-    """The delay claim's merge detection on both networks of its 100 x 1000
-    paired record, one run at a time."""
-    selfish = _selfish_table1()
-    record, twins = run_paired(selfish, balanced_variant(selfish))
-    assert _traced_peak(lambda: [merge_iteration(record, ids) for ids in
-                                 (["a", "b"], [twins["a"], twins["b"]])]) <= 0.5 * MB
