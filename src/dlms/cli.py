@@ -37,10 +37,6 @@ EXIT_DIVERGENCE = 3
 # (172 KB each at M = 1) are allocated once per file: buffers this size
 # allocated per piece would be mapped and faulted in again every time.
 _WRITE_VALUES = 3 << 10
-# Estimates per group of runs that `dlms run` simulates, writes and adds to
-# its report before it simulates the next: 1 MB, 26 runs of table1, whose
-# group then holds ~3 MB with its errors and squared distances.
-_GROUP_VALUES = 1 << 17
 
 
 def load_scenario(ref):
@@ -196,6 +192,8 @@ def _remove_stale(out, written):
 
 
 def cmd_run(args):
+    if os.path.basename(args.out) in ("", ".", ".."):
+        raise ConfigError(f"--out {args.out!r} names no file")
     scenario = apply_overrides(load_scenario(args.scenario), args)
     out = Path(args.out)
     _run_to(scenario, out)
@@ -203,43 +201,26 @@ def cmd_run(args):
     return EXIT_OK
 
 
-def _groups(scenario, sums):
-    """The scenario's runs as records of consecutive runs in run order, each
-    added to ``sums`` before it is yielded: as many runs as hold at most
-    _GROUP_VALUES estimates, and one run at least. On divergence the runs of
-    the group before the divergent one are yielded, if there are any, and
-    the DivergenceError is raised; no later group is simulated."""
-    from .engine import run_ensemble  # numpy loads with the first run, not at import
-
-    values = scenario.iterations * len(scenario.agents) * len(scenario.w_opt)
-    size = max(1, _GROUP_VALUES // values)
-    for first in range(0, scenario.ensemble, size):
-        runs = range(first, min(first + size, scenario.ensemble))
-        try:
-            record = run_ensemble(scenario, runs)
-        except DivergenceError as exc:
-            if len(exc.completed):
-                yield exc.completed
-            raise
-        sums.add(record)
-        yield record
-        del record  # not held while the next group is simulated
-
-
 def _run_to(scenario, out):
     """Run the scenario and write ``out`` and its sibling outputs.
 
-    The runs stream through the writer and the report a group at a time (see
-    _groups). The CSV and the metrics are written to temporary siblings and
-    renamed into place once complete, so a failure leaves no partial file and
-    an earlier run's outputs as they were. A DivergenceError is raised once
-    its manifest is written; an OSError is a ConfigError naming the output."""
+    Each group of runs (engine.groups) is added to the report's sums on its
+    way to the writer. The CSV and metrics go to temporary siblings, renamed
+    into place once complete: a failure leaves no partial file and an
+    earlier run's outputs as they were. A DivergenceError is raised once its
+    manifest is written; an OSError is a ConfigError naming the output."""
+    from .engine import groups  # numpy loads with the first run, not at import
+
     parts = {path: path.with_name(f".{path.name}.{os.getpid()}.part")
              for path in (out, metrics_path(out))}
     sums = EnsembleSums()
+
+    def summed(record):  # map holds no record while the next group is simulated
+        sums.add(record)
+        return record
     try:
         try:
-            write_trajectories(parts[out], scenario, _groups(scenario, sums))
+            write_trajectories(parts[out], scenario, map(summed, groups(scenario)))
         except DivergenceError as exc:
             written = [error_path(out)]
             if exc.run:  # the runs before the divergent one completed

@@ -26,7 +26,8 @@ block of iterations it fills that block's rows of the averaging agents, scans
 them for divergence and hands the block on, and it stops drawing blocks once
 the first run has diverged. ``run_ensemble`` has the blocks written straight
 into the record of every iteration; ``blocks`` hands a claim one block of
-every run at a time, so its memory grows with the ensemble, not the horizon.
+every run at a time, so its memory grows with the ensemble, not the horizon;
+``groups`` hands ``dlms run`` whole horizons a group of runs at a time.
 
 No matrix products are used, because BLAS may reorder the sums. The combine
 and the prediction are each one ``np.add.reduce`` over their leading axis,
@@ -43,8 +44,8 @@ from .errors import DIVERGENCE_BOUND, DivergenceError
 from .metrics import EnsembleRecord, sum_in_order
 from .prng import derive_seed, gaussian_block
 
-# Values per block of iterations: bounds the signal arrays, N*R*(M+1) values
-# an iteration, and the divergence masks, R*N*M an iteration.
+# Values per block of iterations (the signals' N*R*(M+1) an iteration, the
+# divergence masks' R*N*M); a group of runs holds at most twice as many estimates.
 _CHUNK_DRAWS = 1 << 16
 
 
@@ -94,6 +95,23 @@ def blocks(scenario):
     does: a divergent run's blocks may hold inf and nan until then.
     """
     return _simulate(scenario, range(scenario.ensemble))
+
+
+def groups(scenario):
+    """Whole-horizon records of consecutive runs, each of as many runs as hold
+    at most 2 * _CHUNK_DRAWS estimates, one at least. On divergence the
+    divergent group's completed runs, if any, come before run_ensemble's error."""
+    values = scenario.iterations * len(scenario.agents) * len(scenario.w_opt)
+    size = max(1, 2 * _CHUNK_DRAWS // values)
+    for first in range(0, scenario.ensemble, size):
+        try:
+            record = run_ensemble(scenario, range(first, min(first + size, scenario.ensemble)))
+        except DivergenceError as exc:
+            if len(exc.completed):
+                yield exc.completed
+            raise
+        yield record
+        del record  # not held while the next group is simulated
 
 
 def _agent_ids(scenario):

@@ -473,6 +473,23 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, out, reason):
     assert f"error: cannot write {out}: {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", ["", ".", "..", "/", "t/"])
+def test_out_that_names_no_file_is_usage_error(tmp_path, capsys, monkeypatch, out):
+    """An --out whose last component is empty, . or .. exits 2 with one line
+    naming --out, before the scenario is simulated, and writes nothing."""
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    with mock.patch("dlms.engine.run_ensemble",
+                    side_effect=AssertionError("the scenario was simulated")):
+        assert run_cli("run", "table1", *SMALL, "--out", out) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --out {out!r} names no file\n"
+    assert list(tmp_path.iterdir()) == [work]
+    assert list(work.iterdir()) == []
+
+
 def test_files_are_utf8_under_an_ascii_locale(tmp_path):
     """Config, outputs and stdout are UTF-8 whatever the locale's encoding is."""
     cfg = tmp_path / "e.cfg"

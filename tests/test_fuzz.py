@@ -11,11 +11,14 @@ is right is not checked here.
 """
 
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dlms import engine
 from dlms.cli import main
+from dlms.engine import blocks
 from dlms.scenarios import builtin, serialize
 
 LONG_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "long_horizon.cfg"
@@ -27,12 +30,15 @@ BASES = (serialize(builtin("table1")), serialize(builtin("table5")),
 # config syntax. A value that reads as a count is at most 10, or so large
 # (99999999999999) that its record fails to allocate at once, so no example
 # runs long or holds much memory. dlms verify streams the horizon, so it
-# would run such an --iterations for years rather than fail; none of the 300
-# derandomized examples gives verify a horizon of 1e6 or more.
+# would run such an --iterations for years rather than fail: an example that
+# hands verify more than RUN_ITERATIONS fails at its first block instead.
 VALUES = ("nan", "inf", "-inf", "1e400", "1e308", "-1e308", "-0.0", "0", "-1",
           "1", "2", "3", "0.5", "2e12", "99999999999999", "", " ", "0x10", "\u0661",
           "1_0", "\x00", "\ufeff1", "1,,2", "1,", "x", "a", "c,d", "#", "=",
           "[agent]", "a b", "1\n2")
+# iterations x runs that a verify example may simulate: long_horizon's
+# 20,000 x 2 with room to spare
+RUN_ITERATIONS = 10 ** 6
 FLAGS = ("--seed", "--iterations", "--ensemble", "--w-opt")
 SET_KEYS = ("a.mu", "b.w0", "a.input_mean", "c.input_sd", "b.noise_mean",
             "b.noise_sd", "c.counterpart", "trust.a.a", "trust.b.a")
@@ -88,6 +94,15 @@ def reshape(argv, shape):
     return ["frob", *argv[1:]]
 
 
+def budgeted_blocks(scenario):
+    """engine.blocks, failing at the first block, once a block of every run
+    has been allocated, if the scenario exceeds RUN_ITERATIONS."""
+    for start, block in blocks(scenario):
+        assert scenario.iterations * scenario.ensemble <= RUN_ITERATIONS, (
+            f"{scenario.iterations} iterations x {scenario.ensemble} runs")
+        yield start, block
+
+
 def option(key, value, joined):
     """The argv items of one override: ``--flag=value`` or ``--flag value``,
     ``--set=key=value`` or ``--set key=value``."""
@@ -112,7 +127,8 @@ def test_any_config_or_override_keeps_the_exit_contract(tmp_path, capsys, base, 
     argv = reshape(argv, shape)
     capsys.readouterr()
     try:
-        code = main(argv)
+        with mock.patch.object(engine, "blocks", budgeted_blocks):
+            code = main(argv)
     except BaseException as exc:  # SystemExit included
         raise AssertionError(f"{argv!r} raised {exc!r}") from exc
     err = capsys.readouterr().err

@@ -1,8 +1,9 @@
 """``dlms run`` simulates, writes and reports the ensemble a group of runs at
-a time. Whatever the size of the groups, its outputs are those of one record
-of every run: the trajectory CSV of ``write_trajectories`` and the metrics
-of ``write_metrics``, and on divergence the CSV of the completed runs, the
-same error manifest and the same stderr. No group after a divergent one is
+a time, the groups that ``engine.groups`` sizes from ``engine._CHUNK_DRAWS``.
+Whatever the size of the groups, its outputs are those of one record of every
+run: the trajectory CSV of ``write_trajectories`` and the metrics of
+``write_metrics``, and on divergence the CSV of the completed runs, the same
+error manifest and the same stderr. No group after a divergent one is
 simulated, and a failed run leaves an earlier run's outputs as they were.
 """
 
@@ -26,9 +27,11 @@ from dlms import engine
 from dlms.cli import error_path, main, metrics_path, write_metrics, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums
-from dlms.scenarios import builtin, run, serialize
+from dlms.scenarios import builtin, parse, run, serialize
 from dlms.signals import GaussianParams
 from strategies import scenarios
+
+LONG_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "long_horizon.cfg"
 
 
 def _unstable(ensemble, input_sd=1.0):
@@ -70,15 +73,24 @@ def _whole(scenario, out):
     return _files(out), ""
 
 
-def _streamed(scenario, out, runs_per_group):
-    """``dlms run`` of the scenario's config into ``out`` with groups of
-    ``runs_per_group`` runs: exit code, files, stderr and the runs of each
-    call of the engine."""
+def _chunk_draws(scenario, runs_per_group):
+    """The largest engine._CHUNK_DRAWS whose groups of the scenario's runs
+    hold at most ``runs_per_group`` runs, and the runs its groups hold: that
+    many, but one fewer where no _CHUNK_DRAWS gives that many, an odd
+    ``runs_per_group`` above 1 of runs of one estimate each."""
+    values = scenario.iterations * len(scenario.agents) * len(scenario.w_opt)
+    chunk_draws = ((runs_per_group + 1) * values - 1) // 2
+    return chunk_draws, max(1, 2 * chunk_draws // values)
+
+
+def _streamed(scenario, out, chunk_draws):
+    """``dlms run`` of the scenario's config into ``out`` with the engine's
+    _CHUNK_DRAWS at ``chunk_draws``: exit code, files, stderr and the runs of
+    each call of the engine."""
     config = out.with_name("scenario.cfg")
     config.write_text(serialize(scenario), encoding="utf-8")
-    values = scenario.iterations * len(scenario.agents) * len(scenario.w_opt)
     err = io.StringIO()
-    with mock.patch.object(dlms.cli, "_GROUP_VALUES", runs_per_group * values), \
+    with mock.patch.object(engine, "_CHUNK_DRAWS", chunk_draws), \
             mock.patch.object(engine, "run_ensemble", wraps=engine.run_ensemble) as simulate, \
             redirect_stderr(err):
         code = main(["run", str(config), "--out", str(out)])
@@ -88,10 +100,11 @@ def _streamed(scenario, out, runs_per_group):
 
 
 def _check_any_grouping(scenario, runs_per_group):
+    chunk_draws, runs_per_group = _chunk_draws(scenario, runs_per_group)
     with tempfile.TemporaryDirectory() as whole, tempfile.TemporaryDirectory() as streamed:
         (files, names), err = _whole(scenario, Path(whole, "t.csv"))
         code, (got, got_names), got_err, calls = _streamed(
-            scenario, Path(streamed, "t.csv"), runs_per_group)
+            scenario, Path(streamed, "t.csv"), chunk_draws)
     assert (got, got_names, got_err) == (files, names, err)
     assert code == (3 if err else 0)
     # consecutive groups of runs_per_group runs, the last one possibly shorter,
@@ -165,7 +178,7 @@ def test_a_failed_run_leaves_the_earlier_outputs(tmp_path, capsys, monkeypatch):
         real_writer(path, scenario, islice(records, 1))
         disk_full(path)
 
-    monkeypatch.setattr(dlms.cli, "_GROUP_VALUES", 2 * 30 * 5)  # two runs a group
+    monkeypatch.setattr(engine, "_CHUNK_DRAWS", 30 * 5)  # two runs a group
     monkeypatch.setattr(dlms.cli, "write_trajectories", writer_stops_after_a_group)
     assert dlms_run("--ensemble", "6", "--seed", "7") == 2
     assert capsys.readouterr().err == f"error: cannot write {out}: No space left on device\n"
@@ -176,3 +189,24 @@ def test_a_failed_run_leaves_the_earlier_outputs(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == (
         f"error: cannot write {metrics_path(out)}: No space left on device\n")
     assert _files(out) == before
+
+
+def test_table1_runs_in_groups_of_26(tmp_path):
+    """100 runs of 1000 iterations x 5 agents: 2 * 2^16 estimates hold 26 runs."""
+    with mock.patch.object(engine, "run_ensemble", wraps=engine.run_ensemble) as simulate:
+        assert main(["run", "table1", "--out", str(tmp_path / "t.csv")]) == 0
+    calls = [list(call.args[1]) for call in simulate.call_args_list]
+    assert [(runs[0], runs[-1]) for runs in calls] == [(0, 25), (26, 51), (52, 77),
+                                                       (78, 99)]
+    assert [len(runs) for runs in calls] == [26, 26, 26, 22]
+
+
+def test_long_horizon_runs_one_run_a_group(monkeypatch):
+    """20,000 iterations x 7 agents x M = 4 exceed 2 * 2^16 estimates: one run a group."""
+    scenario = parse(LONG_HORIZON.read_text())
+    assert (scenario.ensemble, scenario.iterations, len(scenario.agents)) == (2, 20000, 7)
+    calls = []
+    monkeypatch.setattr(engine, "run_ensemble",
+                        lambda _, runs: calls.append(list(runs)))
+    assert list(engine.groups(scenario)) == [None, None]
+    assert calls == [[0], [1]]
