@@ -34,7 +34,7 @@ EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
 # Values per formatted piece of the trajectory CSV. Its bytes and their mask
-# (172 KB each at M = 1) are allocated once per file: buffers this size
+# (123 KB each at M = 1) are allocated once per file: buffers this size
 # allocated per piece would be mapped and faulted in again every time.
 _WRITE_VALUES = 3 << 10
 
@@ -112,10 +112,12 @@ def write_trajectories(path, scenario, records):
     sorted order, written a record at a time as ``records`` yields them.
 
     A piece of at most _WRITE_VALUES values is one byte matrix with a row per
-    CSV row: the run, then ``,iteration,agent``, each padded, then a
-    ``floatfmt`` field per value (the separator in its slot 0) and
-    ``\\r\\n``; a mask of the bytes to keep compresses it into the file. The
-    matrix is laid out anew only when the run numbers grow a digit."""
+    CSV row: the run, then ``,iteration,agent``, each padded, then a 32-byte
+    ``floatfmt`` field per value, its comma first, and ``\\r\\n``. A
+    boolean mask of the bytes to keep selects them for the file; a field's
+    kept bytes are at most two runs, which makes boolean indexing cheaper
+    than ``np.compress``. The matrix is laid out anew only when the run
+    numbers grow a digit."""
     import numpy as np
 
     from .floatfmt import SLOTS, repr_fields
@@ -158,11 +160,10 @@ def write_trajectories(path, scenario, records):
                     text[:k, cut:end] = rows[0][first:first + k]
                     keep[:k, cut:end] = rows[1][first:first + k]
                     for i, j in zip(*np.nonzero(repr_fields(x, fields[:k], kept[:k]))):
-                        rep = repr(float(x[i, j])).encode()
-                        fields[i, j, 1:1 + len(rep)] = np.frombuffer(rep, np.uint8)
-                        kept[i, j] = np.arange(SLOTS) <= len(rep)
-                    fields[:k, :, 0], kept[:k, :, 0] = ord(","), True
-                    fh.write(np.compress(keep[:k].ravel(), text[:k].ravel()))
+                        rep = b"," + repr(float(x[i, j])).encode()
+                        fields[i, j, :len(rep)] = np.frombuffer(rep, np.uint8)
+                        kept[i, j] = np.arange(SLOTS) < len(rep)
+                    fh.write(text[:k][keep[:k]])
             del record  # not held while ``records`` makes the next one
 
 

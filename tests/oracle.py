@@ -11,9 +11,12 @@ the rounding). ``RandomStream`` draws one value at a time the stream that
 row-by-row ``csv.writer`` form of the trajectory CSV that ``dlms run``
 writes. ``verify_claim`` evaluates each claim on ``dlms.run``'s whole
 record, one run at a time where the claims fold the engine's blocks.
+``schubfach_ends`` computes Schubfach's interval ends with Giulietti's three
+``rop`` calls, for ``floatfmt``'s one-product form.
 """
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from functools import reduce
@@ -303,6 +306,38 @@ def write_trajectories(path, scenario, record):
                 for aid, w, e, d in zip(ids, ws, es, sq):
                     writer.writerow([r, i, aid, *map(repr, w), repr(e),
                                      repr(d ** 0.5)])
+
+
+_M63, _M64 = 2**63 - 1, 2**64 - 1
+
+
+def rop(g, cp):
+    """Giulietti's rop on Python ints: the top bits of g cp / 2^127, with a
+    sticky low bit, from the 63-bit halves of g as ``DoubleToDecimal`` does."""
+    g1, g0 = g >> 63, g & _M63
+    y = g1 * cp
+    z = ((y & _M64) >> 1) + (g0 * cp >> 64)
+    return ((y >> 64) + (z >> 63)) | (((z & _M63) + _M63) >> 63)
+
+
+@functools.cache
+def _schubfach_g(k):
+    r = (-k * 913_124_641_741 >> 38) - 125  # flog2pow10(-k) - 125
+    return (10 ** max(-k, 0) << max(-r, 0)) // (10 ** max(k, 0) << max(r, 0)) + 1
+
+
+def schubfach_ends(bits):
+    """Giulietti's k, vb, vbl and vbr (``DoubleToDecimal.toDecimal``) of the
+    normal double whose bits are the int ``bits``: three calls of ``rop``,
+    the reference for ``floatfmt._ends``."""
+    bq, t = (bits >> 52) & 0x7FF, bits & (2**52 - 1)
+    q, cb = bq - 1075, (t | 2**52) << 2
+    regular = t != 0 or bq == 1
+    k = (q * 661_971_961_083 - (0 if regular else 274_743_187_321)) >> 41
+    h = q + (-k * 913_124_641_741 >> 38) + 2
+    g = _schubfach_g(k)
+    cbl = cb - 2 if regular else cb - 1
+    return k, rop(g, cb << h), rop(g, cbl << h), rop(g, (cb + 2) << h)
 
 
 # ---------------------------------------------------------------------------

@@ -333,6 +333,26 @@ def test_setup_does_not_import_numpy(tmp_path):
     assert result.stdout == "[]\n"
 
 
+def test_commands_do_not_import_scipy(tmp_path):
+    """The package depends on numpy only. scipy may well be installed, so
+    an import of it would pass every other test: a run and a verify load no
+    scipy module."""
+    probe = (
+        "import sys\n"
+        "from dlms.cli import main\n"
+        "codes = [main(argv.split()) for argv in sys.argv[1:]]\n"
+        "print(codes, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "run table1 --ensemble 2 --iterations 10 --out t.csv",
+         "verify table1 merge --ensemble 2 --iterations 20"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, check=True)
+    assert result.stdout.splitlines()[-1] == "[0, 0] []"
+    assert (tmp_path / "t.csv").exists()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs /proc and more than one CPU")
