@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .claims import CLAIMS, verify_claim
 from .errors import ConfigError, DivergenceError, ParseError
-from .metrics import EnsembleSums
+from .metrics import EnsembleSums, root_square_is_abs
 from .scenarios import (
     AGENT_FIELDS,
     NETWORK_FIELDS,
@@ -117,7 +117,13 @@ def write_trajectories(path, scenario, records):
     boolean mask of the bytes to keep selects them for the file; a field's
     kept bytes are at most two runs, which makes boolean indexing cheaper
     than ``np.compress``. The matrix is laid out anew only when the run
-    numbers grow a digit."""
+    numbers grow a digit.
+
+    A run's rows of values, ``w0 … e dist_opt``, are gathered agent by agent
+    into one buffer allocated once per file. ``dist_opt`` is
+    ``pow(sq_dist, 0.5)``: for M = 1 that is ``|w - w_opt|``, computed in
+    place, wherever ``metrics.root_square_is_abs`` shows it, and ``pow`` of
+    the squared distance elsewhere and for M > 1, one value at a time."""
     import numpy as np
 
     from .floatfmt import SLOTS, repr_fields
@@ -131,10 +137,15 @@ def write_trajectories(path, scenario, records):
         fh.write((",".join(header) + "\r\n").encode())
         for record in records:
             if cut is None:
-                order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
+                order = np.array(sorted(range(len(record.agents)),
+                                        key=record.agents.__getitem__))
                 ids = [_csv_field(record.agents[a]) for a in order]
                 rows = _byte_rows([f",{i},{aid}".encode()
                                    for i in range(1, record.iterations + 1) for aid in ids])
+                values = np.empty((record.iterations * len(order), width))
+                grid = values.reshape(record.iterations, len(order), width)
+                dist = grid[..., m + 1]
+                slow = np.ones(dist.shape, bool)  # M > 1: pow(sq_dist, 0.5) throughout
             runs = _byte_rows([str(k).encode() for k in range(done, done + len(record))])
             done += len(record)
             if runs[0].shape[1] != cut:
@@ -150,19 +161,27 @@ def write_trajectories(path, scenario, records):
                 kept = keep[:, start:stop].reshape(step, width, SLOTS)
             for r in range(len(record)):
                 text[:, :cut], keep[:, :cut] = runs[0][r], runs[1][r]
-                dist = np.fromiter(map(pow, record.sq_dist[r][:, order].ravel().tolist(),
-                                       repeat(0.5)), float)
-                values = np.column_stack([record.ws[r][:, order].reshape(-1, m),
-                                          record.es[r][:, order].ravel(), dist])
+                for col, a in enumerate(order):
+                    grid[:, col, :m] = record.ws[r, :, a]
+                    grid[:, col, m] = record.es[r, :, a]
+                if m == 1:  # pow(sq_dist, 0.5) is |w - w_opt| but off root_square_is_abs
+                    np.abs(np.subtract(grid[..., 0], record.w_opt[0], out=dist), out=dist)
+                    slow = ~root_square_is_abs(dist)
+                if slow.any():
+                    i, col = np.nonzero(slow)
+                    dist[i, col] = list(map(pow, record.sq_dist[r][i, order[col]].tolist(),
+                                            repeat(0.5)))
                 for first in range(0, len(values), step):
                     x = values[first:first + step]
                     k = len(x)
                     text[:k, cut:end] = rows[0][first:first + k]
                     keep[:k, cut:end] = rows[1][first:first + k]
-                    for i, j in zip(*np.nonzero(repr_fields(x, fields[:k], kept[:k]))):
-                        rep = b"," + repr(float(x[i, j])).encode()
-                        fields[i, j, :len(rep)] = np.frombuffer(rep, np.uint8)
-                        kept[i, j] = np.arange(SLOTS) < len(rep)
+                    left = repr_fields(x, fields[:k], kept[:k])
+                    if left.any():
+                        for i, j in zip(*np.nonzero(left)):
+                            rep = b"," + repr(float(x[i, j])).encode()
+                            fields[i, j, :len(rep)] = np.frombuffer(rep, np.uint8)
+                            kept[i, j] = np.arange(SLOTS) < len(rep)
                     fh.write(text[:k][keep[:k]])
             del record  # not held while ``records`` makes the next one
 

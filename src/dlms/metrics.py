@@ -2,16 +2,40 @@
 the ensemble mean, steady-state variance, convergence and crossing detection.
 
 Every reduction adds in run order and left to right along iterations and weight
-components, and squares distances with Python's float power (the C library's
-``pow``), ``sq_dist`` and ``steady_state_variance`` one run at a time so that
-only one run's values are Python floats at once. numpy's own sums add pairwise
-and Python 3.12's ``sum`` compensates; numpy's ``x**2`` and ``pow`` round
-differently from libm's ``pow``. Any of them would change the last bit of the
+components, and squares distances to the target with the bits of Python's
+float power (the C library's ``pow``). numpy's own sums add pairwise and
+Python 3.12's ``sum`` compensates; numpy's ``x**2`` and ``pow`` are ``x*x``,
+which rounds differently from libm's ``pow`` (on about 1,600 of 2M random
+doubles with glibc 2.36). Any of them would change the last bit of the
 reported metrics.
 ``cumsum`` (numpy's ``add.accumulate``) does add in order, and
 0.0 + (v0 + v1 + ...) is the fold 0.0 + v0 + v1 + ... bit for bit, signed
 zeros included, so the steady-state window, thousands of iterations long, is
 summed as 0.0 + its ``cumsum``'s last entry in one call per run.
+
+``square`` and ``root_square_is_abs`` call ``pow`` only where its stated
+accuracy leaves the result open. glibc's ``pow`` (since 2.28, Arm's
+optimized-routines code) states a worst-case error of 0.54 ULP, so a double
+whose neighbours both lie more than 0.54 ulp from the exact value is the
+result. Two arguments use this:
+
+- ``pow(x, 2.0)``. Dekker's exact product (T. J. Dekker, Numer. Math. 18,
+  1971) gives ``lo = x² - hi`` with ``hi = x*x``, exactly for 2^-450 <= |x|
+  <= 2^500. Where ``|lo| <= 0.4 ulp(hi)`` and ``hi`` is not a power of two,
+  x² lies in ``hi``'s binade and each neighbour of ``hi`` is at least 0.6
+  ulp from x², so ``pow`` returns ``hi``.
+- ``pow(pow(x, 2.0), 0.5)``. For 2^-511 <= |x| < 2^511, |x| not a power of
+  two, ``s = pow(x, 2.0)`` is normal and within 0.54 ulp(x²) of x²: a
+  relative error of at most 0.54 * 2^-52 / m² (m² < 2) or 1.08 * 2^-52 / m²
+  (m² >= 2), m the significand of |x|. So √s lies within 0.27/m or 0.54/m
+  ulp(x), at most 0.382 ulp(x), of |x|, in |x|'s binade, and ``pow(s, 0.5)``,
+  within 0.54 ulp of √s, is within 0.93 ulp of |x|: it is |x|.
+
+Other values, about a fifth of the squares (their ``lo`` near half an ulp),
+take ``pow`` one value at a time, a block of values at once.
+``tests/oracle.py`` keeps per-value ``pow`` as the reference, and
+``tests/test_pow_bits.py`` compares both bit for bit with it on millions of
+values, binade and range edges included.
 numpy is imported inside the functions, so loading a scenario stays
 numpy-free.
 """
@@ -42,6 +66,20 @@ def sum_in_order(values, axis=0, start=0.0):
     return reduce(add, values, start)
 
 
+# glibc's pow is within 0.54 ULP; squares within 0.4 ulp of x*x return it
+_SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
+_EXPONENT, _SIGNIFICAND = 0x7FF0000000000000, (1 << 52) - 1
+_LO_BOUND = 0.4 * 2.0**-52  # times 2^e, hi's binade: 0.4 ulp(hi)
+# values squared at a time, in temporaries of 64 KB: one block covers a run
+# of table1 at full speed, while a 16,000-value steady-state window squared
+# at once raises long_horizon's peak RSS by 0.1-0.2 MB
+_SQUARE_BLOCK = 1 << 13
+# below this many values pow alone is cheaper than the test's ~20 us of numpy
+# calls (on a 2-vCPU Xeon the two cost the same at about 400 values), as for
+# table1's 200-value steady-state windows
+_SQUARE_MIN = 400
+
+
 def _pow2(x):
     try:
         return x ** 2
@@ -49,22 +87,82 @@ def _pow2(x):
         return math.inf
 
 
-def square(a):
-    """Element-wise ``x ** 2`` with Python's float power; ``inf`` past overflow.
+def _squares(values):
+    """``pow(v, 2.0)`` of each float in the list ``values``, as an array;
+    ``inf`` past overflow."""
+    import numpy as np
 
-    ``pow(x, 2.0)`` is the call that ``x ** 2`` makes, so mapping the builtin
-    over the values gives the same bits without a Python frame per value. It
-    raises OverflowError where libm's ``pow`` returns inf; such an array is
-    squared again through ``_pow2``.
+    try:
+        return np.fromiter(map(pow, values, repeat(2.0)), np.float64, len(values))
+    except OverflowError:
+        return np.fromiter(map(_pow2, values), np.float64, len(values))
+
+
+def _pow_is_hi(x, hi):
+    """Where libm's ``pow(x, 2.0)`` is ``hi = x*x``: x = 0, and 2^-450 <= |x|
+    <= 2^500 with the exact square within 0.4 ulp of ``hi``, not a power of
+    two (see the module docstring). Three temporaries of x's size."""
+    import numpy as np
+
+    xh = x * _SPLIT  # x = xh + xl, exactly
+    xl = np.subtract(xh, x)
+    np.subtract(xh, xl, out=xh)
+    np.subtract(x, xh, out=xl)
+    lo = xh * xh  # lo = ((xh*xh - hi) + 2 xh*xl) + xl*xl, each step exact
+    lo -= hi
+    np.multiply(xh, xl, out=xh)
+    xh += xh
+    lo += xh
+    np.multiply(xl, xl, out=xl)
+    lo += xl
+    bits = hi.view(np.uint64)
+    ulp = np.bitwise_and(bits, _EXPONENT, out=xh.view(np.uint64)).view(np.float64)
+    ulp *= _LO_BOUND
+    fast = np.abs(lo, out=lo) <= ulp
+    fast &= np.bitwise_and(bits, _SIGNIFICAND, out=ulp.view(np.uint64)) != 0
+    np.abs(x, out=xl)
+    fast &= (xl >= 2.0**-450) & (xl <= 2.0**500)
+    fast |= x == 0.0
+    return fast
+
+
+def square(a):
+    """Element-wise ``x ** 2`` with the bits of Python's float power (libm's
+    ``pow``); ``inf`` past overflow.
+
+    That is ``x*x`` wherever ``_pow_is_hi`` shows it, about four values in
+    five, ``+0.0`` for ``±0`` among them. The others (nan, inf, |x| outside
+    [2^-450, 2^500], squares near a rounding midpoint or a power of two) are
+    squared with ``pow`` one at a time, and so is every value of an array
+    of fewer than ``_SQUARE_MIN``. ``_SQUARE_BLOCK`` values at a time, so the
+    temporaries stay small whatever the size of ``a``.
     """
     import numpy as np
 
-    values = a.ravel().tolist()
-    try:
-        out = np.fromiter(map(pow, values, repeat(2.0)), np.float64, a.size)
-    except OverflowError:
-        out = np.fromiter(map(_pow2, values), np.float64, a.size)
-    return out.reshape(a.shape)
+    x = np.asarray(a, np.float64)
+    if x.size < _SQUARE_MIN:
+        return _squares(x.ravel().tolist()).reshape(x.shape)
+    out = np.empty(x.shape)
+    xs, his = x.reshape(-1), out.reshape(-1)
+    with np.errstate(all="ignore"):  # nan, inf and overflow take pow
+        for i in range(0, x.size, _SQUARE_BLOCK):
+            v, hi = xs[i:i + _SQUARE_BLOCK], his[i:i + _SQUARE_BLOCK]
+            np.multiply(v, v, out=hi)
+            slow = ~_pow_is_hi(v, hi)
+            if slow.any():
+                hi[slow] = _squares(v[slow].tolist())
+    return out
+
+
+def root_square_is_abs(d):
+    """Where ``pow(pow(x, 2.0), 0.5)`` is ``d = |x|``, element-wise: d = 0,
+    and 2^-511 <= d < 2^511 not a power of two (see the module docstring)."""
+    import numpy as np
+
+    ok = (d >= 2.0**-511) & (d < 2.0**511)
+    ok &= (d.view(np.uint64) & _SIGNIFICAND) != 0
+    ok |= d == 0.0
+    return ok
 
 
 @dataclass(eq=False)

@@ -9,8 +9,10 @@ to right from 0.0, as Python 3.11's builtin ``sum`` does (3.12 compensates
 the rounding). ``RandomStream`` draws one value at a time the stream that
 ``prng.gaussian_block`` computes in blocks. ``write_trajectories`` is the
 row-by-row ``csv.writer`` form of the trajectory CSV that ``dlms run``
-writes. ``verify_claim`` evaluates each claim on ``dlms.run``'s whole
-record, one run at a time where the claims fold the engine's blocks.
+writes, its squares and ``dist_opt`` with one ``pow`` call per value
+(``pow2``), the reference for ``metrics.square`` and the writer.
+``verify_claim`` evaluates each claim on ``dlms.run``'s whole record, one
+run at a time where the claims fold the engine's blocks.
 ``schubfach_ends`` computes Schubfach's interval ends with Giulietti's three
 ``rop`` calls, for ``floatfmt``'s one-product form.
 """
@@ -290,7 +292,18 @@ def weighted_sum_variance(s_ab, s_ba, var_x, var_y, cov_xy=0.0):
     return s_ab * s_ab * var_x + s_ba * s_ba * var_y + 2.0 * s_ab * s_ba * cov_xy
 
 
+def pow2(x):
+    """libm's ``pow(x, 2.0)``, as Python's ``x ** 2``, and ``inf`` where it
+    overflows: the per-value reference for ``metrics.square``."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def write_trajectories(path, scenario, record):
+    """The trajectory CSV row by row; ``dist_opt`` is ``pow(sq, 0.5)`` of the
+    squared distance ``0.0 + pow2(w0 - o0) + pow2(w1 - o1) + ...``."""
     m = len(scenario.w_opt)
     header = (["run", "iteration", "agent"]
               + [f"w{j}" for j in range(m)] + ["e", "dist_opt"])
@@ -300,12 +313,11 @@ def write_trajectories(path, scenario, record):
         writer = csv.writer(fh)
         writer.writerow(header)
         for r in range(len(record)):
-            rows = zip(record.ws[r][:, order].tolist(), record.es[r][:, order].tolist(),
-                       record.sq_dist[r][:, order].tolist())
-            for i, (ws, es, sq) in enumerate(rows, start=1):
-                for aid, w, e, d in zip(ids, ws, es, sq):
-                    writer.writerow([r, i, aid, *map(repr, w), repr(e),
-                                     repr(d ** 0.5)])
+            rows = zip(record.ws[r][:, order].tolist(), record.es[r][:, order].tolist())
+            for i, (ws, es) in enumerate(rows, start=1):
+                for aid, w, e in zip(ids, ws, es):
+                    sq = sum_in_order(pow2(wj - oj) for wj, oj in zip(w, record.w_opt))
+                    writer.writerow([r, i, aid, *map(repr, w), repr(e), repr(sq ** 0.5)])
 
 
 _M63, _M64 = 2**63 - 1, 2**64 - 1

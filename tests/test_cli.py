@@ -136,6 +136,28 @@ def test_trajectory_writer_lays_out_every_float_like_the_oracle(tmp_path):
     assert ours.read_bytes() == ref.read_bytes()
 
 
+def test_trajectory_writer_dist_opt_at_the_edges_like_the_oracle(tmp_path):
+    """At M = 1, where dist_opt is |w - w_opt| on root_square_is_abs's set
+    and pow of the squared distance off it: powers of two, the ends of that
+    set and their neighbours, subnormals, squares that underflow or
+    overflow, zeros, inf and nan, of either sign, in agents that the CSV
+    writes in another order than the record's."""
+    ends = [2.0**e for e in (-1074, -600, -512, -511, -510, -450, 0, 1, 500, 510, 511, 512,
+                             1023)]
+    values = [*ends, *(math.nextafter(v, 0.0) for v in ends),
+              *(math.nextafter(v, math.inf) for v in ends), 0.0, 5e-324, 1.5, math.inf,
+              math.nan]
+    values = np.array(values + [-v for v in values])
+    ws = np.resize(values, (2, -(-len(values) // 3), 3, 1))
+    ws[1] = ws[1][::-1]
+    scenario = SimpleNamespace(w_opt=(0.0,))
+    record = EnsembleRecord(scenario.w_opt, ["c", "a", "b"], ws, np.zeros(ws.shape[:3]))
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_trajectories(ours, scenario, [record])
+    oracle.write_trajectories(ref, scenario, record)
+    assert ours.read_bytes() == ref.read_bytes()
+
+
 def test_metrics_csv_has_convergence_iters(tmp_path):
     out = tmp_path / "t2.csv"
     assert run_cli("run", "table2", "--ensemble", "10", "--out", str(out)) == 0

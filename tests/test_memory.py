@@ -6,9 +6,11 @@ matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 1.61 MB, 2.04 MB,
 2.28 MB and 2.46 MB; the horizon pairs 2.06/2.06 MB, 2.38/2.38 MB,
 1.57/1.57 MB and 2.11/2.31 MB; then 9.40 MB, 10.78 MB, 8.13 MB, 12.35 MB,
-4.24 MB, 5.11 MB, 0.94 MB, 2.24 MB, 3.90 MB, 12.36 MB and 0.77 MB. The
-claims stream a block of every run at a time. The writer's 0.94 MB and the
-last one are transients above records that are already held.
+4.23 MB, 5.09 MB, 0.91 MB, 2.24 MB, 3.84 MB, 12.35 MB and 0.49 MB. The
+claims stream a block of every run at a time. The writer's 0.91 MB and the
+last one are transients above records that are already held. Squares make
+no Python float per value, only the fifth or so that ``metrics.square``
+hands to ``pow`` one at a time.
 """
 
 import dataclasses
@@ -67,7 +69,7 @@ def test_verify_stabilize_long_horizon_peak():
 
 def test_verify_speedup_peak():
     """table2's 100 runs streamed: each block's distances to the target, one
-    run's Python floats at a time, beside one block's buffers."""
+    run's squaring temporaries at a time, beside one block's buffers."""
     assert _traced_peak(verify_speedup, builtin("table2")) <= 2.7 * MB
 
 
@@ -115,11 +117,11 @@ def test_long_horizon_peak():
 
 
 def test_sq_dist_peak():
-    """table1's 4.0 MB of squared distances, with room for one run's
-    temporaries but not for a second array the size of the records or for
-    every distance as a Python float."""
+    """table1's 4.0 MB of squared distances and one run's temporaries at a
+    time (4.23 MB): the bound leaves 0.27 MB, a few runs' temporaries of
+    0.04 MB each, and no room for a temporary the size of the records."""
     record = run(builtin("table1"))
-    assert _traced_peak(lambda: record.sq_dist) <= 5 * MB
+    assert _traced_peak(lambda: record.sq_dist) <= 4.5 * MB
 
 
 def test_compute_report_peak():
@@ -128,33 +130,33 @@ def test_compute_report_peak():
     without a temporary the size of the records."""
     s = builtin("table1")
     record = run(s)
-    assert _traced_peak(lambda: compute_report(s, EnsembleSums().add(record))) <= 6 * MB
+    assert _traced_peak(lambda: compute_report(s, EnsembleSums().add(record))) <= 5.5 * MB
 
 
 def test_write_trajectories_peak(tmp_path):
     """The whole 33 MB trajectory CSV of table1, a bounded piece of text at a
     time: no run's text and no full column of formatted values at once. The
-    piece's byte matrix and mask (0.25 MB) and the formatting's
-    temporaries peak at 0.94 MB; the bound leaves 0.26 MB (28%), about one
-    more piece's matrix and mask."""
+    piece's byte matrix and mask (0.25 MB), the run's values (0.12 MB) and
+    the formatting's temporaries peak at 0.91 MB; the bound leaves 0.19 MB
+    (21%), less than one more piece's matrix and mask."""
     s = builtin("table1")
     record = run(s)
     record.sq_dist  # computed once and cached, outside the traced writer
-    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, [record]) <= 1.2 * MB
+    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, [record]) <= 1.1 * MB
 
 
 @pytest.mark.parametrize("ensemble", [100, 1000])
 def test_cli_run_table1_peak(tmp_path, ensemble):
     """``dlms run table1`` at 100 iterations, so that 1000 runs trace in
     seconds. The runs stream through the writer and the report in groups of
-    at most 2^17 estimates, 262 runs here, so 100 and 1000 runs peak alike:
-    one group's records and squared distances (3.1 MB at 262 runs) and the
-    writer, with no room for a second group."""
+    at most 2^17 estimates, 262 runs here, so 100 and 1000 runs peak alike
+    (2.24 and 3.84 MB): one group's records and squared distances (3.1 MB at
+    262 runs) and the writer, with no room for a second group."""
     out = tmp_path / "t.csv"
     argv = ["run", "table1", "--iterations", "100", "--ensemble", str(ensemble),
             "--out", str(out)]
     codes = []
-    assert _traced_peak(lambda: codes.append(main(argv))) <= 8 * MB
+    assert _traced_peak(lambda: codes.append(main(argv))) <= 6 * MB
     assert codes == [0] and out.exists()
 
 
@@ -185,7 +187,9 @@ def test_first_divergence_transient():
 
 def test_steady_state_variance_transient(long_horizon):
     """The steady-state windows of the stabilize claim's two agents on the
-    long_horizon record, one run's window at a time."""
+    long_horizon record, one run's window (0.13 MB) and its squares at a
+    time, squared 2^13 values at a time: 0.49 MB. The bound leaves 0.11 MB,
+    less than one more run's window."""
     record = long_horizon[1]
     assert _traced_peak(lambda: [steady_state_variance(record, aid)
-                                 for aid in ("c", "f")]) <= 1 * MB
+                                 for aid in ("c", "f")]) <= 0.6 * MB
