@@ -145,7 +145,6 @@ def write_trajectories(path, scenario, records):
                 values = np.empty((record.iterations * len(order), width))
                 grid = values.reshape(record.iterations, len(order), width)
                 dist = grid[..., m + 1]
-                slow = np.ones(dist.shape, bool)  # M > 1: pow(sq_dist, 0.5) throughout
             runs = _byte_rows([str(k).encode() for k in range(done, done + len(record))])
             done += len(record)
             if runs[0].shape[1] != cut:
@@ -167,10 +166,14 @@ def write_trajectories(path, scenario, records):
                 if m == 1:  # pow(sq_dist, 0.5) is |w - w_opt| but off root_square_is_abs
                     np.abs(np.subtract(grid[..., 0], record.w_opt[0], out=dist), out=dist)
                     slow = ~root_square_is_abs(dist)
-                if slow.any():
-                    i, col = np.nonzero(slow)
-                    dist[i, col] = list(map(pow, record.sq_dist[r][i, order[col]].tolist(),
-                                            repeat(0.5)))
+                    if slow.any():
+                        i, col = np.nonzero(slow)
+                        dist[i, col] = list(map(pow, record.sq_dist[r][i, order[col]].tolist(),
+                                                repeat(0.5)))
+                else:
+                    sq = record.sq_dist[r][:, order].ravel().tolist()
+                    dist[...] = np.fromiter(map(pow, sq, repeat(0.5)), np.float64,
+                                            len(sq)).reshape(dist.shape)
                 for first in range(0, len(values), step):
                     x = values[first:first + step]
                     k = len(x)

@@ -74,10 +74,6 @@ _LO_BOUND = 0.4 * 2.0**-52  # times 2^e, hi's binade: 0.4 ulp(hi)
 # of table1 at full speed, while a 16,000-value steady-state window squared
 # at once raises long_horizon's peak RSS by 0.1-0.2 MB
 _SQUARE_BLOCK = 1 << 13
-# below this many values pow alone is cheaper than the test's ~20 us of numpy
-# calls (on a 2-vCPU Xeon the two cost the same at about 400 values), as for
-# table1's 200-value steady-state windows
-_SQUARE_MIN = 400
 
 
 def _pow2(x):
@@ -133,15 +129,12 @@ def square(a):
     That is ``x*x`` wherever ``_pow_is_hi`` shows it, about four values in
     five, ``+0.0`` for ``±0`` among them. The others (nan, inf, |x| outside
     [2^-450, 2^500], squares near a rounding midpoint or a power of two) are
-    squared with ``pow`` one at a time, and so is every value of an array
-    of fewer than ``_SQUARE_MIN``. ``_SQUARE_BLOCK`` values at a time, so the
-    temporaries stay small whatever the size of ``a``.
+    squared with ``pow`` one at a time. ``_SQUARE_BLOCK`` values at a time,
+    so the temporaries stay small whatever the size of ``a``.
     """
     import numpy as np
 
     x = np.asarray(a, np.float64)
-    if x.size < _SQUARE_MIN:
-        return _squares(x.ravel().tolist()).reshape(x.shape)
     out = np.empty(x.shape)
     xs, his = x.reshape(-1), out.reshape(-1)
     with np.errstate(all="ignore"):  # nan, inf and overflow take pow
