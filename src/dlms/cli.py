@@ -10,12 +10,11 @@ import io
 import json
 import os
 import sys
-from itertools import repeat
 from pathlib import Path
 
 from .claims import CLAIMS, verify_claim
 from .errors import ConfigError, DivergenceError, ParseError
-from .metrics import EnsembleSums, root_square_is_abs
+from .metrics import EnsembleSums
 from .scenarios import (
     AGENT_FIELDS,
     NETWORK_FIELDS,
@@ -120,10 +119,7 @@ def write_trajectories(path, scenario, records):
     numbers grow a digit.
 
     A run's rows of values, ``w0 … e dist_opt``, are gathered agent by agent
-    into one buffer allocated once per file. ``dist_opt`` is
-    ``pow(sq_dist, 0.5)``: for M = 1 that is ``|w - w_opt|``, computed in
-    place, wherever ``metrics.root_square_is_abs`` shows it, and ``pow`` of
-    the squared distance elsewhere and for M > 1, one value at a time."""
+    into one buffer allocated once per file."""
     import numpy as np
 
     from .floatfmt import SLOTS, repr_fields
@@ -144,7 +140,6 @@ def write_trajectories(path, scenario, records):
                                    for i in range(1, record.iterations + 1) for aid in ids])
                 values = np.empty((record.iterations * len(order), width))
                 grid = values.reshape(record.iterations, len(order), width)
-                dist = grid[..., m + 1]
             runs = _byte_rows([str(k).encode() for k in range(done, done + len(record))])
             done += len(record)
             if runs[0].shape[1] != cut:
@@ -160,20 +155,11 @@ def write_trajectories(path, scenario, records):
                 kept = keep[:, start:stop].reshape(step, width, SLOTS)
             for r in range(len(record)):
                 text[:, :cut], keep[:, :cut] = runs[0][r], runs[1][r]
+                dist = record.dist_opt(r)
                 for col, a in enumerate(order):
                     grid[:, col, :m] = record.ws[r, :, a]
                     grid[:, col, m] = record.es[r, :, a]
-                if m == 1:  # pow(sq_dist, 0.5) is |w - w_opt| but off root_square_is_abs
-                    np.abs(np.subtract(grid[..., 0], record.w_opt[0], out=dist), out=dist)
-                    slow = ~root_square_is_abs(dist)
-                    if slow.any():
-                        i, col = np.nonzero(slow)
-                        dist[i, col] = list(map(pow, record.sq_dist[r][i, order[col]].tolist(),
-                                                repeat(0.5)))
-                else:
-                    sq = record.sq_dist[r][:, order].ravel().tolist()
-                    dist[...] = np.fromiter(map(pow, sq, repeat(0.5)), np.float64,
-                                            len(sq)).reshape(dist.shape)
+                    grid[:, col, m + 1] = dist[:, a]
                 for first in range(0, len(values), step):
                     x = values[first:first + step]
                     k = len(x)

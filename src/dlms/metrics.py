@@ -13,8 +13,8 @@ reported metrics.
 zeros included, so the steady-state window, thousands of iterations long, is
 summed as 0.0 + its ``cumsum``'s last entry in one call per run.
 
-``square`` and ``root_square_is_abs`` call ``pow`` only where its stated
-accuracy leaves the result open. glibc's ``pow`` (since 2.28, Arm's
+``square`` and ``EnsembleRecord.dist_opt`` call ``pow`` only where its
+stated accuracy leaves the result open. glibc's ``pow`` (since 2.28, Arm's
 optimized-routines code) states a worst-case error of 0.54 ULP, so a double
 whose neighbours both lie more than 0.54 ulp from the exact value is the
 result. Two arguments use this:
@@ -204,10 +204,24 @@ class EnsembleRecord:
         return out
 
     def dist(self, agent):
-        """Distance |w - w_opt| of one agent [R, L]."""
+        """Distance |w - w_opt| of one agent [R, L]: ``sqrt``, not ``dist_opt``'s ``pow``."""
         import numpy as np
 
         return np.sqrt(self.sq_dist[:, :, self.agents.index(agent)])
+
+    def dist_opt(self, r):
+        """Distances [L, A] of run r in the CSV: ``pow(sq_dist, 0.5)``, not ``dist``'s
+        ``sqrt`` (they differ on ~1 in 1,100 doubles); |w - w_opt| at M = 1 where
+        ``root_square_is_abs`` says so. Only the others take ``pow`` and read ``sq_dist``."""
+        if len(self.w_opt) > 1:
+            d = self.sq_dist[r].copy()
+            d.flat = list(map(pow, d.ravel().tolist(), repeat(0.5)))
+            return d
+        d = abs(self.ws[r, :, :, 0] - self.w_opt[0])
+        slow = ~root_square_is_abs(d)
+        if slow.any():
+            d[slow] = list(map(pow, self.sq_dist[r][slow].tolist(), repeat(0.5)))
+        return d
 
 
 def steady_state_start(length):

@@ -15,6 +15,7 @@ from dlms.metrics import (
     crossing_iteration,
     default_band,
     first_iteration,
+    root_square_is_abs,
     square,
     steady_state_variance,
     sum_in_order,
@@ -115,6 +116,78 @@ class TestReductionOrder:
                              .reshape(d.shape), axis=-1)
         assert record.sq_dist.shape == whole.shape == (runs, 50, 7)
         assert record.sq_dist.tobytes() == whole.tobytes()
+
+
+# powers of two, the ends of root_square_is_abs's set and their neighbours,
+# subnormals, squares that underflow or overflow, 1.5, zeros, inf and nan,
+# of either sign
+_ENDS = [2.0**e for e in (-1074, -600, -512, -511, -510, -450, 0, 1, 500, 510, 511, 512,
+                          1023)]
+_DISTANCE_EDGES = [*_ENDS, *(math.nextafter(v, 0.0) for v in _ENDS),
+                   *(math.nextafter(v, math.inf) for v in _ENDS), 0.0, 5e-324, 1.5,
+                   math.inf, math.nan]
+_DISTANCE_EDGES += [-v for v in _DISTANCE_EDGES]
+
+
+def _bits(values):
+    return np.asarray(values, np.float64).view(np.uint64).tolist()
+
+
+def _edge_record(m, w_opt):
+    """Two runs of three agents, the edge values (reversed in run 1) spread
+    over their estimates' m components."""
+    values = np.array(_DISTANCE_EDGES)
+    ws = np.resize(values, (2, -(-len(values) // (3 * m)), 3, m))
+    ws[1] = ws[1][::-1]
+    return EnsembleRecord((w_opt,) * m, ["c", "a", "b"], ws, np.zeros(ws.shape[:3]))
+
+
+class TestDistOpt:
+    """``EnsembleRecord.dist_opt``, the trajectory CSV's distances: the bits
+    of ``pow(s, 0.5)`` of each squared distance s."""
+
+    @pytest.mark.parametrize("m, w_opt", [(1, 0.0), (1, -1.5), (3, 0.0), (3, 0.75)])
+    def test_per_value_pow_of_sq_dist(self, m, w_opt):
+        record = _edge_record(m, w_opt)
+        for r in range(len(record)):
+            with np.errstate(over="ignore"):  # finite squares that sum to inf
+                got = record.dist_opt(r)
+            assert got.shape == record.sq_dist[r].shape
+            assert _bits(got) == _bits([[pow(s, 0.5) for s in row]
+                                        for row in record.sq_dist[r].tolist()])
+
+    def test_m1_on_root_square_is_abs_leaves_sq_dist_uncomputed(self):
+        """At M = 1, with every distance on ``root_square_is_abs``'s set, the
+        distances are |w - w_opt| and the squared distances stay uncomputed,
+        so the writer holds none of them."""
+        values = np.array(_DISTANCE_EDGES)
+        values = values[root_square_is_abs(np.abs(values))]
+        assert len(values) > len(_DISTANCE_EDGES) // 3
+        ws = values.reshape(1, -1, 1, 1)
+        record = EnsembleRecord((0.0,), ["a"], ws, np.zeros(ws.shape[:3]))
+        got = record.dist_opt(0)
+        assert "sq_dist" not in record.__dict__
+        assert _bits(got) == _bits(np.abs(ws[0, :, :, 0]))
+        assert _bits(got) == _bits([[pow(s, 0.5)] for s in record.sq_dist[0, :, 0].tolist()])
+
+    def test_dist_and_dist_opt_round_apart(self):
+        """The detectors read ``dist``, the IEEE ``sqrt`` of the squared
+        distance; the CSV writes ``dist_opt``, libm's ``pow(s, 0.5)``. They
+        differ on about 1 in 1,100 random doubles. A seeded search finds such
+        an s for an M = 2 estimate: merging the two distances would move
+        convergence or crossing iterations, or the CSV's bytes."""
+        rng = np.random.default_rng(1100)
+        for w in rng.uniform(-4.0, 4.0, (100_000, 2)).tolist():
+            s = 0.0 + w[0] ** 2 + w[1] ** 2
+            if math.sqrt(s) != s ** 0.5:
+                break
+        else:
+            pytest.fail("no squared distance whose sqrt and pow(s, 0.5) differ")
+        ws = np.array([w, [0.0, 0.0]]).reshape(1, 1, 2, 2)  # b at w_opt
+        record = EnsembleRecord((0.0, 0.0), ["a", "b"], ws, np.zeros((1, 1, 2)))
+        assert record.sq_dist[0, 0, 0] == s
+        assert record.dist("a").tolist() == [[math.sqrt(s)]]
+        assert record.dist_opt(0).tolist() == [[s ** 0.5, 0.0]]
 
 
 def msd_series(record, agent):
