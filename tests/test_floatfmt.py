@@ -221,7 +221,7 @@ def test_lower_end_borrow_doubles():
     assert step == 5**15 and (c0 + x) % step == (step + 1) // 2
     xs = range(x, x + counts[1128] * step, step)
     assert c0 + xs[-1] < 2**53 <= c0 + xs[-1] + step
-    assert all(any(lo <= (a * x + b) % _N127 <= hi for lo, hi in windows) for x in xs)
+    assert all(any(lo <= (a * y + b) % _N127 <= hi for lo, hi in windows) for y in xs)
     bits = (1128 << 52) | (np.array(xs, dtype=np.int64) + (c0 - 2**52))
     _ends_match_three_rops(bits.view(np.float64))
     values = np.concatenate([bits.view(np.float64), -bits.view(np.float64)])
