@@ -194,13 +194,16 @@ class EnsembleRecord:
 
         Filled one run at a time, so the temporaries and the Python floats
         that ``square`` passes through are one run's size, not the records'.
+        Finite squares that sum past the largest double give ``inf``, silently
+        as an overflowing square does.
         """
         import numpy as np
 
         w_opt = np.array(self.w_opt)
         out = np.empty(self.ws.shape[:-1])
-        for r, w in enumerate(self.ws):
-            out[r] = sum_in_order(square(w - w_opt), axis=-1)
+        with np.errstate(over="ignore"):
+            for r, w in enumerate(self.ws):
+                out[r] = sum_in_order(square(w - w_opt), axis=-1)
         return out
 
     def dist(self, agent):

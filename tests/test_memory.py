@@ -3,14 +3,16 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 1.61 MB, 2.04 MB,
-2.28 MB and 2.46 MB; the horizon pairs 2.06/2.06 MB, 2.38/2.38 MB,
-1.57/1.57 MB and 2.11/2.31 MB; then 9.40 MB, 10.78 MB, 8.13 MB, 12.35 MB,
-4.23 MB, 5.09 MB, 0.91 MB, 2.24 MB, 3.84 MB, 12.35 MB and 0.49 MB. The
-claims stream a block of every run at a time. The writer's 0.91 MB and the
-last one are transients above records that are already held. Squares make
-no Python float per value, only the fifth or so that ``metrics.square``
-hands to ``pow`` one at a time.
+peaks with numpy 2.4.6, in the order of the tests: 1.71 MB, 2.05 MB,
+2.35 MB and 2.47 MB; the horizon pairs 2.06/2.07 MB, 2.38/2.39 MB,
+1.67/1.67 MB and 2.12/2.31 MB; then 9.41 MB, 10.59 MB, 8.14 MB, 12.42 MB,
+4.23 MB, 5.09 MB, 0.94 MB, 2.25 MB, 3.86 MB, 12.42 MB, 0.49 MB and
+0.59 MB. The claims stream a block of every run at a time. The writer's
+0.94 MB and the steady-state windows' 0.49 MB are transients above records
+that are already held. Squares make no Python float per value, only the
+fifth or so that ``metrics.square`` hands to ``pow`` one at a time, and
+neither do the Box-Muller logarithms, 4,096 at a time, but the sixteenth
+or so that ``prng._logs`` hands to ``math.log``.
 """
 
 import dataclasses
@@ -24,6 +26,7 @@ from dlms.claims import verify_claim, verify_delay, verify_merge, verify_speedup
 from dlms.cli import main, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums, steady_state_start, steady_state_variance
+from dlms.prng import derive_seed, gaussian_block
 from dlms.scenarios import builtin, compute_report, run, with_trust
 from strategies import dense_trio_with_twins
 
@@ -193,3 +196,14 @@ def test_steady_state_variance_transient(long_horizon):
     record = long_horizon[1]
     assert _traced_peak(lambda: [steady_state_variance(record, aid)
                                  for aid in ("c", "f")]) <= 0.6 * MB
+
+
+def test_gaussian_block_peak():
+    """One call at long_horizon's block shape, 2 seeds x 1,092 iterations x
+    5 draws: the output (0.09 MB), the uint64 steps and draws and the
+    uniforms (0.22 MB), the logarithms' input and output (0.09 MB), and one
+    block of 4,096 logarithms: its buffers (0.13 MB) and numpy's buffer for
+    the long-double cast (0.06 MB). 0.59 MB in all; the bound leaves less
+    than a second block's buffers."""
+    seeds = [derive_seed(42, k) for k in range(2)]
+    assert _traced_peak(gaussian_block, seeds, 1092 * 5, 1092 * 5) <= 0.65 * MB

@@ -156,6 +156,15 @@ class TestDistOpt:
             assert _bits(got) == _bits([[pow(s, 0.5) for s in row]
                                         for row in record.sq_dist[r].tolist()])
 
+    def test_sq_dist_past_overflow_is_inf(self):
+        """Three components of 1.5 2^511 square to finite 1.125 2^1023 each,
+        whose sum passes the largest double: ``inf`` with no warning, which
+        the suite's filter would raise."""
+        ws = np.full((1, 1, 1, 3), 1.5 * 2.0**511)
+        record = EnsembleRecord((0.0,) * 3, ["a"], ws, np.zeros((1, 1, 1)))
+        assert np.isfinite(square(ws)).all()
+        assert record.sq_dist.tolist() == [[[math.inf]]]
+
     def test_m1_on_root_square_is_abs_leaves_sq_dist_uncomputed(self):
         """At M = 1, with every distance on ``root_square_is_abs``'s set, the
         distances are |w - w_opt| and the squared distances stay uncomputed,

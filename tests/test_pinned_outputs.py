@@ -20,6 +20,9 @@ from dlms.cli import main, metrics_path
 from dlms.scenarios import builtin, parse, serialize, with_trust
 
 LONG_HORIZON = Path(__file__).resolve().parents[1] / "perfbench" / "long_horizon.cfg"
+# the trajectory and metrics CSVs of long_horizon at --ensemble 3 --iterations 300
+LONG_HORIZON_DIGESTS = ("0c7488ddd1de17ef24ecbaef2a2d215f685e8a18dfc3c6e42243cc2108650fc1",
+                        "d29a20c39fc8bfadc322bf27d301eb96e410ad2faa601380d4609440b563bc89")
 SELFISH = [(0.9, 0.1, 0.0, 0.0), (0.1, 0.9, 0.0, 0.0),
            (0.0, 0.0, 1.0, 0.0), (0.0, 0.0, 0.0, 1.0)]
 
@@ -117,10 +120,8 @@ def test_vector_weight_csv_digests(tmp_path):
     out = tmp_path / "t.csv"
     assert main(["run", str(LONG_HORIZON), "--ensemble", "3", "--iterations", "300",
                  "--out", str(out)]) == 0
-    assert [hashlib.sha256(p.read_bytes()).hexdigest()
-            for p in (out, metrics_path(out))] == [
-        "0c7488ddd1de17ef24ecbaef2a2d215f685e8a18dfc3c6e42243cc2108650fc1",
-        "d29a20c39fc8bfadc322bf27d301eb96e410ad2faa601380d4609440b563bc89"]
+    assert tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in (out, metrics_path(out))) == LONG_HORIZON_DIGESTS
 
 
 def test_wide_vector_csv_digests(tmp_path):
