@@ -5,9 +5,7 @@ closed stdout, 3 divergence.
 """
 
 import argparse
-import csv
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -91,6 +89,8 @@ def apply_overrides(config, args):
 
 def _csv_field(text):
     """``text`` as csv.writer writes it as one field, quoted only if it must be."""
+    import csv  # json and csv load only for the files that need them, not at start-up
+
     buf = io.StringIO()
     csv.writer(buf).writerow([text])
     return buf.getvalue()[:-2]
@@ -186,6 +186,8 @@ def error_path(out):
 
 
 def write_metrics(path, scenario, sums):
+    import csv
+
     rows = compute_report(scenario, sums)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -236,6 +238,8 @@ def _run_to(scenario, out):
                 os.replace(parts[out], out)
                 written.append(out)
             _remove_stale(out, written)
+            import json
+
             error_path(out).write_text(json.dumps({
                 "error": "divergence",
                 "message": str(exc),

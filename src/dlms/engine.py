@@ -12,28 +12,39 @@ the reference's:
   1.0) and adds the later terms left to right. Rows with fewer terms than
   the longest are padded with terms 1.0 * -0.0, which add nothing, bit for
   bit: x + -0.0 is x for every double, signed zeros, inf and nan included;
-- predictions and targets accumulate as 0.0 + t0 + t1 + ..., like sum();
+- predictions and targets accumulate as 0.0 + t0 + t1 + ..., like sum().
+  A prediction started from -0.0, or from t0, could differ only in the sign
+  of a zero, and no error would show it: a fold from +0.0 is never -0.0, so
+  neither is a target y, and y - 0.0 is y - -0.0 for every y but -0.0. The
+  0.0 stays because the reference starts there;
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
 
 The signals are drawn a block of iterations at a time, one column per
 adaptive agent (a twin's a copy of its stream owner's), so their memory is
-bounded and the loop reads them without a gather. The loop keeps its state
-component-major with the runs last (see ``_simulate``) and copies each
-iteration once into a block of records, laid out [run, iteration, agent,
-weight component]. The pass is the only walk over the records: after each
-block of iterations it fills that block's rows of the averaging agents, scans
-them for divergence and hands the block on, and it stops drawing blocks once
-the first run has diverged. ``run_ensemble`` has the blocks written straight
-into the record of every iteration; ``blocks`` hands a claim one block of
-every run at a time, so its memory grows with the ensemble, not the horizon;
-``groups`` hands ``dlms run`` whole horizons a group of runs at a time.
+bounded and the loop reads them without a gather. Each owner's draws are
+scaled, and its targets folded, in the draws' own layout [run, iteration,
+draw], not with the runs last, where a narrow ensemble would make every
+inner loop a few values long; the result is copied once into each of the
+owner's columns. The loop keeps its state component-major with the runs last
+(see ``_simulate``) and copies each iteration once into a block of records,
+laid out [run, iteration, agent, weight component]. The pass is the only
+walk over the records: after each block of iterations it fills that block's
+rows of the averaging agents, scans them for divergence and hands the block
+on, and it stops drawing blocks once the first run has diverged.
+``run_ensemble`` has the blocks written straight into the record of every
+iteration; ``blocks`` hands a claim one block of every run at a time, so its
+memory grows with the ensemble, not the horizon; ``groups`` hands ``dlms
+run`` whole horizons a group of runs at a time.
 
 No matrix products are used, because BLAS may reorder the sums. The combine
 and the prediction are each one ``np.add.reduce`` over their leading axis,
 from an initial -0.0 (-0.0 + t0 is t0 bit for bit) and 0.0 respectively.
 numpy adds such an axis in order unless every other extent is 1; then it adds
 pairwise, so a lone adaptive agent in one run folds its prediction instead.
+The loop looks its ufuncs up once and passes ``out``, ``axis`` and
+``initial`` positionally: on a narrow ensemble numpy's fixed cost per call,
+keyword parsing included, outweighs the arithmetic on a few dozen values.
 """
 
 from dataclasses import replace
@@ -144,28 +155,29 @@ def _signals(scenario, seeds, start, stop, x, y):
     ``seeds``, the R runs' seeds per stream owner (see _streams).
 
     Each owner draws M+1 Gaussians per iteration (x components, then the
-    noise q) with the statistics of its first adaptive agent, from draw
-    start*(M+1) on, scaled straight into that agent's column; each twin's
-    column is a copy of it.
+    noise q) from draw start*(M+1) on, [R, L, M+1] with the runs first, and
+    scales them in that layout with the statistics of its first adaptive
+    agent; the result is copied once into the column of each adaptive agent
+    it feeds, its own and its twins'.
     """
     adaptive = scenario.adaptive_agents()
     stream = _streams(scenario)[1]
-    m, length, runs = len(scenario.w_opt), stop - start, len(seeds[0])
+    w_opt, m, length = scenario.w_opt, len(scenario.w_opt), stop - start
     x, y = x[:length], y[:length]
     for g, owner_seeds in enumerate(seeds):
-        first, *twins = [a for a, owner in enumerate(stream) if owner == g]
-        cfg = adaptive[first]
+        columns = [a for a, owner in enumerate(stream) if owner == g]
+        cfg = adaptive[columns[0]]
         z = gaussian_block(owner_seeds, length * (m + 1), start * (m + 1))
-        z = z.reshape(runs, length, m + 1).transpose(1, 2, 0)
-        xo, yo = x[:, :, first], y[:, first]
-        np.multiply(cfg.input.sd, z[:, :m], out=xo)
+        z = z.reshape(len(owner_seeds), length, m + 1)
+        xo = z[:, :, :m]
+        xo *= cfg.input.sd
         xo += cfg.input.mean
-        np.add(0.0, scenario.w_opt[0] * xo[:, 0], out=yo)
+        yo = 0.0 + w_opt[0] * xo[:, :, 0]
         for j in range(1, m):
-            yo += scenario.w_opt[j] * xo[:, j]
-        yo += cfg.noise.mean + cfg.noise.sd * z[:, m]
-        for a in twins:
-            x[:, :, a], y[:, a] = xo, yo
+            yo += w_opt[j] * xo[:, :, j]
+        yo += cfg.noise.mean + cfg.noise.sd * z[:, :, m]
+        for a in columns:
+            x[:, :, a], y[:, a] = xo.transpose(1, 2, 0), yo.T
     return x, y
 
 
@@ -247,6 +259,9 @@ def _simulate(scenario, runs, record=None):
     seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
              for owner in _streams(scenario)[0]]
     failed, error = r, None  # the first divergent run so far, r for none
+    # bound once and called positionally: numpy's per-call cost rules narrow ensembles
+    multiply, subtract, add, reduce = np.multiply, np.subtract, np.add, np.add.reduce
+    take = buf.take
     # divergent runs carry inf/nan through the loop and the averages
     with np.errstate(all="ignore"):
         for start in range(0, length, block):
@@ -260,17 +275,17 @@ def _simulate(scenario, runs, record=None):
             # only; take() gathers the same values as fancy indexing, with less
             # overhead
             for xi, yi, wi, ei in zip(x, y, wb.transpose(1, 3, 2, 0), eb.transpose(1, 2, 0)):
-                np.multiply(coef, buf.take(index, axis=0), out=terms)
-                np.add.reduce(terms, axis=0, initial=-0.0, out=psi)
-                np.multiply(psi, xi, out=products)
+                multiply(coef, take(index, 0), terms)
+                reduce(terms, 0, None, psi, False, -0.0)
+                multiply(psi, xi, products)
                 if collapsed:
                     pred[...] = sum_in_order(products)
                 else:
-                    np.add.reduce(products, axis=0, initial=0.0, out=pred)
-                ei[...] = np.subtract(yi, pred, out=pred)
-                np.multiply(mu, pred, out=mu_e)
-                np.multiply(mu_e, xi, out=step)
-                wi[...] = np.add(psi, step, out=w)
+                    reduce(products, 0, None, pred, False, 0.0)
+                ei[...] = subtract(yi, pred, pred)
+                multiply(mu, pred, mu_e)
+                multiply(mu_e, xi, step)
+                wi[...] = add(psi, step, w)
             for a, (first, *rest) in enumerate(sources, start=n):
                 total = rows.ws[:, :, a]  # summed in place, (w_s0 + w_s1 + ...) / n
                 total[...] = rows.ws[:, :, first]

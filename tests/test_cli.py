@@ -375,6 +375,29 @@ def test_commands_do_not_import_scipy(tmp_path):
     assert (tmp_path / "t.csv").exists()
 
 
+def test_setup_and_verify_do_not_import_json_or_csv():
+    """json and csv load only where the divergence manifest and the CSV
+    files need them: perfbench's setup probe (parse the arguments, load the
+    scenario, apply the overrides) and then a verify load neither."""
+    probe = (
+        "import sys\n"
+        "from dlms.cli import apply_overrides, build_parser, load_scenario\n"
+        "args = build_parser().parse_args()\n"
+        "apply_overrides(load_scenario(args.scenario), args)\n"
+        "loaded = lambda: sorted(m for m in ('json', 'csv') if m in sys.modules)\n"
+        "setup = loaded()\n"
+        "from dlms.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(setup, code, loaded())\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "verify", "table1", "merge", "--ensemble", "2",
+         "--iterations", "20"], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.splitlines()[-1] == "[] 0 []"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs /proc and more than one CPU")

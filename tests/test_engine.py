@@ -18,6 +18,7 @@ from dlms import engine
 from dlms.claims import balanced_variant, verify_delay
 from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
+from dlms.prng import derive_seed
 from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
 from dlms.signals import GaussianParams
 from strategies import dense_trio_with_twins, scenarios
@@ -299,6 +300,60 @@ def test_twins_before_and_beside_their_owners_match_oracle(
     s = _twins_before_and_beside_owners()
     assert _bits(run(s)) == _bits(oracle.run(s))
     assert drawn == blocks
+
+
+def _twin_first(m):
+    """Twin t listed before its owner a, and a second owner b, each owner
+    with nonzero input and noise means, against a target of M components."""
+    inp_a, noise_a = GaussianParams(0.2, 1.0), GaussianParams(-0.3, 0.1)
+    inp_b, noise_b = GaussianParams(-0.1, 0.8), GaussianParams(0.05, 0.3)
+    w0 = (0.0,) * m
+    agents = (
+        AgentConfig("t", "standalone", mu=0.05, w0=w0, input=inp_a, noise=noise_a,
+                    counterpart="a"),
+        AgentConfig("a", "cooperative", mu=0.1, w0=w0, input=inp_a, noise=noise_a),
+        AgentConfig("b", "cooperative", mu=0.08, w0=w0, input=inp_b, noise=noise_b),
+    )
+    rows = [(1.0, 0.0, 0.0), (0.0, 0.6, 0.4), (0.0, 0.3, 0.7)]
+    return Scenario(agents=agents, trust=TrustMatrix(tuple(rows)),
+                    w_opt=(1.0, -0.5, 0.25, 2.0)[:m], iterations=13, ensemble=1)
+
+
+def _oracle_signals(scenario, run_index, owner, start, stop):
+    """x [L, M] and y [L] of iterations start..stop-1 of one run, drawn as
+    oracle.run_single draws them from the stream of ``owner`` (a position in
+    scenario.agents): with the statistics of the owner's first adaptive agent."""
+    owners = oracle._stream_owners(scenario)
+    cfg = scenario.adaptive_agents()[owners.index(owner)]
+    stream = oracle.RandomStream(derive_seed((scenario.seed ^ run_index) & oracle._SEED_MASK,
+                                             owner))
+    samples = [oracle.generate_sample(stream, scenario.w_opt, cfg.input, cfg.noise)
+               for _ in range(stop)][start:]
+    return np.array([sample.x for sample in samples]), np.array([sample.y for sample in samples])
+
+
+@pytest.mark.parametrize("runs", [1, 2, 5])
+@pytest.mark.parametrize("scenario", [
+    dense_trio_with_twins(iterations=13, ensemble=1), _twin_first(1), _twin_first(4),
+], ids=["dense-trio-with-twins", "twin-first-m1", "twin-first-m4"])
+def test_signals_are_the_oracle_samples_of_each_column_owner(scenario, runs):
+    """engine._signals on its own, for a block of 6 iterations from 4 on
+    and a tail of 3 from 10 on, into buffers of 6 rows: every adaptive
+    column of x and y is the oracle's samples from that column's stream
+    owner, bit for bit, in each of the R runs."""
+    s = dataclasses.replace(scenario, ensemble=runs)
+    owners, stream = engine._streams(s)
+    seeds = [[derive_seed(s.seed ^ k, owner) for k in range(runs)] for owner in owners]
+    m, n = len(s.w_opt), len(s.adaptive_agents())
+    xs, ys = np.full((6, m, n, runs), np.nan), np.full((6, n, runs), np.nan)
+    for start, stop in [(4, 10), (10, 13)]:
+        x, y = engine._signals(s, seeds, start, stop, xs, ys)
+        assert x.shape == (stop - start, m, n, runs) and y.shape == (stop - start, n, runs)
+        for a, g in enumerate(stream):
+            for k in range(runs):
+                xo, yo = _oracle_signals(s, k, owners[g], start, stop)
+                assert x[:, :, a, k].view(np.uint64).tolist() == xo.view(np.uint64).tolist()
+                assert y[:, a, k].view(np.uint64).tolist() == yo.view(np.uint64).tolist()
 
 
 def _selfish(scenario, s_self):

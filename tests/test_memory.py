@@ -3,13 +3,15 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 1.71 MB, 2.05 MB,
-2.35 MB and 2.47 MB; the horizon pairs 2.06/2.07 MB, 2.38/2.39 MB,
-1.67/1.67 MB and 2.12/2.31 MB; then 9.41 MB, 10.59 MB, 8.14 MB, 12.42 MB,
-4.23 MB, 5.09 MB, 0.94 MB, 2.25 MB, 3.86 MB, 12.42 MB, 0.49 MB and
-0.59 MB. The claims stream a block of every run at a time. The writer's
-0.94 MB and the steady-state windows' 0.49 MB are transients above records
-that are already held. Squares make no Python float per value, only the
+peaks with numpy 2.4.6, in the order of the tests: 1.74 MB, 2.12 MB,
+2.36 MB and 2.53 MB; the horizon pairs 2.13/2.13 MB, 2.45/2.45 MB,
+1.70/1.70 MB and 2.19/2.38 MB; then 9.48 MB, 10.72 MB, 8.14 MB, 12.44 MB,
+4.23 MB, 5.09 MB, 0.94 MB, 2.31 MB, 3.92 MB, 12.44 MB, 0.49 MB, 0.59 MB,
+0.70 MB and 0.55 MB. The claims stream a block of every run at a time.
+The writer's 0.94 MB and the steady-state windows' 0.49 MB are transients
+above records that are already held. Each block's targets are built beside
+its draws, one owner at a time, before they are copied into the engine's
+signal buffers. Squares make no Python float per value, only the
 fifth or so that ``metrics.square`` hands to ``pow`` one at a time, and
 neither do the Box-Muller logarithms, 4,096 at a time, but the sixteenth
 or so that ``prng._logs`` hands to ``math.log``.
@@ -18,11 +20,19 @@ or so that ``prng._logs`` hands to ``math.log``.
 import dataclasses
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import dlms.engine  # numpy and the modules under test load before tracing
 import dlms.floatfmt
-from dlms.claims import verify_claim, verify_delay, verify_merge, verify_speedup
+from dlms.claims import (
+    balanced_variant,
+    pair,
+    verify_claim,
+    verify_delay,
+    verify_merge,
+    verify_speedup,
+)
 from dlms.cli import main, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums, steady_state_start, steady_state_variance
@@ -207,3 +217,37 @@ def test_gaussian_block_peak():
     than a second block's buffers."""
     seeds = [derive_seed(42, k) for k in range(2)]
     assert _traced_peak(gaussian_block, seeds, 1092 * 5, 1092 * 5) <= 0.65 * MB
+
+
+def _signals_peak(scenario, length):
+    """The traced peak of one engine._signals call, of ``length`` iterations
+    from iteration ``length`` on, into buffers allocated beforehand, as
+    engine._simulate allocates them once per call."""
+    owners = dlms.engine._streams(scenario)[0]
+    seeds = [[derive_seed(scenario.seed ^ k, owner) for k in range(scenario.ensemble)]
+             for owner in owners]
+    m, n = len(scenario.w_opt), len(scenario.adaptive_agents())
+    x = np.empty((length, m, n, scenario.ensemble))
+    y = np.empty((length, n, scenario.ensemble))
+    return _traced_peak(dlms.engine._signals, scenario, seeds, length, 2 * length, x, y)
+
+
+def test_signals_long_horizon_block_peak():
+    """One block at long_horizon's shape, 2 runs x 1,092 iterations of 3
+    owners into 6 columns: the x and y buffers (0.42 and 0.10 MB) are the
+    caller's. Each owner's draws (0.09 MB) are scaled in place and its
+    targets (0.02 MB) built beside them, so the peak is the third owner's
+    gaussian_block call (0.60 MB) beside the second's draws and targets:
+    0.70 MB. The bound leaves less than one more owner's draws."""
+    s = dense_trio_with_twins(iterations=20000, ensemble=2)
+    assert _signals_peak(s, 1092) <= 0.75 * MB
+
+
+def test_signals_verify_delay_block_peak():
+    """One block of the delay claim's joint network, 100 runs x 40
+    iterations of 2 owners into 8 columns: the x and y buffers (0.26 MB
+    each) are the caller's. The second owner's gaussian_block call (0.45
+    MB) beside the first's draws (0.06 MB) and targets (0.03 MB) peak at
+    0.55 MB; the bound leaves less than one more owner's draws."""
+    s = _selfish_table1()
+    assert _signals_peak(pair(s, balanced_variant(s))[0], 40) <= 0.6 * MB
