@@ -10,6 +10,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
+from operator import index
 
 from .errors import ConfigError, ParseError
 from .metrics import convergence_iteration, crossing_iteration, default_band
@@ -65,6 +66,12 @@ def _check_finite(name, values):
 
 def validate(scenario):
     """Check every scenario invariant; raise ConfigError naming the field."""
+    for name in ("iterations", "ensemble", "seed"):
+        value = getattr(scenario, name)
+        try:
+            index(value)
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
     if scenario.iterations < 1:
         raise ConfigError(f"iterations must be >= 1, got {scenario.iterations}")
     if scenario.ensemble < 1:

@@ -10,7 +10,7 @@ the rounding). ``RandomStream`` draws one value at a time the stream that
 ``prng.gaussian_block`` computes in blocks. ``write_trajectories`` is the
 row-by-row ``csv.writer`` form of the trajectory CSV that ``dlms run``
 writes, its squares and ``dist_opt`` with one ``pow`` call per value
-(``pow2``), the reference for ``metrics.square`` and the writer.
+(``pow2``), the reference for ``libm.square`` and the writer.
 ``verify_claim`` evaluates each claim on ``dlms.run``'s whole record, one
 run at a time where the claims fold the engine's blocks.
 ``schubfach_ends`` computes Schubfach's interval ends with Giulietti's three
@@ -20,6 +20,8 @@ run at a time where the claims fold the engine's blocks.
 import csv
 import functools
 import math
+import os
+import platform
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import combinations
@@ -299,6 +301,17 @@ def pow2(x):
         return x ** 2
     except OverflowError:
         return math.inf
+
+
+def _libc():
+    """The C library, its glibc version and the long-double significand: the
+    premises of ``dlms.libm``, named in the bit tests' failure messages."""
+    try:
+        confstr = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        confstr = None
+    return (f"C library {platform.libc_ver()}, CS_GNU_LIBC_VERSION {confstr!r}, "
+            f"long double of {np.finfo(np.longdouble).nmant + 1}-bit significand")
 
 
 def write_trajectories(path, scenario, record):

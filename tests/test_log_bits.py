@@ -1,8 +1,9 @@
-"""``prng._logs``, the Box-Muller logarithms, against libm's ``log``, one
-call per value, bit for bit.
+"""``libm.logs``, the Box-Muller logarithms, against libm's ``log``, one
+call per value, bit for bit, and the premises that all of ``libm``'s rules
+check.
 
-``_logs`` rounds x87 ``logl`` to double and calls ``log`` only where glibc's
-stated 0.519-ULP accuracy leaves the result open (see the ``prng``
+``logs`` rounds x87 ``logl`` to double and calls ``log`` only where glibc's
+stated 0.519-ULP accuracy leaves the result open (see the ``libm``
 docstring). These tests compare it with per-value ``math.log`` on seeded
 uniforms of the stream's form ``k 2^-53``, the uniforms next to 0 and 1,
 every power of two down to 2^-53, and uniforms whose long-double residual
@@ -13,30 +14,20 @@ names the C library.
 
 import math
 import os
-import platform
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from dlms import prng
-from dlms.prng import _logs, gaussian_block
-from oracle import RandomStream
+from dlms import libm, prng
+from dlms.libm import logs
+from dlms.metrics import EnsembleRecord
+from dlms.prng import gaussian_block
+from oracle import RandomStream, _libc
 from test_golden import REDUCED, _digests
 from test_pinned_outputs import LONG_HORIZON, LONG_HORIZON_DIGESTS
-
-
-def _libc():
-    try:
-        confstr = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        confstr = None
-    return (f"C library {platform.libc_ver()}, CS_GNU_LIBC_VERSION {confstr!r}, "
-            f"long double of {np.finfo(np.longdouble).nmant + 1}-bit significand")
-
-
-def _bits(values):
-    return np.asarray(values, np.float64).view(np.uint64)
+from test_pow_bits import _bits
 
 
 def _uniforms(k):
@@ -46,39 +37,41 @@ def _uniforms(k):
 
 def _residual_ulps(u):
     """|logl(u) - d| in ulps of d, with d logl(u) rounded to double; ulp(d)
-    from ``np.spacing``, independent of ``_logs``'s exponent mask."""
+    from ``np.spacing``, independent of ``libm``'s exponent mask."""
     logl = np.log(u.astype(np.longdouble))
     d = logl.astype(np.float64)
     return d, np.abs((logl - d).astype(np.float64)) / np.abs(np.spacing(d))
 
 
 def _recording(monkeypatch):
-    """The values ``_logs`` hands to ``_libm_logs``, as they come."""
-    called, libm_logs = [], prng._libm_logs
+    """The values ``libm`` hands to libm one at a time, as they come, by
+    function: ``"log"``, or the exponent of ``pow``."""
+    called, per_value = {}, libm._per_value
 
-    def recorded(values):
-        called.extend(values)
-        return libm_logs(values)
-    monkeypatch.setattr(prng, "_libm_logs", recorded)
+    def recorded(values, y=None):
+        called.setdefault("log" if y is None else y, []).extend(values)
+        return per_value(values, y)
+    monkeypatch.setattr(libm, "_per_value", recorded)
     return called
 
 
 def _check(u, monkeypatch):
-    """_logs(u) is per-value ``math.log``, and calls it on exactly the
+    """logs(u) is per-value ``math.log``, and calls it on exactly the
     values off the stated set: d zero, a power of two, or more than 0.47
     ulp from logl. Returns the number of values it called ``log`` on."""
     u = np.asarray(u, np.float64)
     want = np.fromiter(map(math.log, u.tolist()), np.float64, u.size)
-    called = _recording(monkeypatch)
-    got = _logs(u)
+    calls = _recording(monkeypatch)
+    got = logs(u)
+    called = calls.get("log", [])
     differ = np.flatnonzero(_bits(got) != _bits(want))
     if differ.size:
         i = differ[0]
-        pytest.fail(f"_logs differs from per-value log on {differ.size} of {u.size} "
+        pytest.fail(f"logs differs from per-value log on {differ.size} of {u.size} "
                     f"values, first at u = {u[i]!r}: {got[i]!r} != {want[i]!r}; {_libc()}")
     d, ratio = _residual_ulps(u)
     stated = (ratio <= 0.47) & (np.abs(np.frexp(d)[0]) != 0.5) & (d != 0.0)
-    off = u[~stated] if prng._logl_fixes_log() else u
+    off = u[~stated] if libm._premises()[1] else u
     assert _bits(called).tolist() == _bits(off).tolist()
     return len(called)
 
@@ -90,7 +83,7 @@ def test_seeded_uniforms(monkeypatch):
     rng = np.random.default_rng(20250127)
     u = _uniforms(rng.integers(1, (1 << 53) + 1, 1 << 21, dtype=np.uint64))
     called = _check(u, monkeypatch)
-    assert called == (126_088 if prng._logl_fixes_log() else u.size), _libc()
+    assert called == (126_088 if libm._premises()[1] else u.size), _libc()
 
 
 def test_uniforms_next_to_zero_and_one(monkeypatch):
@@ -121,34 +114,60 @@ def test_residuals_near_the_cut(monkeypatch):
     ("glibc 1.99", False), ("glibc", False), ("musl 1.2", False), (None, False)])
 def test_detection_needs_glibc_2_28(monkeypatch, confstr, fast):
     monkeypatch.setattr(os, "confstr", lambda name: confstr)
-    monkeypatch.setattr(prng.np, "finfo", lambda dtype: SimpleNamespace(nmant=63))
-    assert prng._logl_fixes_log.__wrapped__() is fast
+    monkeypatch.setattr(libm.np, "finfo", lambda dtype: SimpleNamespace(nmant=63))
+    assert libm._premises.__wrapped__() == (fast, fast)
 
 
 def test_detection_needs_a_64_bit_significand(monkeypatch):
     monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
-    monkeypatch.setattr(prng.np, "finfo", lambda dtype: SimpleNamespace(nmant=52))
-    assert prng._logl_fixes_log.__wrapped__() is False
+    monkeypatch.setattr(libm.np, "finfo", lambda dtype: SimpleNamespace(nmant=52))
+    assert libm._premises.__wrapped__() == (True, False)
+
+
+def test_a_52_bit_long_double_turns_off_only_the_logarithms(monkeypatch):
+    """With glibc but a ``long double`` that is a plain double (52-bit
+    stored significand), ``logs`` calls ``log`` on every value, while
+    ``square`` and ``root_square_is_abs`` keep the rounding that glibc's
+    ``pow`` bound fixes."""
+    monkeypatch.setattr(os, "confstr", lambda name: "glibc 2.36")
+    monkeypatch.setattr(libm.np, "finfo", lambda dtype: SimpleNamespace(nmant=52))
+    libm._premises.cache_clear()
+    try:
+        called = _recording(monkeypatch)
+        u = np.array([0.25, 0.5, 0.75, 1.0])
+        assert _bits(logs(u)).tolist() == _bits([math.log(v) for v in u.tolist()]).tolist()
+        x = np.array([1.5, -3.0, 0.0, 7.25])  # each x*x exact, none a power of two
+        assert _bits(libm.square(x)).tolist() == _bits(x * x).tolist()
+        assert libm.root_square_is_abs(np.abs(x)).all()
+        assert {f: len(v) for f, v in called.items()} == {"log": 4}
+    finally:
+        libm._premises.cache_clear()
 
 
 @pytest.fixture
 def another_platform(monkeypatch):
     """The detection reports a C library without ``CS_GNU_LIBC_VERSION``, as
-    musl and macOS do; each value ``_logs`` takes is counted, and each value
-    it hands to ``math.log``."""
+    musl and macOS do. Yields a function that returns two Counters: the
+    values that ``logs`` and ``square`` take, and the values that ``libm``
+    hands to libm one at a time, by function (``"log"``, or ``pow``'s
+    exponent). ``prng`` binds ``logs`` at import; ``metrics`` looks up
+    ``square`` in ``libm`` at each call."""
     def no_glibc(name):
         raise ValueError("unrecognized configuration name")
     monkeypatch.setattr(os, "confstr", no_glibc)
-    prng._logl_fixes_log.cache_clear()
-    taken, logs = [], prng._logs
+    libm._premises.cache_clear()
+    taken = Counter()
 
-    def counted(u):
-        taken.append(u.size)
-        return logs(u)
-    monkeypatch.setattr(prng, "_logs", counted)
+    def counted(name, rule):
+        def taking(x):
+            taken[name] += np.size(x)
+            return rule(x)
+        return taking
+    monkeypatch.setattr(prng, "logs", counted("log", libm.logs))
+    monkeypatch.setattr(libm, "square", counted(2.0, libm.square))
     called = _recording(monkeypatch)
-    yield lambda: (sum(taken), len(called))
-    prng._logl_fixes_log.cache_clear()
+    yield lambda: (taken, Counter({f: len(v) for f, v in called.items()}))
+    libm._premises.cache_clear()
 
 
 def test_another_platform_calls_log_on_every_value(another_platform):
@@ -158,7 +177,23 @@ def test_another_platform_calls_log_on_every_value(another_platform):
     streams = [RandomStream(seed) for seed in seeds]
     draws = [[s.next_gaussian() for _ in range(8191)] for s in streams]
     assert repr(gaussian_block(seeds, 8191).tolist()) == repr(draws)
-    assert another_platform() == (3 * 4096, 3 * 4096)
+    assert another_platform() == ({"log": 3 * 4096}, {"log": 3 * 4096})
+
+
+def test_another_platform_calls_pow_on_every_value(another_platform):
+    """Without the premises every square and every distance of the
+    trajectory CSV, at M = 1 and M > 1, calls ``pow``; the values, 1.5 and
+    3 apart from the target, are ones the rounding would fix."""
+    for m in (1, 3):
+        ws = np.full((2, 5, 4, m), 1.5)
+        ws[1] = 3.0
+        record = EnsembleRecord((0.0,) * m, ["a", "b", "c", "d"], ws, np.zeros((2, 5, 4)))
+        dist = np.array([record.dist_opt(r) for r in range(2)])
+        want = [pow(s, 0.5) for s in record.sq_dist.ravel().tolist()]
+        assert _bits(dist.ravel()).tolist() == _bits(want).tolist()
+    assert libm.square(np.array([1.5, 3.0])).tolist() == [2.25, 9.0]
+    # M = 1: sq_dist squares 40 values; M = 3: 120
+    assert another_platform() == ({2.0: 40 + 120 + 2}, {2.0: 40 + 120 + 2, 0.5: 80})
 
 
 def test_another_platform_keeps_the_goldens(another_platform, tmp_path):
@@ -167,5 +202,6 @@ def test_another_platform_keeps_the_goldens(another_platform, tmp_path):
     assert _digests(tmp_path, str(LONG_HORIZON), "--ensemble", "3", "--iterations", "300") \
         == LONG_HORIZON_DIGESTS
     taken, called = another_platform()
-    assert taken == called > 0
-    assert not prng._logl_fixes_log()
+    assert taken == {f: called[f] for f in ("log", 2.0)} and min(called.values()) > 0
+    assert called[0.5] > 0
+    assert libm._premises() == (False, False)

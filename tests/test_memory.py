@@ -3,18 +3,18 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 1.74 MB, 2.12 MB,
-2.36 MB and 2.53 MB; the horizon pairs 2.13/2.13 MB, 2.45/2.45 MB,
-1.70/1.70 MB and 2.19/2.38 MB; then 9.48 MB, 10.72 MB, 8.14 MB, 12.44 MB,
-4.23 MB, 5.09 MB, 0.94 MB, 2.31 MB, 3.92 MB, 12.44 MB, 0.49 MB, 0.59 MB,
-0.70 MB and 0.55 MB. The claims stream a block of every run at a time.
+peaks with numpy 2.4.6, in the order of the tests: 1.71 MB, 2.05 MB,
+2.32 MB and 2.47 MB; the horizon pairs 2.06/2.06 MB, 2.38/2.39 MB,
+1.67/1.67 MB and 2.12/2.31 MB; then 9.41 MB, 10.65 MB, 8.14 MB, 12.40 MB,
+4.22 MB, 5.09 MB, 0.94 MB, 2.25 MB, 3.86 MB, 12.40 MB, 0.49 MB, 0.55 MB,
+0.66 MB and 0.52 MB. The claims stream a block of every run at a time.
 The writer's 0.94 MB and the steady-state windows' 0.49 MB are transients
 above records that are already held. Each block's targets are built beside
 its draws, one owner at a time, before they are copied into the engine's
-signal buffers. Squares make no Python float per value, only the
-fifth or so that ``metrics.square`` hands to ``pow`` one at a time, and
-neither do the Box-Muller logarithms, 4,096 at a time, but the sixteenth
-or so that ``prng._logs`` hands to ``math.log``.
+signal buffers. Squares, 8,192 at a time, make no Python float per value,
+only the fifth or so that ``libm.square`` hands to ``pow`` one at a time,
+and neither do the Box-Muller logarithms, 4,096 at a time, but the
+sixteenth or so that ``libm.logs`` hands to ``math.log``.
 """
 
 import dataclasses
@@ -131,7 +131,7 @@ def test_long_horizon_peak():
 
 def test_sq_dist_peak():
     """table1's 4.0 MB of squared distances and one run's temporaries at a
-    time (4.23 MB): the bound leaves 0.27 MB, a few runs' temporaries of
+    time (4.22 MB): the bound leaves 0.28 MB, a few runs' temporaries of
     0.04 MB each, and no room for a temporary the size of the records."""
     record = run(builtin("table1"))
     assert _traced_peak(lambda: record.sq_dist) <= 4.5 * MB
@@ -150,8 +150,8 @@ def test_write_trajectories_peak(tmp_path):
     """The whole 33 MB trajectory CSV of table1, a bounded piece of text at a
     time: no run's text and no full column of formatted values at once. The
     piece's byte matrix and mask (0.25 MB), the run's values (0.12 MB) and
-    the formatting's temporaries peak at 0.91 MB; the bound leaves 0.19 MB
-    (21%), less than one more piece's matrix and mask."""
+    the formatting's temporaries peak at 0.94 MB; the bound leaves 0.16 MB
+    (17%), less than one more piece's matrix and mask."""
     s = builtin("table1")
     record = run(s)
     record.sq_dist  # computed once and cached, outside the traced writer
@@ -163,7 +163,7 @@ def test_cli_run_table1_peak(tmp_path, ensemble):
     """``dlms run table1`` at 100 iterations, so that 1000 runs trace in
     seconds. The runs stream through the writer and the report in groups of
     at most 2^17 estimates, 262 runs here, so 100 and 1000 runs peak alike
-    (2.24 and 3.84 MB): one group's records and squared distances (3.1 MB at
+    (2.25 and 3.86 MB): one group's records and squared distances (3.1 MB at
     262 runs) and the writer, with no room for a second group."""
     out = tmp_path / "t.csv"
     argv = ["run", "table1", "--iterations", "100", "--ensemble", str(ensemble),
@@ -201,8 +201,8 @@ def test_first_divergence_transient():
 def test_steady_state_variance_transient(long_horizon):
     """The steady-state windows of the stabilize claim's two agents on the
     long_horizon record, one run's window (0.13 MB) and its squares at a
-    time, squared 2^13 values at a time: 0.49 MB. The bound leaves 0.11 MB,
-    less than one more run's window."""
+    time, squared 2^13 values at a time by ``libm.square``: 0.49 MB. The
+    bound leaves 0.11 MB, less than one more run's window."""
     record = long_horizon[1]
     assert _traced_peak(lambda: [steady_state_variance(record, aid)
                                  for aid in ("c", "f")]) <= 0.6 * MB
@@ -211,10 +211,10 @@ def test_steady_state_variance_transient(long_horizon):
 def test_gaussian_block_peak():
     """One call at long_horizon's block shape, 2 seeds x 1,092 iterations x
     5 draws: the output (0.09 MB), the uint64 steps and draws and the
-    uniforms (0.22 MB), the logarithms' input and output (0.09 MB), and one
-    block of 4,096 logarithms: its buffers (0.13 MB) and numpy's buffer for
-    the long-double cast (0.06 MB). 0.59 MB in all; the bound leaves less
-    than a second block's buffers."""
+    uniforms (0.22 MB), the logarithms' output (0.04 MB; their input is a
+    view of the uniforms), and one block of 4,096 logarithms: its buffers
+    (0.13 MB) and numpy's buffer for the long-double cast (0.06 MB). 0.55
+    MB in all; the bound leaves less than a second block's buffers."""
     seeds = [derive_seed(42, k) for k in range(2)]
     assert _traced_peak(gaussian_block, seeds, 1092 * 5, 1092 * 5) <= 0.65 * MB
 
@@ -237,17 +237,17 @@ def test_signals_long_horizon_block_peak():
     owners into 6 columns: the x and y buffers (0.42 and 0.10 MB) are the
     caller's. Each owner's draws (0.09 MB) are scaled in place and its
     targets (0.02 MB) built beside them, so the peak is the third owner's
-    gaussian_block call (0.60 MB) beside the second's draws and targets:
-    0.70 MB. The bound leaves less than one more owner's draws."""
+    gaussian_block call (0.55 MB) beside the second's draws and targets:
+    0.66 MB. The bound leaves less than one more owner's draws."""
     s = dense_trio_with_twins(iterations=20000, ensemble=2)
-    assert _signals_peak(s, 1092) <= 0.75 * MB
+    assert _signals_peak(s, 1092) <= 0.74 * MB
 
 
 def test_signals_verify_delay_block_peak():
     """One block of the delay claim's joint network, 100 runs x 40
     iterations of 2 owners into 8 columns: the x and y buffers (0.26 MB
-    each) are the caller's. The second owner's gaussian_block call (0.45
+    each) are the caller's. The second owner's gaussian_block call (0.42
     MB) beside the first's draws (0.06 MB) and targets (0.03 MB) peak at
-    0.55 MB; the bound leaves less than one more owner's draws."""
+    0.52 MB; the bound leaves less than one more owner's draws."""
     s = _selfish_table1()
-    assert _signals_peak(pair(s, balanced_variant(s))[0], 40) <= 0.6 * MB
+    assert _signals_peak(pair(s, balanced_variant(s))[0], 40) <= 0.57 * MB

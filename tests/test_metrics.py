@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dlms.claims import DELAY_BAND_FRACTION, merge_iteration
 from dlms.errors import ConfigError
+from dlms.libm import root_square_is_abs, square
 from dlms.metrics import (
     EnsembleRecord,
     EnsembleSums,
@@ -15,8 +16,6 @@ from dlms.metrics import (
     crossing_iteration,
     default_band,
     first_iteration,
-    root_square_is_abs,
-    square,
     steady_state_variance,
     sum_in_order,
 )

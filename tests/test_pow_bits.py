@@ -1,8 +1,8 @@
-"""``metrics.square`` and the trajectory CSV's M = 1 ``dist_opt`` against
+"""``libm.square`` and the trajectory CSV's M = 1 ``dist_opt`` against
 libm's ``pow``, one call per value, bit for bit.
 
 Both skip ``pow`` only where glibc's stated 0.54-ULP accuracy forces its
-result (see the ``metrics`` docstring). These tests compare them with
+result (see the ``libm`` docstring). These tests compare them with
 ``oracle.pow2`` and ``pow(·, 0.5)`` on every kind of value the argument
 distinguishes: millions of seeded doubles over many binades, squares whose
 rounding error lies near the 0.4-ulp cut, significands next to 1, √2 and 2,
@@ -12,23 +12,13 @@ overflow and both ends of each range. The argument rests on the C library's
 """
 
 import math
-import os
-import platform
 
 import numpy as np
 import pytest
 
-from dlms import metrics
-from dlms.metrics import root_square_is_abs, square
-from oracle import pow2
-
-
-def _libc():
-    try:
-        confstr = os.confstr("CS_GNU_LIBC_VERSION")
-    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
-        confstr = None
-    return f"C library {platform.libc_ver()}, CS_GNU_LIBC_VERSION {confstr!r}"
+from dlms import libm
+from dlms.libm import root_square_is_abs, square
+from oracle import _libc, pow2
 
 
 def _bits(values):
@@ -62,12 +52,13 @@ def _check(x, monkeypatch):
     root_square_is_abs says so, which is exactly its stated set."""
     x = np.asarray(x, np.float64)
     squares = np.array([pow2(v) for v in x.tolist()])
-    called, squares_of = [], metrics._squares
+    called, per_value = [], libm._per_value
 
-    def recorded(values):
+    def recorded(values, y=None):
+        assert y == 2.0
         called.extend(values)
-        return squares_of(values)
-    monkeypatch.setattr(metrics, "_squares", recorded)
+        return per_value(values, y)
+    monkeypatch.setattr(libm, "_per_value", recorded)
     _assert_same_bits(square(x), squares, x, "square")
     d = np.abs(x)
     with np.errstate(over="ignore"):

@@ -104,6 +104,16 @@ class TestValidation:
             dataclasses.replace(s, agents=agents)
 
 
+    @pytest.mark.parametrize("field, value", [
+        ("seed", 1.5), ("iterations", 2.5), ("ensemble", 2.0), ("seed", "3"),
+        ("iterations", None)])
+    def test_counts_must_be_integers(self, field, value):
+        """Python API callers can pass any value: one that is not an integer
+        is a ConfigError naming the field, not a TypeError in the engine."""
+        with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
+            dataclasses.replace(builtin("table1"), **{field: value})
+
+
 class TestConfigFormat:
     MINIMAL = """
     [network]
