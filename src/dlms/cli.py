@@ -30,9 +30,7 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DIVERGENCE = 3
 
-# Values per formatted piece of the trajectory CSV. Its bytes and their mask
-# (123 KB each at M = 1) are allocated once per file: buffers this size
-# allocated per piece would be mapped and faulted in again every time.
+# Values per piece of either CSV; its bytes and mask (123 KB each at M = 1) are allocated once.
 _WRITE_VALUES = 3 << 10
 
 
@@ -90,9 +88,7 @@ def apply_overrides(config, args):
 def _csv_field(text):
     """``text`` as csv.writer writes it as one field, quoted only if it must be."""
     import csv  # json and csv load only for the files that need them, not at start-up
-
-    buf = io.StringIO()
-    csv.writer(buf).writerow([text])
+    csv.writer(buf := io.StringIO()).writerow([text])
     return buf.getvalue()[:-2]
 
 
@@ -105,73 +101,78 @@ def _byte_rows(items):
             np.arange(rows.itemsize) < np.array([[len(b)] for b in items], dtype=int))
 
 
-def write_trajectories(path, scenario, records):
-    """Write the trajectory CSV of ``records``, records of consecutive runs in
-    run order, numbered from 0 on: one row per run, iteration and agent id in
-    sorted order, written a record at a time as ``records`` yields them.
-
-    A piece of at most _WRITE_VALUES values is one byte matrix with a row per
-    CSV row: the run, then ``,iteration,agent``, each padded, then a 32-byte
-    ``floatfmt`` field per value, its comma first, and ``\\r\\n``. A
-    boolean mask of the bytes to keep selects them for the file; a field's
-    kept bytes are at most two runs, which makes boolean indexing cheaper
-    than ``np.compress``. The matrix is laid out anew only when the run
-    numbers grow a digit.
-
-    A run's rows of values, ``w0 … e dist_opt``, are gathered agent by agent
-    into one buffer allocated once per file."""
+def _pieces(fh, head, tails, iterations, width):
+    """``write(head, columns, order)``, which writes a block of CSV rows to
+    ``fh`` a piece of whole iterations, at most _WRITE_VALUES values, at a
+    time: per iteration a row per tail and agent ``order`` picks, each
+    ``head`` (a _byte_rows row and mask), the iteration, the tail and the
+    agent's ``columns`` values ([iterations, agents] each) as 32-byte
+    ``floatfmt`` fields, commas first, then ``\\r\\n``. A piece is a byte matrix,
+    a padded row per CSV row, and a mask of the bytes to keep (a field's are
+    at most two runs: boolean indexing beats ``np.compress``). Per piece only
+    the fields and the iteration, a word per four digits by table, are laid out."""
     import numpy as np
 
-    from .floatfmt import SLOTS, repr_fields
+    from .floatfmt import _ASCII4, SLOTS, repr_fields
+
+    groups = 10 ** (4 * np.arange((len(str(iterations)) - 1) // 4, -1, -1))  # of four digits
+    words = slice(-(-head // 4), -(-head // 4) + len(groups))  # their 4-byte words in a row
+    start = -(-(4 * words.stop + tails[0].shape[1]) // 8) * 8  # fields and rows are word-aligned
+    stop = start + width * SLOTS
+    shape = (max(1, _WRITE_VALUES // (width * len(tails[0]))), len(tails[0]), stop + 8)
+    text, keep = np.zeros(shape, np.uint8), np.zeros(shape, bool)
+    for rows, tail, crlf in zip((text, keep), tails, (list(b"\r\n"), True)):
+        rows[..., start - tail.shape[1]:start], rows[..., stop:stop + 2] = tail, crlf
+    values = np.empty((*shape[:2], width))
+    ascii4 = _ASCII4[0].view(np.uint32)[::2]  # "0042" by value, and which digits follow the zeros
+    kept4 = (np.arange(10**4)[:, None] >= 10 ** np.arange(3, -1, -1)).view(np.uint32)[:, 0]
+    fields, kept = (rows[..., start:stop].reshape(-1, width, SLOTS) for rows in (text, keep))
+
+    def write(head_row, columns, order):
+        text[..., :head], keep[..., :head] = head_row
+        for first in range(0, len(columns[0]), len(values)):
+            n = min(len(values), len(columns[0]) - first)
+            quotients = np.arange(first + 1, first + n + 1)[:, None, None] // groups
+            text.view(np.uint32)[:n, :, words] = ascii4.take(quotients, mode="wrap")
+            keep.view(np.uint32)[:n, :, words] = kept4.take(quotients, mode="clip")
+            for j, column in enumerate(columns):
+                values[:n, :, j] = column[first:first + n, order]
+            x = values[:n].reshape(-1, width)
+            left = repr_fields(x, fields[:len(x)], kept[:len(x)])
+            for i, j in zip(*np.nonzero(left)) if left.any() else ():
+                rep = b"," + repr(float(x[i, j])).encode()
+                fields[i, j, :len(rep)] = np.frombuffer(rep, np.uint8)
+                kept[i, j] = np.arange(SLOTS) < len(rep)
+            fh.write(text[:n][keep[:n]])
+    return write
+
+
+def write_trajectories(path, scenario, records):
+    """Write the trajectory CSV of ``records``, records of consecutive runs in
+    run order, numbered from 0 on: a row per run, iteration and agent id in
+    sorted order, a record at a time as ``records`` yields them. A run is a
+    block of _pieces under its number, a tail per agent, its values taken
+    from the record a piece at a time; run numbers a digit longer lay the
+    pieces out anew."""
+    import numpy as np
 
     m = len(scenario.w_opt)
-    width = m + 2
     header = ["run", "iteration", "agent", *(f"w{j}" for j in range(m)), "e", "dist_opt"]
-    step = max(1, _WRITE_VALUES // width)
     done, cut = 0, None
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
         for record in records:
-            if cut is None:
-                order = np.array(sorted(range(len(record.agents)),
-                                        key=record.agents.__getitem__))
-                ids = [_csv_field(record.agents[a]) for a in order]
-                rows = _byte_rows([f",{i},{aid}".encode()
-                                   for i in range(1, record.iterations + 1) for aid in ids])
-                values = np.empty((record.iterations * len(order), width))
-                grid = values.reshape(record.iterations, len(order), width)
-            runs = _byte_rows([str(k).encode() for k in range(done, done + len(record))])
+            order = sorted(range(len(record.agents)), key=record.agents.__getitem__)
+            heads = _byte_rows([f"{k},".encode() for k in range(done, done + len(record))])
             done += len(record)
-            if runs[0].shape[1] != cut:
-                cut = runs[0].shape[1]
-                end = cut + rows[0].shape[1]
-                start = -(-end // 8) * 8  # the fields and the rows are word-aligned
-                stop = start + width * SLOTS
-                text = np.zeros((step, stop + 8), np.uint8)
-                keep = np.zeros((step, stop + 8), bool)
-                text[:, stop:stop + 2] = np.frombuffer(b"\r\n", np.uint8)
-                keep[:, stop:stop + 2] = True
-                fields = text[:, start:stop].reshape(step, width, SLOTS)
-                kept = keep[:, start:stop].reshape(step, width, SLOTS)
-            for r in range(len(record)):
-                text[:, :cut], keep[:, :cut] = runs[0][r], runs[1][r]
-                dist = record.dist_opt(r)
-                for col, a in enumerate(order):
-                    grid[:, col, :m] = record.ws[r, :, a]
-                    grid[:, col, m] = record.es[r, :, a]
-                    grid[:, col, m + 1] = dist[:, a]
-                for first in range(0, len(values), step):
-                    x = values[first:first + step]
-                    k = len(x)
-                    text[:k, cut:end] = rows[0][first:first + k]
-                    keep[:k, cut:end] = rows[1][first:first + k]
-                    left = repr_fields(x, fields[:k], kept[:k])
-                    if left.any():
-                        for i, j in zip(*np.nonzero(left)):
-                            rep = b"," + repr(float(x[i, j])).encode()
-                            fields[i, j, :len(rep)] = np.frombuffer(rep, np.uint8)
-                            kept[i, j] = np.arange(SLOTS) < len(rep)
-                    fh.write(text[:k][keep[:k]])
+            if heads[0].shape[1] != cut:
+                cut = heads[0].shape[1]
+                tails = _byte_rows([f",{_csv_field(record.agents[a])}".encode() for a in order])
+                write = _pieces(fh, cut, tails, record.iterations, m + 2)
+            view = slice(None) if order == sorted(order) else order  # basic indexing if it can
+            for r, head in enumerate(zip(*heads)):
+                write(head, [*np.moveaxis(record.ws[r], -1, 0), record.es[r],
+                             record.dist_opt(r)], view)
             del record  # not held while ``records`` makes the next one
 
 
@@ -186,13 +187,19 @@ def error_path(out):
 
 
 def write_metrics(path, scenario, sums):
+    """Write the metrics CSV of compute_report: its MSD, an agent a block of
+    _pieces like the trajectory rows, then its other rows through ``csv``."""
     import csv
 
-    rows = compute_report(scenario, sums)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "agent", "iteration", "value"])
-        writer.writerows(rows)
+    msd, rows = compute_report(scenario, sums)
+    heads = _byte_rows([f"msd,{_csv_field(aid)},".encode() for aid in sorted(sums.agents)])
+    with open(path, "wb") as fh:
+        fh.write(b"metric,agent,iteration,value\r\n")
+        write = _pieces(fh, heads[0].shape[1], _byte_rows([b""]), len(msd), 1)
+        for j, head in enumerate(zip(*heads)):
+            write(head, [msd], slice(j, j + 1))
+        csv.writer(summary := io.StringIO()).writerows(rows)
+        fh.write(summary.getvalue().encode())
 
 
 def _remove_stale(out, written):

@@ -1,4 +1,4 @@
-"""Exception types shared across the simulator."""
+"""Exception types shared across the simulator, and the type check of real fields."""
 
 # A weight component beyond this magnitude counts as divergence.
 DIVERGENCE_BOUND = 1e12
@@ -39,3 +39,10 @@ class DivergenceError(RuntimeError):
         self.iteration = iteration
         self.run = run
         self.completed = completed
+
+
+def check_real(name, values):
+    """A ConfigError naming the field unless all ``values`` are real numbers, not ``bool``."""
+    from numbers import Real
+    if any(isinstance(v, bool) or not isinstance(v, Real) for v in values):
+        raise ConfigError(f"{name} must be real, got {', '.join(map(repr, values))}")

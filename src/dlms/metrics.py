@@ -18,7 +18,7 @@ loading a scenario stays numpy-free.
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property, reduce
-from operator import add
+from operator import add, iadd
 
 from .errors import ConfigError
 
@@ -74,20 +74,21 @@ class EnsembleRecord:
     def sq_dist(self):
         """Squared distance |w - w_opt|^2 per run, iteration and agent [R, L, A].
 
-        Filled one run at a time, so the temporaries and the Python floats
-        that ``square`` passes through are one run's size, not the records'.
-        Finite squares that sum past the largest double give ``inf``, silently
-        as an overflowing square does.
+        Filled about 2^13 estimates of a run at a time, so the temporaries and
+        the Python floats that ``square`` passes through are that size, not
+        the records' or a long run's. Finite squares that sum past the largest
+        double give ``inf``, silently as an overflowing square does.
         """
         import numpy as np
 
         from .libm import square
 
-        w_opt = np.array(self.w_opt)
-        out = np.empty(self.ws.shape[:-1])
+        w_opt, out = np.array(self.w_opt), np.empty(self.ws.shape[:-1])
+        step = 1 + (1 << 13) // max(1, math.prod(self.ws.shape[2:]))  # iterations
         with np.errstate(over="ignore"):
             for r, w in enumerate(self.ws):
-                out[r] = sum_in_order(square(w - w_opt), axis=-1)
+                for i in range(0, len(w), step):
+                    out[r, i:i + step] = sum_in_order(square(w[i:i + step] - w_opt), axis=-1)
         return out
 
     def dist(self, agent):
@@ -146,9 +147,9 @@ class EnsembleSums:
     per agent of the runs' steady-state variances (None once a record's
     horizon is too short for the window).
 
-    Each sum continues start + v0 + v1 + ... from one record to the next, so
-    however the runs are grouped into records, the sums are bit for bit
-    those over one record of every run.
+    Each sum continues start + v0 + v1 + ... from one record to the next, in
+    place, so however the runs are grouped into records, the sums are bit for
+    bit those over one record of every run, with no second copy of them.
     """
 
     def __init__(self):
@@ -159,8 +160,8 @@ class EnsembleSums:
     def add(self, record):
         self.w_opt, self.agents = record.w_opt, record.agents
         self.runs += len(record)
-        self.sq_dist = sum_in_order(record.sq_dist, start=self.sq_dist)
-        self.ws = sum_in_order(record.ws, start=self.ws)
+        self.sq_dist = reduce(iadd, record.sq_dist, self.sq_dist)
+        self.ws = reduce(iadd, record.ws, self.ws)
         if self.steady_state_var is not None:
             try:
                 self.steady_state_var = {
@@ -176,9 +177,9 @@ class EnsembleSums:
             raise ConfigError("empty ensemble")
         return total / self.runs
 
-    def msd(self, agent):
-        """Ensemble-mean squared distance |w(i) - w_opt|^2, one value per iteration."""
-        return self._mean(self.sq_dist)[:, self.agents.index(agent)].tolist()
+    def msd(self, agents):
+        """Ensemble-mean |w(i) - w_opt|^2 [L, len(agents)] of ``agents``, in that order."""
+        return self._mean(self.sq_dist)[:, [self.agents.index(aid) for aid in agents]]
 
     def mean(self):
         """Ensemble-mean estimates, as a one-run record for the detectors."""

@@ -2,7 +2,7 @@
 
 from dataclasses import dataclass
 
-from .errors import ConfigError, DivergenceError
+from .errors import ConfigError, DivergenceError, check_real
 from .filters import lms_step
 
 ROW_SUM_TOL = 1e-12
@@ -25,6 +25,7 @@ class TrustMatrix:
         for a, row in enumerate(self.rows):
             if len(row) != n:
                 raise ConfigError(f"trust row {a} has length {len(row)}, expected {n}")
+            check_real(f"trust row {a}", row)
             for s in row:
                 if not 0.0 <= s <= 1.0:
                     raise ConfigError(f"trust coefficient {s} outside [0, 1] in row {a}")

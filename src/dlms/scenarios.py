@@ -12,7 +12,7 @@ from dataclasses import dataclass, replace
 from itertools import combinations
 from operator import index
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError, ParseError, check_real
 from .metrics import convergence_iteration, crossing_iteration, default_band
 from .network import TrustMatrix
 from .signals import GaussianParams
@@ -60,6 +60,7 @@ class Scenario:
 
 
 def _check_finite(name, values):
+    check_real(name, values)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{name} must be finite, got {', '.join(map(repr, values))}")
 
@@ -88,8 +89,8 @@ def validate(scenario):
     ids = [cfg.id for cfg in scenario.agents]
     for aid in ids:
         # such ids break the config format or the --set AGENT.FIELD syntax
-        if not aid or aid.startswith("[") or any(c.isspace() or c in ",#." for c in aid):
-            raise ConfigError(f"agent id {aid!r} must be non-empty, must not start "
+        if not isinstance(aid, str) or not aid or re.search(r"^\[|[\s,#.]", aid):
+            raise ConfigError(f"agent id {aid!r} must be a non-empty str, must not start "
                               "with '[' and must not contain whitespace, ',', '#' or '.'")
     if len(set(ids)) != len(ids):
         raise ConfigError(f"duplicate agent ids: {ids}")
@@ -106,11 +107,12 @@ def validate(scenario):
             if not cfg.sources:
                 raise ConfigError(f"agent {cfg.id}: averaging agents need >= 1 source")
             for src in cfg.sources:
-                if src not in by_id or not by_id[src].is_adaptive():
+                if not isinstance(src, str) or src not in by_id or not by_id[src].is_adaptive():
                     raise ConfigError(
                         f"agent {cfg.id}: source {src!r} is not an adaptive agent")
         else:
-            if cfg.mu is None or not 0 <= cfg.mu < math.inf:
+            check_real(f"agent {cfg.id}: mu", (cfg.mu,))
+            if not 0 <= cfg.mu < math.inf:
                 raise ConfigError(
                     f"agent {cfg.id}: mu must be finite and >= 0, got {cfg.mu}")
             if cfg.w0 is None or len(cfg.w0) != m:
@@ -128,7 +130,7 @@ def validate(scenario):
         if cfg.counterpart == cfg.id:
             raise ConfigError(f"agent {cfg.id}: counterpart must name another agent")
         if cfg.counterpart is not None:
-            other = by_id.get(cfg.counterpart)
+            other = by_id.get(cfg.counterpart) if isinstance(cfg.counterpart, str) else None
             if other is None or not other.is_adaptive():
                 raise ConfigError(
                     f"agent {cfg.id}: counterpart {cfg.counterpart!r} "
@@ -426,24 +428,19 @@ def scenario_band(scenario):
 
 
 def compute_report(scenario, sums):
-    """The metrics CSV's rows ``[metric, agent, iteration, value]`` over an
-    ensemble, from its EnsembleSums: the records of its runs added to them in
-    run order, all at once or in groups.
-
-    The MSD rows come first, by agent id and then iteration; then by agent id
-    the steady-state variance, the mean of the per-run variances, and the
-    convergence iteration; then, for scalar weights only, the crossing
-    iteration of each pair, named in record order and sorted. Convergence and
-    crossing detection run on the ensemble-mean trajectory. A value is "" for
+    """The metrics CSV of an ensemble from its EnsembleSums, the records of its
+    runs added in run order, all at once or in groups: the MSD [iteration,
+    agent], agents in id order, and the other rows ``[metric, agent,
+    iteration, value]``: by agent id the steady-state variance, the mean of
+    the per-run variances, and the convergence iteration; then, for scalar
+    weights only, the crossing iteration of each pair, named in record order
+    and sorted, both on the ensemble-mean trajectory. A value is "" for
     "never", for an undefined band and for a horizon too short for the
-    steady-state window.
-    """
-    mean = sums.mean()
+    steady-state window."""
     ids = sorted(sums.agents)
-    total = sums.steady_state_var
-    rows = [["msd", aid, i, v] for aid in ids for i, v in enumerate(sums.msd(aid), 1)]
-    rows += [["steady_state_var", aid, "", "" if total is None else total[aid] / sums.runs]
-             for aid in ids]
+    msd, mean, total = sums.msd(ids), sums.mean(), sums.steady_state_var
+    rows = [["steady_state_var", aid, "", "" if total is None else total[aid] / sums.runs]
+            for aid in ids]
 
     def found(iterations):  # "" for "never", iterations + 1
         return int(iterations[0]) if iterations[0] <= mean.iterations else ""
@@ -456,4 +453,4 @@ def compute_report(scenario, sums):
     if len(scenario.w_opt) == 1:
         rows += [["crossing_iter", f"{p}:{q}", "", found(crossing_iteration(mean, p, q))]
                  for p, q in sorted(combinations(sums.agents, 2))]
-    return rows
+    return msd, rows

@@ -6,7 +6,7 @@ is one time instant, as ``network.cta_iteration`` consumes it.
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, check_real
 
 
 @dataclass(frozen=True)
@@ -17,6 +17,7 @@ class GaussianParams:
     sd: float = 1.0
 
     def __post_init__(self):
+        check_real("Gaussian mean and sd", (self.mean, self.sd))
         if self.sd < 0:
             raise ConfigError(f"negative standard deviation: {self.sd}")
 

@@ -11,6 +11,8 @@ the rounding). ``RandomStream`` draws one value at a time the stream that
 row-by-row ``csv.writer`` form of the trajectory CSV that ``dlms run``
 writes, its squares and ``dist_opt`` with one ``pow`` call per value
 (``pow2``), the reference for ``libm.square`` and the writer.
+``write_metrics`` writes the metrics CSV of ``compute_report`` the same way,
+a list per row.
 ``verify_claim`` evaluates each claim on ``dlms.run``'s whole record, one
 run at a time where the claims fold the engine's blocks.
 ``schubfach_ends`` computes Schubfach's interval ends with Giulietti's three
@@ -331,6 +333,18 @@ def write_trajectories(path, scenario, record):
                 for aid, w, e in zip(ids, ws, es):
                     sq = sum_in_order(pow2(wj - oj) for wj, oj in zip(w, record.w_opt))
                     writer.writerow([r, i, aid, *map(repr, w), repr(e), repr(sq ** 0.5)])
+
+
+def write_metrics(path, scenario, sums):
+    """The metrics CSV row by row: a row per MSD value, each agent's series
+    taken from ``sums`` by its id, by agent id and iteration, then the
+    report's other rows."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["metric", "agent", "iteration", "value"])
+        writer.writerows(["msd", aid, i, v] for aid in sorted(sums.agents)
+                         for i, v in enumerate(sums.msd([aid])[:, 0].tolist(), start=1))
+        writer.writerows(scenarios.compute_report(scenario, sums)[1])
 
 
 _M63, _M64 = 2**63 - 1, 2**64 - 1

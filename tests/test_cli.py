@@ -18,9 +18,9 @@ from hypothesis import strategies as st
 import dlms.cli
 import oracle
 from dlms.claims import verify_claim
-from dlms.cli import error_path, main, metrics_path, write_trajectories
+from dlms.cli import error_path, main, metrics_path, write_metrics, write_trajectories
 from dlms.errors import ConfigError, DivergenceError
-from dlms.metrics import EnsembleRecord
+from dlms.metrics import EnsembleRecord, EnsembleSums
 from dlms.network import TrustMatrix
 from dlms.scenarios import AgentConfig, Scenario, builtin, run
 from dlms.signals import GaussianParams
@@ -94,8 +94,8 @@ def test_trajectory_writer_matches_oracle(scenario, names):
 
 
 def test_trajectory_writer_in_small_pieces_matches_oracle(tmp_path, monkeypatch):
-    """7 values make pieces of 2 rows at M = 1: 18 per run of 35 rows, the
-    last of them one row."""
+    """7 values make pieces of one iteration at M = 1, the fewest a piece
+    holds: 7 per run, of 5 rows each."""
     monkeypatch.setattr(dlms.cli, "_WRITE_VALUES", 7)
     scenario = replace(builtin("table1"), iterations=7, ensemble=2)
     record = run(scenario)
@@ -156,6 +156,58 @@ def test_trajectory_writer_dist_opt_at_the_edges_like_the_oracle(tmp_path):
     write_trajectories(ours, scenario, [record])
     oracle.write_trajectories(ref, scenario, record)
     assert ours.read_bytes() == ref.read_bytes()
+
+
+def _metrics_like_the_oracle(tmp_path, scenario, record):
+    """The metrics CSV of ``record``, which must be the oracle's byte for byte."""
+    sums = EnsembleSums().add(record)
+    ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+    write_metrics(ours, scenario, sums)
+    oracle.write_metrics(ref, scenario, sums)
+    assert ours.read_bytes() == ref.read_bytes()
+    return ours.read_bytes()
+
+
+def _vector(scenario, w_opt):
+    """``scenario`` with weights of len(w_opt) components, each w0 repeated."""
+    return replace(scenario, w_opt=w_opt, agents=tuple(
+        replace(cfg, w0=cfg.w0 * len(w_opt)) if cfg.is_adaptive() else cfg
+        for cfg in scenario.agents))
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("iterations", [4, 9, 10, 99, 100, 1000, 10000])
+def test_metrics_writer_matches_oracle(tmp_path, iterations, m):
+    """Iteration numbers of every digit width up to five, in one and in two
+    groups of four digits, and a horizon under 5, too short for the
+    steady-state window; ids that csv quotes or that sort by code point,
+    which the report's rows and the MSD block list in the same order."""
+    scenario = _renamed(builtin("table1"), ['x"y', "B", "a10", "a2", "é"])
+    scenario = _vector(replace(scenario, iterations=iterations, ensemble=2),
+                       (2.0, -1.0, 0.5)[:m])
+    text = _metrics_like_the_oracle(tmp_path, scenario, run(scenario))
+    assert text.count(b"\r\nmsd,") == 5 * iterations
+    assert text.index(b"\r\nmsd,B,1,") < text.index(b"\r\nmsd,a10,1,") \
+        < text.index(b"\r\nmsd,a2,1,") < text.index(b'\r\nmsd,"x""y",1,')
+    assert (b"\r\nsteady_state_var,B,,\r\n" in text) == (iterations < 5)
+
+
+def test_metrics_writer_writes_an_overflowing_msd_like_the_oracle(tmp_path):
+    """Agent c so far out that its squared distance overflows to inf, which
+    the writer formats with repr."""
+    scenario = replace(builtin("table1"), iterations=10, ensemble=2)
+    record = run(scenario)
+    record.ws[:, :, 2] = 1e200
+    text = _metrics_like_the_oracle(tmp_path, scenario, record)
+    assert b"\r\nmsd,c,1,inf\r\n" in text and b"\r\nmsd,c,10,inf\r\n" in text
+
+
+def test_metrics_writer_in_small_pieces_matches_oracle(tmp_path, monkeypatch):
+    """7 values make pieces of 7 rows: 3 per agent of 20 iterations, the last
+    of them 6 rows, so pieces end inside each agent's block."""
+    monkeypatch.setattr(dlms.cli, "_WRITE_VALUES", 7)
+    scenario = replace(builtin("table1"), iterations=20, ensemble=2)
+    _metrics_like_the_oracle(tmp_path, scenario, run(scenario))
 
 
 def test_metrics_csv_has_convergence_iters(tmp_path):

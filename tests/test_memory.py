@@ -4,17 +4,18 @@ tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
 peaks with numpy 2.4.6, in the order of the tests: 1.71 MB, 2.05 MB,
-2.32 MB and 2.47 MB; the horizon pairs 2.06/2.06 MB, 2.38/2.39 MB,
+2.32 MB and 2.47 MB; the horizon pairs 2.06/2.07 MB, 2.38/2.39 MB,
 1.67/1.67 MB and 2.12/2.31 MB; then 9.41 MB, 10.65 MB, 8.14 MB, 12.40 MB,
-4.22 MB, 5.09 MB, 0.94 MB, 2.25 MB, 3.86 MB, 12.40 MB, 0.49 MB, 0.55 MB,
-0.66 MB and 0.52 MB. The claims stream a block of every run at a time.
-The writer's 0.94 MB and the steady-state windows' 0.49 MB are transients
-above records that are already held. Each block's targets are built beside
-its draws, one owner at a time, before they are copied into the engine's
-signal buffers. Squares, 8,192 at a time, make no Python float per value,
-only the fifth or so that ``libm.square`` hands to ``pow`` one at a time,
-and neither do the Box-Muller logarithms, 4,096 at a time, but the
-sixteenth or so that ``libm.logs`` hands to ``math.log``.
+4.23 MB, 4.43 MB, 0.82 MB, 1.87 MB, 7.09 MB, 2.24 MB, 3.92 MB, 12.40 MB,
+0.49 MB, 0.55 MB, 0.66 MB and 0.52 MB. The claims stream a block of every
+run at a time. The writers' 0.82 MB and 1.87 MB and the steady-state
+windows' 0.49 MB are transients above records that are already held. Each
+block's targets are built beside its draws, one owner at a time, before
+they are copied into the engine's signal buffers. Squares, 8,192 at a
+time, make no Python float per value, only the fifth or so that
+``libm.square`` hands to ``pow`` one at a time, and neither do the
+Box-Muller logarithms, 4,096 at a time, but the sixteenth or so that
+``libm.logs`` hands to ``math.log``.
 """
 
 import dataclasses
@@ -33,7 +34,7 @@ from dlms.claims import (
     verify_merge,
     verify_speedup,
 )
-from dlms.cli import main, write_trajectories
+from dlms.cli import main, write_metrics, write_trajectories
 from dlms.errors import DivergenceError
 from dlms.metrics import EnsembleSums, steady_state_start, steady_state_variance
 from dlms.prng import derive_seed, gaussian_block
@@ -138,24 +139,46 @@ def test_sq_dist_peak():
 
 
 def test_compute_report_peak():
-    """The whole report on a fresh table1 record: its squared distances, the
-    ensemble-mean record and the metrics CSV's rows, one list per row,
-    without a temporary the size of the records."""
+    """The whole report on a fresh table1 record: its squared distances (4.0
+    MB), the ensemble-mean record and the MSD as an array, without a
+    temporary the size of the records or a Python object per MSD row."""
     s = builtin("table1")
     record = run(s)
-    assert _traced_peak(lambda: compute_report(s, EnsembleSums().add(record))) <= 5.5 * MB
+    assert _traced_peak(lambda: compute_report(s, EnsembleSums().add(record))) <= 4.8 * MB
 
 
 def test_write_trajectories_peak(tmp_path):
     """The whole 33 MB trajectory CSV of table1, a bounded piece of text at a
     time: no run's text and no full column of formatted values at once. The
-    piece's byte matrix and mask (0.25 MB), the run's values (0.12 MB) and
-    the formatting's temporaries peak at 0.94 MB; the bound leaves 0.16 MB
-    (17%), less than one more piece's matrix and mask."""
+    piece's byte matrix and mask (0.25 MB), its values, a run's dist_opt
+    and the digit-mask table (0.04 MB each) and the formatting's temporaries
+    peak at 0.82 MB; the bound leaves 0.08 MB (10%), less than one more
+    piece's matrix and mask."""
     s = builtin("table1")
     record = run(s)
     record.sq_dist  # computed once and cached, outside the traced writer
-    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, [record]) <= 1.1 * MB
+    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, [record]) <= 0.9 * MB
+
+
+def test_write_trajectories_long_run_peak(tmp_path):
+    """The trajectory CSV of one long_horizon run of 20,000 iterations (7.3
+    MB): its dist_opt (1.12 MB) and pieces of whole iterations, with no
+    buffer or Python object per row that grows with the horizon (a run's
+    values are 6.7 MB)."""
+    s = dense_trio_with_twins(iterations=20000, ensemble=1)
+    record = run(s)
+    record.sq_dist  # computed once and cached, outside the traced writer
+    assert _traced_peak(write_trajectories, tmp_path / "t.csv", s, [record]) <= 2.0 * MB
+
+
+def test_write_metrics_long_horizon_peak(tmp_path, long_horizon):
+    """The metrics CSV of long_horizon's 2 x 20,000 iterations, its report
+    included: the MSD (1.12 MB), the ensemble-mean record (4.48 MB) and its
+    squared distances (1.12 MB), with no Python object per MSD row and no
+    room for a second copy of the MSD."""
+    s, record = long_horizon
+    sums = EnsembleSums().add(record)
+    assert _traced_peak(write_metrics, tmp_path / "m.csv", s, sums) <= 7.5 * MB
 
 
 @pytest.mark.parametrize("ensemble", [100, 1000])
@@ -163,7 +186,7 @@ def test_cli_run_table1_peak(tmp_path, ensemble):
     """``dlms run table1`` at 100 iterations, so that 1000 runs trace in
     seconds. The runs stream through the writer and the report in groups of
     at most 2^17 estimates, 262 runs here, so 100 and 1000 runs peak alike
-    (2.25 and 3.86 MB): one group's records and squared distances (3.1 MB at
+    (2.24 and 3.92 MB): one group's records and squared distances (3.1 MB at
     262 runs) and the writer, with no room for a second group."""
     out = tmp_path / "t.csv"
     argv = ["run", "table1", "--iterations", "100", "--ensemble", str(ensemble),

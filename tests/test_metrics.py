@@ -199,7 +199,7 @@ class TestDistOpt:
 
 
 def msd_series(record, agent):
-    return EnsembleSums().add(record).msd(agent)
+    return EnsembleSums().add(record).msd([agent])[:, 0].tolist()
 
 
 class TestMsdSeries:
@@ -379,7 +379,7 @@ class TestDetectorsAgainstScans:
         scenario = Scenario(agents=agents, trust=TrustMatrix.identity(3),
                             iterations=record.iterations, ensemble=len(record))
         sums = EnsembleSums().add(record)
-        rows = compute_report(scenario, sums)
+        _, rows = compute_report(scenario, sums)
         mean = sums.mean()
         never = record.iterations + 1
 

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 
@@ -112,6 +113,40 @@ class TestValidation:
         is a ConfigError naming the field, not a TypeError in the engine."""
         with pytest.raises(ConfigError, match=f"^{field} must be an integer, got {value!r}$"):
             dataclasses.replace(builtin("table1"), **{field: value})
+
+    @pytest.mark.parametrize("make, field", [
+        pytest.param(lambda s: dataclasses.replace(s, w_opt=("2",)), "w_opt", id="w_opt"),
+        pytest.param(lambda s: _with_agent_a(s, mu="0.5"), "agent a: mu", id="mu"),
+        pytest.param(lambda s: _with_agent_a(s, mu=True), "agent a: mu", id="mu-bool"),
+        pytest.param(lambda s: _with_agent_a(s, w0=(None,)), "agent a: w0", id="w0"),
+        pytest.param(lambda s: _with_agent_a(s, id=3), "agent id 3", id="id"),
+        pytest.param(lambda s: GaussianParams(0.0, "x"), "Gaussian mean and sd", id="sd"),
+        pytest.param(lambda s: TrustMatrix(rows=(("a",),)), "trust row 0", id="trust")])
+    def test_fields_of_a_wrong_type(self, make, field):
+        """A Python API value of a wrong type is a ConfigError naming its field,
+        raised before any comparison, not a TypeError or AttributeError. A
+        ``bool`` is not a real number."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be "):
+            make(builtin("table1"))
+
+    def test_int_and_numpy_values_run_like_their_floats(self):
+        s = small(builtin("table1"), iterations=30, ensemble=2)
+        a = s.agents[0]
+        twin = dataclasses.replace(_with_agent_a(
+            s, mu=np.float64(a.mu), w0=(0,), input=GaussianParams(0, np.float64(a.input.sd)),
+            noise=GaussianParams(np.int64(0), np.float64(a.noise.sd))), w_opt=(np.int64(2),))
+        twin = with_trust(twin, [[np.float64(0.5), np.float64(0.5), 0, 0],
+                                 [np.float64(0.5), np.float64(0.5), 0, 0],
+                                 [0, 0, 1, 0], [0, 0, np.int64(0), np.int64(1)]])
+        assert type(twin.agents[0].mu) is np.float64 and type(twin.w_opt[0]) is np.int64
+        ours, ref = run(twin), run(s)
+        assert ours.ws.tobytes() == ref.ws.tobytes() and ours.es.tobytes() == ref.es.tobytes()
+
+
+def _with_agent_a(scenario, **fields):
+    """``scenario`` with agent a's fields replaced."""
+    return dataclasses.replace(scenario, agents=(
+        dataclasses.replace(scenario.agents[0], **fields), *scenario.agents[1:]))
 
 
 class TestConfigFormat:
@@ -304,12 +339,27 @@ class TestRun:
 class TestReport:
     def test_compute_report_fields(self):
         s = small(builtin("table2"), iterations=100, ensemble=4)
-        rows = compute_report(s, EnsembleSums().add(run(s)))
-        msd = [row for row in rows if row[0] == "msd"]
-        assert [(aid, i) for _, aid, i, _ in msd] == \
-            [(aid, i) for aid in "abcde" for i in range(1, 101)]
-        assert all(v >= 0 for *_, v in msd)
+        sums = EnsembleSums().add(run(s))
+        msd, rows = compute_report(s, sums)
+        # a row per iteration and a column per agent, by agent id
+        assert msd.shape == (100, 5)
+        assert msd.T.tolist() == [sums.msd([aid])[:, 0].tolist() for aid in "abcde"]
+        assert (msd >= 0).all()
         assert [row[1] for row in rows if row[0] == "crossing_iter"][0] == "a:b"
+
+
+def test_seeds_that_differ_below_the_ensemble_share_runs():
+    """Run r is seeded from seed XOR r (README, determinism contract), so
+    seed 43's run 0 is seed 42's run 1 and its run 1 is run 0, bit for bit;
+    seeds that differ at or above bit ceil(log2 ensemble), 42 + j 2^32, draw
+    on no common run seed."""
+    s = small(builtin("table1"), iterations=30, ensemble=2)
+    r42, r43 = run(s), run(dataclasses.replace(s, seed=43))
+    for a, b in ((0, 1), (1, 0)):
+        assert r43.ws[a].tobytes() == r42.ws[b].tobytes()
+        assert r43.es[a].tobytes() == r42.es[b].tobytes()
+    run_seeds = [{(42 + j * 2**32) ^ r for r in range(100)} for j in range(5)]
+    assert len(set().union(*run_seeds)) == 5 * 100
 
 
 def test_run_single_seeding_is_documented_mix():
