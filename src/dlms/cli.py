@@ -104,16 +104,15 @@ def _byte_rows(items):
 def _pieces(fh, head, tails, iterations, width):
     """``write(head, columns, order)``, which writes a block of CSV rows to
     ``fh`` a piece of whole iterations, at most _WRITE_VALUES values, at a
-    time: per iteration a row per tail and agent ``order`` picks, each
-    ``head`` (a _byte_rows row and mask), the iteration, the tail and the
-    agent's ``columns`` values ([iterations, agents] each) as 32-byte
-    ``floatfmt`` fields, commas first, then ``\\r\\n``. A piece is a byte matrix,
-    a padded row per CSV row, and a mask of the bytes to keep (a field's are
-    at most two runs: boolean indexing beats ``np.compress``). Per piece only
-    the fields and the iteration, a word per four digits by table, are laid out."""
+    time: per iteration a row per tail and agent ``order`` picks, each ``head``
+    (a _byte_rows row and mask), the iteration, the tail and the agent's
+    ``columns`` values ([iterations, agents] each) as ``floatfmt`` fields, then
+    ``\\r\\n``. A piece is a byte matrix, a padded row per CSV row, and a mask
+    of the bytes to keep (boolean indexing beats ``np.compress``); per piece
+    only the fields and the iteration, in floatfmt's digit words, are laid out."""
     import numpy as np
 
-    from .floatfmt import _ASCII4, SLOTS, repr_fields
+    from .floatfmt import DIGITS4, LEADING4, SLOTS, repr_fields
 
     groups = 10 ** (4 * np.arange((len(str(iterations)) - 1) // 4, -1, -1))  # of four digits
     words = slice(-(-head // 4), -(-head // 4) + len(groups))  # their 4-byte words in a row
@@ -124,8 +123,6 @@ def _pieces(fh, head, tails, iterations, width):
     for rows, tail, crlf in zip((text, keep), tails, (list(b"\r\n"), True)):
         rows[..., start - tail.shape[1]:start], rows[..., stop:stop + 2] = tail, crlf
     values = np.empty((*shape[:2], width))
-    ascii4 = _ASCII4[0].view(np.uint32)[::2]  # "0042" by value, and which digits follow the zeros
-    kept4 = (np.arange(10**4)[:, None] >= 10 ** np.arange(3, -1, -1)).view(np.uint32)[:, 0]
     fields, kept = (rows[..., start:stop].reshape(-1, width, SLOTS) for rows in (text, keep))
 
     def write(head_row, columns, order):
@@ -133,8 +130,8 @@ def _pieces(fh, head, tails, iterations, width):
         for first in range(0, len(columns[0]), len(values)):
             n = min(len(values), len(columns[0]) - first)
             quotients = np.arange(first + 1, first + n + 1)[:, None, None] // groups
-            text.view(np.uint32)[:n, :, words] = ascii4.take(quotients, mode="wrap")
-            keep.view(np.uint32)[:n, :, words] = kept4.take(quotients, mode="clip")
+            text.view(np.uint32)[:n, :, words] = DIGITS4.take(quotients, mode="wrap")
+            keep.view(np.uint32)[:n, :, words] = LEADING4.take(quotients, mode="clip")
             for j, column in enumerate(columns):
                 values[:n, :, j] = column[first:first + n, order]
             x = values[:n].reshape(-1, width)
@@ -169,10 +166,9 @@ def write_trajectories(path, scenario, records):
                 cut = heads[0].shape[1]
                 tails = _byte_rows([f",{_csv_field(record.agents[a])}".encode() for a in order])
                 write = _pieces(fh, cut, tails, record.iterations, m + 2)
-            view = slice(None) if order == sorted(order) else order  # basic indexing if it can
             for r, head in enumerate(zip(*heads)):
                 write(head, [*np.moveaxis(record.ws[r], -1, 0), record.es[r],
-                             record.dist_opt(r)], view)
+                             record.dist_opt(r)], order)
             del record  # not held while ``records`` makes the next one
 
 

@@ -43,6 +43,7 @@ class DivergenceError(RuntimeError):
 
 def check_real(name, values):
     """A ConfigError naming the field unless all ``values`` are real numbers, not ``bool``."""
-    from numbers import Real
-    if any(isinstance(v, bool) or not isinstance(v, Real) for v in values):
-        raise ConfigError(f"{name} must be real, got {', '.join(map(repr, values))}")
+    if odd := [v for v in values if type(v) not in (int, float)]:  # keeps numbers off start-up
+        from numbers import Real
+        if any(isinstance(v, bool) or not isinstance(v, Real) for v in odd):
+            raise ConfigError(f"{name} must be real, got {', '.join(map(repr, values))}")

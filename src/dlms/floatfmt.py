@@ -110,6 +110,9 @@ def _tables():
 
 
 _KI, _H, _G, _ENDS, _ASCII4, _SPAN, _LAYOUT, _MOVES, _PREFIX, _MASKS = _tables()
+# by four-digit group: its ASCII digits as a uint32 word, and their mask from the first nonzero
+DIGITS4 = _ASCII4[0].view(np.uint32)[::2]
+LEADING4 = (np.arange(10**4)[:, None] >= 10 ** np.arange(3, -1, -1)).view(np.uint32)[:, 0]
 
 
 def _mul_high(ah, al, bh, bl):

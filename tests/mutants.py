@@ -61,19 +61,16 @@ MUTANTS = [
            (_METRICS, "tests/test_cli.py::test_trajectory_writer_in_small_pieces_matches_oracle",
             "tests/test_golden.py"),
            _WRITER + ": the iteration's words not rounded up past the head"),
-    Mutant("src/dlms/cli.py", 'kept4.take(quotients, mode="clip")', "kept4[-1]",
+    Mutant("src/dlms/cli.py", 'LEADING4.take(quotients, mode="clip")', "LEADING4[-1]",
            (_METRICS, _LAYOUT, "tests/test_golden.py"),
            _WRITER + ": the iteration numbers' leading zeros kept"),
-    Mutant("src/dlms/cli.py", 'kept4.take(quotients, mode="clip")',
-           'kept4.take(quotients, mode="wrap")', (_METRICS,),
+    Mutant("src/dlms/cli.py", 'LEADING4.take(quotients, mode="clip")',
+           'LEADING4.take(quotients, mode="wrap")', (_METRICS,),
            _WRITER + ": the zeros of a number's lower groups dropped"),
     Mutant("src/dlms/cli.py",
            "order = sorted(range(len(record.agents)), key=record.agents.__getitem__)",
            "order = list(range(len(record.agents)))",
            (_LAYOUT, _EDGES), _WRITER + ": the trajectory rows in record order, not by id"),
-    Mutant("src/dlms/cli.py", "view = slice(None) if order == sorted(order) else order",
-           "view = slice(None)", (_LAYOUT, _EDGES),
-           _WRITER + ": the values in record order under ids in sorted order"),
     Mutant("src/dlms/scenarios.py", "ids = sorted(sums.agents)", "ids = list(sums.agents)",
            (_METRICS,), _WRITER + ": the MSD columns in record order, not by id"),
     Mutant("src/dlms/cli.py", "for i, j in zip(*np.nonzero(left)) if left.any() else ():",

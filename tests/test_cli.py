@@ -450,6 +450,26 @@ def test_setup_and_verify_do_not_import_json_or_csv():
     assert result.stdout.splitlines()[-1] == "[] 0 []"
 
 
+def test_setup_does_not_import_numbers():
+    """The type check of real fields passes ints and floats without loading
+    ``numbers``, so the setup of a config file or a builtin never loads it."""
+    probe = (
+        "import sys\n"
+        "from dlms.cli import apply_overrides, build_parser, load_scenario\n"
+        "for argv in sys.argv[1:]:\n"
+        "    args = build_parser().parse_args(argv.split())\n"
+        "    apply_overrides(load_scenario(args.scenario), args)\n"
+        "print('numbers' in sys.modules)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "verify table1 delay --set a.mu=0.02",
+         f"run {root / 'perfbench' / 'long_horizon.cfg'} --out x.csv --set a.mu=0.1"],
+        capture_output=True, text=True, env=env, check=True)
+    assert result.stdout == "False\n"
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task")
                     or len(os.sched_getaffinity(0)) < 2,
                     reason="needs /proc and more than one CPU")
