@@ -82,16 +82,9 @@ def run_ensemble(scenario, runs=None):
     runs before the divergent one.
     """
     runs = range(scenario.ensemble) if runs is None else runs
-    ids = _agent_ids(scenario)
-    shape = (len(runs), scenario.iterations, len(ids))
-    record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
-                            ws=np.empty(shape + (len(scenario.w_opt),)), es=np.zeros(shape))
-    try:
-        for _ in _simulate(scenario, runs, record):
-            pass
-    except DivergenceError as exc:
-        exc.completed = record.head(runs.index(exc.run))
-        raise
+    record = _record(scenario, len(runs), scenario.iterations)
+    for _ in _simulate(scenario, runs, record):
+        pass
     return record
 
 
@@ -125,9 +118,12 @@ def groups(scenario):
         del record  # not held while the next group is simulated
 
 
-def _agent_ids(scenario):
-    """The ids of the record's agents in column order: adaptive, then averaging."""
-    return [cfg.id for cfg in scenario.adaptive_agents() + scenario.averaging_agents()]
+def _record(scenario, runs, iterations):
+    """An EnsembleRecord to fill, its agents in column order: adaptive, then averaging."""
+    ids = [cfg.id for cfg in scenario.adaptive_agents() + scenario.averaging_agents()]
+    shape = (runs, iterations, len(ids))
+    return EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
+                          ws=np.empty(shape + (len(scenario.w_opt),)), es=np.zeros(shape))
 
 
 def _divergence(adaptive, run, iteration, w, e):
@@ -204,7 +200,8 @@ def _simulate(scenario, runs, record=None):
     weights ws [R, B, A, M] and errors es [R, B, A]: views of ``record``'s
     arrays when it is the record of every iteration, else of one block's
     buffers that every block reuses. On divergence it raises, once no later
-    block can change it, the DivergenceError of the first divergent run.
+    block can change it, the DivergenceError of the first divergent run,
+    with ``completed`` the given ``record``'s runs before it (None without one).
 
     The weights w [M, N, R] of the N adaptive agents are a contiguous view of
     a buffer of M*N + 1 rows of [R] whose last row is the pad, all -0.0 (see
@@ -236,10 +233,7 @@ def _simulate(scenario, runs, record=None):
     size = min(block, length)
     whole = record is not None
     if not whole:
-        ids = _agent_ids(scenario)
-        record = EnsembleRecord(w_opt=tuple(scenario.w_opt), agents=ids,
-                                ws=np.empty((r, size, len(ids), m)),
-                                es=np.zeros((r, size, len(ids))))
+        record = _record(scenario, r, size)
     buf = np.full((m * n + 1, r), -0.0)
     # one pair of signal buffers serves every block; a fresh pair per block
     # would have the C allocator return and fault in their pages each block
@@ -304,4 +298,6 @@ def _simulate(scenario, runs, record=None):
             if failed == 0:
                 break
         if error is not None:
+            if whole:
+                error.completed = record.head(failed)
             raise error

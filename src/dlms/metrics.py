@@ -109,32 +109,28 @@ class EnsembleRecord:
 
 def steady_state_start(length):
     """The index of the first iteration of the steady-state window, the final
-    STEADY_STATE_WINDOW of a horizon of ``length`` iterations."""
-    return length - math.ceil(STEADY_STATE_WINDOW * length)
+    STEADY_STATE_WINDOW of a horizon of ``length`` iterations; a ConfigError
+    if the window would hold fewer than the two a sample variance needs."""
+    first = length - math.ceil(STEADY_STATE_WINDOW * length)
+    if length - first < 2:  # ceil(STEADY_STATE_WINDOW * length) >= 2 from this length on
+        raise ConfigError("steady-state variance needs iterations >= "
+                          f"{math.floor(1 / STEADY_STATE_WINDOW) + 1}, got {length}")
+    return first
 
 
-def steady_state_variance(record, agent, horizon=None):
-    """Sample variance of the estimate over the final STEADY_STATE_WINDOW of
-    the horizon, one value per run.
+def steady_state_variance(windows):
+    """Sample variance of the estimates ``windows`` [R, n, M] over each run's
+    window of n iterations (see steady_state_start), one value per run.
 
-    The record holds the horizon's last iterations, all of them unless
-    ``horizon`` says how many there are. For vector weights the
-    per-component sample variances are summed. The window is reduced one run
-    at a time, so its temporaries are one run's.
+    For vector weights the per-component sample variances are summed. The
+    window is reduced one run at a time, so its temporaries are one run's.
     """
     import numpy as np
 
     from .libm import square
 
-    length = record.iterations if horizon is None else horizon
-    n = length - steady_state_start(length)
-    if n < 2:
-        # ceil(STEADY_STATE_WINDOW * length) >= 2 from this length on
-        minimum = math.floor(1 / STEADY_STATE_WINDOW) + 1
-        raise ConfigError(f"steady-state variance needs iterations >= {minimum}, "
-                          f"got {length}")
-    windows = record.w(agent)[:, record.iterations - n:]
-    var = np.empty((len(record), windows.shape[-1]))
+    n = windows.shape[1]
+    var = np.empty((len(windows), windows.shape[-1]))
     for r, window in enumerate(windows):
         mean = (0.0 + window.cumsum(axis=0)[-1]) / n
         var[r] = (0.0 + square(window - mean).cumsum(axis=0)[-1]) / (n - 1)
@@ -164,8 +160,9 @@ class EnsembleSums:
         self.ws = reduce(iadd, record.ws, self.ws)
         if self.steady_state_var is not None:
             try:
+                first = steady_state_start(record.iterations)
                 self.steady_state_var = {
-                    aid: sum_in_order(steady_state_variance(record, aid),
+                    aid: sum_in_order(steady_state_variance(record.w(aid)[:, first:]),
                                       start=self.steady_state_var.get(aid, 0.0))
                     for aid in record.agents}
             except ConfigError:

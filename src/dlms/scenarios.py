@@ -60,9 +60,15 @@ class Scenario:
 
 
 def _check_finite(name, values):
+    """len(values), if they are a sequence of finite reals; else a ConfigError naming the field."""
+    try:
+        length = len(values)
+    except TypeError:
+        raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}") from None
     check_real(name, values)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{name} must be finite, got {', '.join(map(repr, values))}")
+    return length
 
 
 def validate(scenario):
@@ -81,10 +87,9 @@ def validate(scenario):
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {scenario.seed}")
     if not scenario.agents:
         raise ConfigError("scenario has no agents")
-    m = len(scenario.w_opt)
+    m = _check_finite("w_opt", scenario.w_opt)
     if m < 1:
         raise ConfigError("w_opt must have at least one component")
-    _check_finite("w_opt", scenario.w_opt)
 
     ids = [cfg.id for cfg in scenario.agents]
     for aid in ids:
@@ -115,14 +120,16 @@ def validate(scenario):
             if not 0 <= cfg.mu < math.inf:
                 raise ConfigError(
                     f"agent {cfg.id}: mu must be finite and >= 0, got {cfg.mu}")
-            if cfg.w0 is None or len(cfg.w0) != m:
+            if cfg.w0 is None or _check_finite(f"agent {cfg.id}: w0", cfg.w0) != m:
                 raise ConfigError(
                     f"agent {cfg.id}: w0 must have {m} components, got {cfg.w0}")
-            _check_finite(f"agent {cfg.id}: w0", cfg.w0)
             if cfg.input is None or cfg.noise is None:
                 raise ConfigError(f"agent {cfg.id}: input and noise statistics required")
             for name in ("input", "noise"):
                 params = getattr(cfg, name)
+                if not isinstance(params, GaussianParams):
+                    raise ConfigError(
+                        f"agent {cfg.id}: {name} must be GaussianParams, got {params!r}")
                 _check_finite(f"agent {cfg.id}: {name}_mean", (params.mean,))
                 _check_finite(f"agent {cfg.id}: {name}_sd", (params.sd,))
             if cfg.sources:

@@ -51,6 +51,21 @@ _METRICS = "tests/test_cli.py::test_metrics_writer_matches_oracle"
 _BULK_ENDS = "tests/test_floatfmt.py::test_interval_ends_from_one_product_on_bulk_values"
 _BULK_REPR = "tests/test_floatfmt.py::test_bulk_values_read_as_repr"
 _BORROW_TEST = "tests/test_floatfmt.py::test_lower_end_borrow_doubles"
+_ENGINE = "one vectorized CTA ensemble engine (rows rebuilt on today's lines)"
+_LOGS = "Box-Muller logarithms without a Python float per value"
+_CALLS = "narrow ensembles without numpy's per-call overhead"
+_LIBM = "one owner for libm's bits"
+_ORACLE = "tests/test_engine.py::test_builtins_match_oracle"
+_SIGNED = "tests/test_engine.py::test_signed_zeros_match_oracle"
+_SIGNALS = "tests/test_engine.py::test_signals_are_the_oracle_samples_of_each_column_owner"
+_TWINS = "tests/test_engine.py::test_twins_before_and_beside_their_owners_match_oracle"
+_STREAM = "tests/test_prng.py::test_gaussian_block_is_the_stream_bit_for_bit"
+_GOLDEN = "tests/test_golden.py::test_reduced_builtin_digests"
+_LOG_BITS = "tests/test_log_bits.py::"
+_OWNERS = "one owner each for the engine's record and the steady-state window"
+_PREDICTION = ("a prediction folded from -0.0 or from t0 differs from one folded from 0.0 "
+               "only in a zero's sign, and a target y is never -0.0, so y - 0.0 is "
+               "y - -0.0 (engine docstring)")
 
 MUTANTS = [
     Mutant("src/dlms/cli.py", "np.arange((len(str(iterations)) - 1) // 4, -1, -1)",
@@ -100,6 +115,120 @@ MUTANTS = [
     Mutant("src/dlms/floatfmt.py", "(low < ll.take(i))", "(low + _U(1) < ll.take(i))",
            (_BORROW_TEST, _BULK_ENDS, _BULK_REPR), _BORROW + ": low + 1",
            equivalent="low and ll are multiples of 2^(h+1), so low + 1 < ll is low < ll"),
+    Mutant("src/dlms/libm.py", "return _kept(d, lo, 0.47 * 2.0**-52, scratch)",
+           "return _kept(d, lo, 0.5 * 2.0**-52, scratch)",
+           (_LOG_BITS + "test_residuals_near_the_cut", _LOG_BITS + "test_seeded_uniforms",
+            _STREAM),
+           _LOGS + ": the log cut at 0.5 ulp, not 0.47"),
+    Mutant("src/dlms/libm.py",
+           "    kept &= np.bitwise_and(bits, _SIGNIFICAND, out=scratch) != 0\n", "",
+           (_LOG_BITS + "test_powers_of_two",
+                "tests/test_pow_bits.py::test_significands_next_to_one_root_two_and_two"),
+           _LOGS + ": no power-of-two test in _kept"),
+    Mutant("src/dlms/libm.py",
+           "return glibc, glibc and np.finfo(np.longdouble).nmant == 63", "return True, True",
+           (_LOG_BITS + "test_detection_needs_glibc_2_28",
+            _LOG_BITS + "test_detection_needs_a_64_bit_significand",
+            _LOG_BITS + "test_another_platform_keeps_the_goldens"),
+           _LOGS + ": the premises always hold"),
+    Mutant("src/dlms/libm.py", "rounded if _premises()[1] else None", "rounded",
+           (_LOG_BITS + "test_another_platform_calls_log_on_every_value",
+            _LOG_BITS + "test_a_52_bit_long_double_turns_off_only_the_logarithms"),
+           _LOGS + ": logs ignores the premise"),
+    Mutant("src/dlms/engine.py", "multiply(coef, take(index, 0), terms)",
+           "multiply(terms, take(index, 0), coef)", (_ORACLE,),
+           _CALLS + ": coef and terms swapped"),
+    Mutant("src/dlms/engine.py", "reduce(terms, 0, None, psi, False, -0.0)",
+           "reduce(psi, 0, None, terms, False, -0.0)", (_ORACLE,),
+           _CALLS + ": terms and psi swapped"),
+    Mutant("src/dlms/engine.py", "multiply(psi, xi, products)", "multiply(products, xi, psi)",
+           (_ORACLE,), _CALLS + ": psi and products swapped"),
+    Mutant("src/dlms/engine.py", "reduce(products, 0, None, pred, False, 0.0)",
+           "reduce(pred, 0, None, products, False, 0.0)", (_ORACLE,),
+           _CALLS + ": products and pred swapped"),
+    Mutant("src/dlms/engine.py", "subtract(yi, pred, pred)", "subtract(pred, yi, pred)",
+           (_ORACLE,), _CALLS + ": subtract's inputs swapped"),
+    Mutant("src/dlms/engine.py", "subtract(yi, pred, pred)", "subtract(yi, pred, yi)",
+           (_ORACLE,), _CALLS + ": the error written into the targets"),
+    Mutant("src/dlms/engine.py", "multiply(mu, pred, mu_e)", "multiply(mu_e, pred, mu)",
+           (_ORACLE,), _CALLS + ": mu and mu_e swapped"),
+    Mutant("src/dlms/engine.py", "multiply(mu_e, xi, step)", "multiply(step, xi, mu_e)",
+           (_ORACLE,), _CALLS + ": mu_e and step swapped"),
+    Mutant("src/dlms/engine.py", "multiply(mu_e, xi, step)", "multiply(mu_e, step, xi)",
+           (_ORACLE,), _CALLS + ": xi and step swapped"),
+    Mutant("src/dlms/engine.py", "add(psi, step, w)", "add(w, step, psi)", (_ORACLE,),
+           _CALLS + ": psi and w swapped"),
+    Mutant("src/dlms/engine.py", "reduce(terms, 0, None, psi, False, -0.0)",
+           "reduce(terms, 0, None, psi, False)", (_SIGNED,),
+           _CALLS + ": the combine's initial dropped"),
+    Mutant("src/dlms/engine.py", "reduce(terms, 0, None, psi, False, -0.0)",
+           "reduce(terms, 0, None, psi, False, 0.0)", (_SIGNED,),
+           _CALLS + ": the combine's initial 0.0"),
+    Mutant("src/dlms/engine.py", "reduce(products, 0, None, pred, False, 0.0)",
+           "reduce(products, 0, None, pred, False)",
+           ("tests/test_engine.py", "tests/test_pinned_outputs.py", _GOLDEN),
+           _CALLS + ": the prediction's initial dropped", equivalent=_PREDICTION),
+    Mutant("src/dlms/engine.py", "reduce(products, 0, None, pred, False, 0.0)",
+           "reduce(products, 0, None, pred, False, -0.0)",
+           ("tests/test_engine.py", "tests/test_pinned_outputs.py", _GOLDEN),
+           _CALLS + ": the prediction's initial -0.0", equivalent=_PREDICTION),
+    Mutant("src/dlms/libm.py", "_square_is_xx if _premises()[0] else None", "_square_is_xx",
+           (_LOG_BITS + "test_another_platform_calls_pow_on_every_value",
+            _LOG_BITS + "test_another_platform_keeps_the_goldens"),
+           _LIBM + ": square ignores the premise"),
+    Mutant("src/dlms/libm.py", "return ok & _premises()[0]", "return ok",
+           (_LOG_BITS + "test_another_platform_calls_pow_on_every_value",),
+           _LIBM + ": root_square_is_abs ignores the premise"),
+    Mutant("src/dlms/libm.py", "_square_is_xx if _premises()[0] else None",
+           "_square_is_xx if _premises()[1] else None",
+           (_LOG_BITS + "test_a_52_bit_long_double_turns_off_only_the_logarithms",),
+           _LIBM + ": square keyed on the log premise"),
+    Mutant("src/dlms/prng.py", "np.multiply(r, np.cos(theta), out=out[:, 0::2])",
+           "np.multiply(r, np.sin(theta), out=out[:, 0::2])", (_STREAM, _ORACLE),
+           _ENGINE + ": sin for cos"),
+    Mutant("src/dlms/prng.py", "    z += np.uint64(1)\n", "", (_STREAM, _ORACLE),
+           _ENGINE + ": uniforms in [0, 1), not (0, 1]"),
+    Mutant("src/dlms/prng.py", "steps = np.arange(start + 1, start + 2 * pairs + 1,",
+           "steps = np.arange(start, start + 2 * pairs,", (_STREAM, _ORACLE),
+           _ENGINE + ": the stream one output early"),
+    Mutant("src/dlms/prng.py", "return _mix((base + (index + 1) * _GAMMA) & _MASK64)",
+           "return _mix((base + index * _GAMMA) & _MASK64)",
+           ("tests/test_prng.py::test_derive_seed_is_the_next_output_of_the_base_stream", _GOLDEN),
+           _ENGINE + ": a child seed one output early"),
+    Mutant("src/dlms/prng.py", "r = np.sqrt(-2.0 * logs(u1))", "r = np.sqrt(-(2.0 * logs(u1)))",
+           (_STREAM, _GOLDEN), _ENGINE + ": -(2 log u) for -2 log u",
+           equivalent="doubling and negation are exact, so both orders give one double"),
+    Mutant("src/dlms/engine.py", "derive_seed(scenario.seed ^ k, owner)",
+           "derive_seed(scenario.seed + k, owner)",
+           (_ORACLE, "tests/test_scenarios.py::test_run_single_seeding_is_documented_mix"),
+           _ENGINE + ": run k seeded from seed + k, not seed XOR k"),
+    Mutant("src/dlms/engine.py", "total /= len(rest) + 1", "total /= len(rest) + 2", (_ORACLE,),
+           _ENGINE + ": the average over one source too many"),
+    Mutant("src/dlms/engine.py", "        xo *= cfg.input.sd\n        xo += cfg.input.mean\n",
+           "        xo += cfg.input.mean\n        xo *= cfg.input.sd\n", (_SIGNALS, _TWINS),
+           _ENGINE + ": the input shifted before it is scaled"),
+    Mutant("src/dlms/engine.py", "yo += cfg.noise.mean + cfg.noise.sd * z[:, :, m]",
+           "yo += cfg.noise.sd * z[:, :, m]", (_SIGNALS, _TWINS),
+           _ENGINE + ": no noise mean"),
+    Mutant("src/dlms/engine.py", "block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)",
+           "block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)))",
+           ("tests/test_pinned_outputs.py::test_claim_summary",),
+           _ENGINE + ": blocks that start inside a Box-Muller pair"),
+    Mutant("src/dlms/engine.py", "                if hit[k].any() and k < failed:",
+           "                if hit[k].any():",
+           ("tests/test_engine.py::test_divergence_is_that_of_separate_runs_in_variant_order",
+            "tests/test_engine.py::test_divergence_in_a_later_block_of_the_scan_matches_oracle"),
+           _ENGINE + ": a later block's divergence replaces an earlier run's"),
+    Mutant("src/dlms/engine.py", "error.completed = record.head(failed)",
+           "error.completed = record.head(failed + 1)",
+           ("tests/test_engine.py::test_divergence_matches_oracle",
+            "tests/test_engine.py::test_divergent_cli_outputs_match_oracle"),
+           _OWNERS + ": the divergent run among the completed ones"),
+    Mutant("src/dlms/metrics.py", "if length - first < 2:", "if length - first < 1:",
+           ("tests/test_metrics.py::TestSteadyStateVariance::test_window_too_short",
+            "tests/test_cli.py::TestVerify::test_stabilize_needs_a_steady_state_window",
+            "tests/test_cli.py::test_config_error_names_its_field"),
+           _OWNERS + ": a steady-state window of one iteration"),
 ]
 
 

@@ -52,6 +52,7 @@ from dlms.metrics import (
     convergence_iteration,
     default_band,
     first_iteration,
+    steady_state_start,
     steady_state_variance,
     sum_in_order,
 )
@@ -481,10 +482,11 @@ def verify_stabilize(scenario):
         raise ConfigError(
             f"stabilize claim needs a standalone twin of agent {noisy.id!r}")
     twin = twins[0]
+    first = steady_state_start(scenario.iterations)
     record = scenarios.run(scenario)
 
     wins = [coop < solo for coop, solo in zip(
-        steady_state_variance(record, noisy.id), steady_state_variance(record, twin.id))]
+        *(steady_state_variance(record.w(aid)[:, first:]) for aid in (noisy.id, twin.id)))]
     return _paired("stabilize", wins, STABILIZE_PASS_FRACTION,
                    cooperative=noisy.id, twin=twin.id)
 

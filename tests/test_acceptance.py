@@ -5,6 +5,7 @@ Exact criteria assert bit-level or 1e-14-level agreement; statistical
 criteria run 100-run paired ensembles of the builtin scenarios.
 """
 
+import dataclasses
 import math
 import random
 import statistics
@@ -12,7 +13,13 @@ import statistics
 import pytest
 
 import dlms.engine
-from dlms.claims import merge_iteration, verify_merge, verify_speedup, verify_stabilize
+from dlms.claims import (
+    merge_iteration,
+    verify_claim,
+    verify_merge,
+    verify_speedup,
+    verify_stabilize,
+)
 from dlms.errors import DivergenceError
 from dlms.metrics import crossing_iteration
 from dlms.network import TrustMatrix, combine, cta_iteration
@@ -178,6 +185,28 @@ def test_c09_stabilization(ensembles, monkeypatch):
     report(9, result.passed,
            f"var(cooperative b) < var(standalone twin d) in "
            f"{result.details['win_fraction']:.0%} of runs (need >= 95%)")
+
+
+# each builtin claim's verdict at the builtins' seed 42
+VERDICTS = {
+    ("table1", "merge"): True, ("table1", "stabilize"): False,
+    ("table2", "merge"): False, ("table2", "speedup"): True, ("table2", "stabilize"): True,
+    ("table3", "merge"): False, ("table3", "speedup"): True, ("table3", "stabilize"): True,
+    ("table4", "merge"): False, ("table4", "speedup"): True, ("table4", "stabilize"): False,
+    ("table5", "merge"): True, ("table5", "stabilize"): True,
+}
+
+
+@pytest.mark.parametrize("name, claim", VERDICTS, ids=[f"{n}-{c}" for n, c in VERDICTS])
+def test_verdicts_hold_at_independent_seeds(name, claim):
+    """Each builtin verdict is the same on five ensembles that share no run
+    with seed 42's or each other's: seeds j 2^32 differ from seed 42, and from
+    each other, above the bits that the runs' XOR reaches (README,
+    determinism contract)."""
+    s = builtin(name)
+    verdicts = [verify_claim(dataclasses.replace(s, seed=j << 32), claim).passed
+                for j in range(1, 6)]
+    assert verdicts == [VERDICTS[name, claim]] * 5
 
 
 def test_c10_weighted_sum_variance():

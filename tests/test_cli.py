@@ -179,7 +179,7 @@ def _vector(scenario, w_opt):
 @pytest.mark.parametrize("iterations", [4, 9, 10, 99, 100, 1000, 10000])
 def test_metrics_writer_matches_oracle(tmp_path, iterations, m):
     """Iteration numbers of every digit width up to five, in one and in two
-    groups of four digits, and a horizon under 5, too short for the
+    groups of four digits, and a horizon under 6, too short for the
     steady-state window; ids that csv quotes or that sort by code point,
     which the report's rows and the MSD block list in the same order."""
     scenario = _renamed(builtin("table1"), ['x"y', "B", "a10", "a2", "é"])
@@ -189,7 +189,7 @@ def test_metrics_writer_matches_oracle(tmp_path, iterations, m):
     assert text.count(b"\r\nmsd,") == 5 * iterations
     assert text.index(b"\r\nmsd,B,1,") < text.index(b"\r\nmsd,a10,1,") \
         < text.index(b"\r\nmsd,a2,1,") < text.index(b'\r\nmsd,"x""y",1,')
-    assert (b"\r\nsteady_state_var,B,,\r\n" in text) == (iterations < 5)
+    assert (b"\r\nsteady_state_var,B,,\r\n" in text) == (iterations < 6)
 
 
 def test_metrics_writer_writes_an_overflowing_msd_like_the_oracle(tmp_path):
@@ -739,6 +739,10 @@ _PAIR = "[agent]\nid = p\nmu = 0.1\n[agent]\nid = q\nmu = 0.2\n"
     (lambda: replace(builtin("table1"), w_opt=()), "w_opt must have at least one component"),
     (lambda: verify_claim(builtin("table1"), "bogus"),
      "unknown claim 'bogus'; valid claims: "),
+    # the horizon is checked before anything is simulated: this mu diverges at iteration 4
+    (("verify", "table1", ["stabilize", "--iterations", "5", "--ensemble", "2",
+                           "--set", "a.mu=1e6"]),
+     "error: steady-state variance needs iterations >= 6, got 5"),
 ])
 def test_config_error_names_its_field(tmp_path, capsys, case, names):
     if callable(case):

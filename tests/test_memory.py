@@ -227,7 +227,8 @@ def test_steady_state_variance_transient(long_horizon):
     time, squared 2^13 values at a time by ``libm.square``: 0.49 MB. The
     bound leaves 0.11 MB, less than one more run's window."""
     record = long_horizon[1]
-    assert _traced_peak(lambda: [steady_state_variance(record, aid)
+    first = steady_state_start(record.iterations)
+    assert _traced_peak(lambda: [steady_state_variance(record.w(aid)[:, first:])
                                  for aid in ("c", "f")]) <= 0.6 * MB
 
 

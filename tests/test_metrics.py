@@ -16,6 +16,7 @@ from dlms.metrics import (
     crossing_iteration,
     default_band,
     first_iteration,
+    steady_state_start,
     steady_state_variance,
     sum_in_order,
 )
@@ -62,11 +63,11 @@ class TestReductionOrder:
     def test_steady_state_variance_is_the_fold(self, window):
         # 100 iterations leave a window of 20; two runs, scalar weights
         ws = np.array([[0.5] * 80 + window] * 2).reshape(2, 100, 1, 1)
-        rec = EnsembleRecord(w_opt=(0.0,), agents=["a"], ws=ws, es=np.zeros(ws.shape[:3]))
         w = ws[:, 80:, 0]
         mean = sum_in_order(w, axis=1) / 20
         fold = sum_in_order(sum_in_order(square(w - mean[:, None]), axis=1) / 19, axis=-1)
-        assert repr(steady_state_variance(rec, "a")) == repr(fold.tolist())
+        assert steady_state_start(100) == 80
+        assert repr(steady_state_variance(w)) == repr(fold.tolist())
 
     def test_square_is_python_float_power(self):
         # with signed zero, the smallest subnormal, a square that underflows,
@@ -227,20 +228,25 @@ class TestMsdSeries:
 
 
 class TestSteadyStateVariance:
+    @staticmethod
+    def _variance(trajectory):
+        rec = _record({"a": trajectory})
+        return steady_state_variance(rec.w("a")[:, steady_state_start(rec.iterations):])
+
     def test_constant_trajectory(self):
-        rec = _record({"a": [1.0] * 20})
-        assert steady_state_variance(rec, "a")[0] == 0.0
+        assert self._variance([1.0] * 20)[0] == 0.0
 
     def test_alternating_window(self):
         # the last 20% of 20 iterations is 0,1,0,1: sample variance 1/3
-        rec = _record({"a": [5.0] * 16 + [0.0, 1.0, 0.0, 1.0]})
-        assert steady_state_variance(rec, "a")[0] == pytest.approx(1 / 3)
+        assert self._variance([5.0] * 16 + [0.0, 1.0, 0.0, 1.0])[0] == pytest.approx(1 / 3)
 
     def test_window_too_short(self):
-        # the last 20% of 4 iterations is a single sample
-        rec = _record({"a": [1.0, 2.0, 3.0, 4.0]})
-        with pytest.raises(ConfigError):
-            steady_state_variance(rec, "a")
+        # the last 20% of at most 5 iterations is a single sample
+        for length in (1, 4, 5):
+            with pytest.raises(ConfigError, match=f"^steady-state variance needs "
+                                                  f"iterations >= 6, got {length}$"):
+                steady_state_start(length)
+        assert steady_state_start(6) == 4
 
 
 class TestConvergenceIteration:

@@ -121,11 +121,17 @@ class TestValidation:
         pytest.param(lambda s: _with_agent_a(s, w0=(None,)), "agent a: w0", id="w0"),
         pytest.param(lambda s: _with_agent_a(s, id=3), "agent id 3", id="id"),
         pytest.param(lambda s: GaussianParams(0.0, "x"), "Gaussian mean and sd", id="sd"),
-        pytest.param(lambda s: TrustMatrix(rows=(("a",),)), "trust row 0", id="trust")])
+        pytest.param(lambda s: TrustMatrix(rows=(("a",),)), "trust row 0", id="trust"),
+        pytest.param(lambda s: dataclasses.replace(s, w_opt=2.0), "w_opt", id="w_opt-number"),
+        pytest.param(lambda s: _with_agent_a(s, w0=5), "agent a: w0", id="w0-number"),
+        pytest.param(lambda s: _with_agent_a(s, input=(0, 1)), "agent a: input", id="input-tuple"),
+        pytest.param(lambda s: _with_agent_a(s, noise=(0, 0.03)), "agent a: noise",
+                     id="noise-tuple")])
     def test_fields_of_a_wrong_type(self, make, field):
-        """A Python API value of a wrong type is a ConfigError naming its field,
-        raised before any comparison, not a TypeError or AttributeError. A
-        ``bool`` is not a real number."""
+        """A Python API value of a wrong type or shape is a ConfigError naming
+        its field, raised before any comparison, not a TypeError or
+        AttributeError. A ``bool`` is not a real number, a number is not a
+        vector, and a pair is not a GaussianParams."""
         with pytest.raises(ConfigError, match=f"^{re.escape(field)} must be "):
             make(builtin("table1"))
 
