@@ -5,6 +5,7 @@ closed stdout, 3 divergence.
 """
 
 import argparse
+import gc
 import io
 import os
 import sys
@@ -338,7 +339,8 @@ def main(argv=None):
     # stdout is UTF-8 like the files, whatever the locale; surrogateescape
     # writes undecodable bytes of argv paths back unchanged
     sys.stdout.reconfigure(encoding="utf-8", errors="surrogateescape")
-    argv = sys.argv[1:] if argv is None else argv
+    program = argv is None
+    argv = sys.argv[1:] if program else argv
     try:
         args = build_parser().parse_args(_join_values(argv))
         code = args.func(args)
@@ -364,6 +366,13 @@ def main(argv=None):
         detail = f": {exc}" if str(exc) else ""
         print(f"error: the scenario does not fit in memory{detail}", file=sys.stderr)
         return EXIT_USAGE
+    finally:
+        # the command is done: the collections at exit skip a frozen heap, so
+        # they no longer walk numpy's ~21,000 import-time objects. Only the
+        # program freezes, so a caller of main(argv) keeps its heap and GC
+        # state, and only now: import garbage frozen would never be freed
+        if program:
+            gc.freeze()
 
 
 if __name__ == "__main__":

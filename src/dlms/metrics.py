@@ -9,7 +9,7 @@ sums add pairwise, Python 3.12's ``sum`` compensates and numpy's ``x**2`` is
 ``cumsum`` (numpy's ``add.accumulate``) does add in order, and
 0.0 + (v0 + v1 + ...) is the fold 0.0 + v0 + v1 + ... bit for bit, signed
 zeros included, so the steady-state window, thousands of iterations long, is
-summed as 0.0 + its ``cumsum``'s last entry in one call per run.
+summed as 0.0 + its ``cumsum``'s last entry, one call for a batch of runs.
 The trajectory CSV's distances have the bits of ``pow(s, 0.5)`` through
 ``libm.roots``. numpy and ``libm`` are imported inside the functions, so
 loading a scenario stays numpy-free.
@@ -123,7 +123,9 @@ def steady_state_variance(windows):
     window of n iterations (see steady_state_start), one value per run.
 
     For vector weights the per-component sample variances are summed. The
-    window is reduced one run at a time, so its temporaries are one run's.
+    window is reduced as many runs at a time as fit in 2^13 values, at least
+    one, so its temporaries are that size and ``square`` is called once per
+    batch; ``cumsum`` along the iterations still adds each run in order.
     """
     import numpy as np
 
@@ -131,9 +133,11 @@ def steady_state_variance(windows):
 
     n = windows.shape[1]
     var = np.empty((len(windows), windows.shape[-1]))
-    for r, window in enumerate(windows):
-        mean = (0.0 + window.cumsum(axis=0)[-1]) / n
-        var[r] = (0.0 + square(window - mean).cumsum(axis=0)[-1]) / (n - 1)
+    step = max(1, (1 << 13) // max(1, math.prod(windows.shape[1:])))  # runs
+    for r in range(0, len(windows), step):
+        window = windows[r:r + step]
+        mean = (0.0 + window.cumsum(axis=1)[:, -1:]) / n
+        var[r:r + step] = (0.0 + square(window - mean).cumsum(axis=1)[:, -1]) / (n - 1)
     return sum_in_order(var, axis=-1).tolist()
 
 

@@ -7,6 +7,8 @@ same signal realizations, and a follower e averaging c and d.
 
 import math
 import re
+import sys
+from collections.abc import Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from itertools import combinations
@@ -59,12 +61,21 @@ class Scenario:
         return [cfg for cfg in self.agents if cfg.kind == AVERAGING]
 
 
+def _check_sequence(name, values, of, item=object):
+    """len(values), if they are ``item`` instances in a list, a tuple, another
+    Sequence but text or bytes, or a 1-D numpy array; else a ConfigError
+    naming the field. A set's order and a dict's keys are no vector."""
+    numpy = sys.modules.get("numpy")  # no array exists before numpy is loaded
+    sequence = (isinstance(values, Sequence) and not isinstance(values, (str, bytes, bytearray))
+                or numpy and isinstance(values, numpy.ndarray) and values.ndim == 1)
+    if not sequence or not all(isinstance(v, item) for v in values):
+        raise ConfigError(f"{name} must be a sequence of {of}, got {values!r}")
+    return len(values)
+
+
 def _check_finite(name, values):
     """len(values), if they are a sequence of finite reals; else a ConfigError naming the field."""
-    try:
-        length = len(values)
-    except TypeError:
-        raise ConfigError(f"{name} must be a sequence of real numbers, got {values!r}") from None
+    length = _check_sequence(name, values, "real numbers")
     check_real(name, values)
     if not all(map(math.isfinite, values)):
         raise ConfigError(f"{name} must be finite, got {', '.join(map(repr, values))}")
@@ -85,8 +96,10 @@ def validate(scenario):
         raise ConfigError(f"ensemble must be >= 1, got {scenario.ensemble}")
     if not 0 <= scenario.seed <= _SEED_MASK:
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {scenario.seed}")
-    if not scenario.agents:
+    if not _check_sequence("agents", scenario.agents, "AgentConfig", AgentConfig):
         raise ConfigError("scenario has no agents")
+    if not isinstance(scenario.trust, TrustMatrix):
+        raise ConfigError(f"trust must be a TrustMatrix, got {scenario.trust!r}")
     m = _check_finite("w_opt", scenario.w_opt)
     if m < 1:
         raise ConfigError("w_opt must have at least one component")
@@ -101,20 +114,20 @@ def validate(scenario):
         raise ConfigError(f"duplicate agent ids: {ids}")
     by_id = {cfg.id: cfg for cfg in scenario.agents}
 
-    adaptive = scenario.adaptive_agents()
+    # each agent's own fields first, so that a reference to an agent finds them valid
     for cfg in scenario.agents:
-        if cfg.kind not in _KINDS:
+        if not isinstance(cfg.kind, str) or cfg.kind not in _KINDS:
             raise ConfigError(f"agent {cfg.id}: unknown kind {cfg.kind!r}")
+        _check_sequence(f"agent {cfg.id}: sources", cfg.sources, "agent ids", str)
+        if not isinstance(cfg.counterpart, (str, type(None))):
+            raise ConfigError(
+                f"agent {cfg.id}: counterpart must be an agent id, got {cfg.counterpart!r}")
         if cfg.kind == AVERAGING:
             for name in ("mu", "w0", "input", "noise"):
                 if getattr(cfg, name) is not None:
                     raise ConfigError(f"agent {cfg.id}: averaging agents take no {name}")
             if not cfg.sources:
                 raise ConfigError(f"agent {cfg.id}: averaging agents need >= 1 source")
-            for src in cfg.sources:
-                if not isinstance(src, str) or src not in by_id or not by_id[src].is_adaptive():
-                    raise ConfigError(
-                        f"agent {cfg.id}: source {src!r} is not an adaptive agent")
         else:
             check_real(f"agent {cfg.id}: mu", (cfg.mu,))
             if not 0 <= cfg.mu < math.inf:
@@ -134,10 +147,16 @@ def validate(scenario):
                 _check_finite(f"agent {cfg.id}: {name}_sd", (params.sd,))
             if cfg.sources:
                 raise ConfigError(f"agent {cfg.id}: only averaging agents take sources")
-        if cfg.counterpart == cfg.id:
-            raise ConfigError(f"agent {cfg.id}: counterpart must name another agent")
+
+    adaptive = scenario.adaptive_agents()
+    for cfg in scenario.agents:
+        for src in cfg.sources:
+            if src not in by_id or not by_id[src].is_adaptive():
+                raise ConfigError(f"agent {cfg.id}: source {src!r} is not an adaptive agent")
         if cfg.counterpart is not None:
-            other = by_id.get(cfg.counterpart) if isinstance(cfg.counterpart, str) else None
+            other = by_id.get(cfg.counterpart)
+            if other is cfg:
+                raise ConfigError(f"agent {cfg.id}: counterpart must name another agent")
             if other is None or not other.is_adaptive():
                 raise ConfigError(
                     f"agent {cfg.id}: counterpart {cfg.counterpart!r} "

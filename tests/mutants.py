@@ -63,6 +63,7 @@ _STREAM = "tests/test_prng.py::test_gaussian_block_is_the_stream_bit_for_bit"
 _GOLDEN = "tests/test_golden.py::test_reduced_builtin_digests"
 _LOG_BITS = "tests/test_log_bits.py::"
 _OWNERS = "one owner each for the engine's record and the steady-state window"
+_EXIT = "the program freezes its heap before it exits; windows a batch of runs at a time"
 _PREDICTION = ("a prediction folded from -0.0 or from t0 differs from one folded from 0.0 "
                "only in a zero's sign, and a target y is never -0.0, so y - 0.0 is "
                "y - -0.0 (engine docstring)")
@@ -229,6 +230,18 @@ MUTANTS = [
             "tests/test_cli.py::TestVerify::test_stabilize_needs_a_steady_state_window",
             "tests/test_cli.py::test_config_error_names_its_field"),
            _OWNERS + ": a steady-state window of one iteration"),
+    Mutant("src/dlms/cli.py", "        if program:\n            gc.freeze()",
+           "        gc.freeze()",
+           ("tests/test_cli.py::test_main_with_argv_leaves_the_callers_gc_as_it_was",),
+           _EXIT + ": an in-process caller's heap frozen too"),
+    Mutant("src/dlms/cli.py", "            gc.freeze()", "            pass",
+           ("tests/test_cli.py::test_program_freezes_its_heap_before_it_exits",),
+           _EXIT + ": no freeze"),
+    Mutant("src/dlms/metrics.py", "window = windows[r:r + step]",
+           "window = windows[r:r + step - 1]",
+           ("tests/test_metrics.py::TestSteadyStateVariance::"
+            "test_batches_of_runs_are_the_per_run_fold",),
+           _EXIT + ": a batch one run short"),
 ]
 
 

@@ -1,4 +1,5 @@
 import csv
+import gc
 import math
 import os
 import re
@@ -468,6 +469,37 @@ def test_setup_does_not_import_numbers():
          f"run {root / 'perfbench' / 'long_horizon.cfg'} --out x.csv --set a.mu=0.1"],
         capture_output=True, text=True, env=env, check=True)
     assert result.stdout == "False\n"
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("verify table1 merge --ensemble 2 --iterations 20", 0),
+    ("verify table1 merge --ensemble 0", 2)], ids=["pass", "config-error"])
+def test_program_freezes_its_heap_before_it_exits(argv, code):
+    """``main()`` as the program (no argv) freezes the heap once the command
+    is done, on every exit code, so that the collections at exit skip it."""
+    probe = (
+        "import gc\n"
+        "from dlms.cli import main\n"
+        "code = main()\n"
+        "print(code, gc.get_freeze_count() > 0)\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", probe, *argv.split()],
+                            capture_output=True, text=True, env=env)
+    assert result.stdout.splitlines()[-1] == f"{code} True"
+
+
+@pytest.mark.parametrize("argv", [
+    "run table1 --ensemble 2 --iterations 10 --out {}/t.csv",
+    "verify table1 merge --ensemble 2 --iterations 20",
+    "verify table1 merge --ensemble 0"], ids=["run", "verify", "config-error"])
+def test_main_with_argv_leaves_the_callers_gc_as_it_was(tmp_path, argv):
+    """Only the program freezes its heap: a caller that passes argv keeps its
+    frozen objects and its collector as they were."""
+    before = gc.get_freeze_count(), gc.isenabled()
+    main(argv.format(tmp_path).split())
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task")

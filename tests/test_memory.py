@@ -223,9 +223,11 @@ def test_first_divergence_transient():
 
 def test_steady_state_variance_transient(long_horizon):
     """The steady-state windows of the stabilize claim's two agents on the
-    long_horizon record, one run's window (0.13 MB) and its squares at a
-    time, squared 2^13 values at a time by ``libm.square``: 0.49 MB. The
-    bound leaves 0.11 MB, less than one more run's window."""
+    long_horizon record. A batch is as many runs as fit in 2^13 values, at
+    least one; one run's window is 16,000 values here, so a batch is one
+    run's window (0.13 MB) and its squares, squared 2^13 values at a time by
+    ``libm.square``: 0.49 MB. The bound leaves 0.11 MB, less than one more
+    run's window."""
     record = long_horizon[1]
     first = steady_state_start(record.iterations)
     assert _traced_peak(lambda: [steady_state_variance(record.w(aid)[:, first:])

@@ -240,6 +240,17 @@ class TestSteadyStateVariance:
         # the last 20% of 20 iterations is 0,1,0,1: sample variance 1/3
         assert self._variance([5.0] * 16 + [0.0, 1.0, 0.0, 1.0])[0] == pytest.approx(1 / 3)
 
+    @pytest.mark.parametrize("shape", [(100, 200, 1), (7, 600, 3)])
+    def test_batches_of_runs_are_the_per_run_fold(self, shape):
+        # 2^13 values a batch: 40 + 40 + 20 runs of 200 x 1, and 4 + 3 of 600 x 3
+        rng = np.random.default_rng(7)
+        w = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, (shape[0], 1, 1))
+        n = shape[1]
+        want = [sum_in_order(sum_in_order(square(run - sum_in_order(run) / n)) / (n - 1))
+                for run in w]
+        got = steady_state_variance(w)
+        assert np.array(got).view(np.uint64).tolist() == np.array(want).view(np.uint64).tolist()
+
     def test_window_too_short(self):
         # the last 20% of at most 5 iterations is a single sample
         for length in (1, 4, 5):
