@@ -14,7 +14,6 @@ from operator import and_
 from .errors import ConfigError, DivergenceError
 from .metrics import (
     convergence_iteration,
-    default_band,
     first_iteration,
     steady_state_start,
     steady_state_variance,
@@ -97,8 +96,7 @@ def verify_merge(scenario):
     if any(row != coop_rows[0] for row in coop_rows[1:]):
         raise ConfigError("merge claim needs identical cooperative trust rows")
     avg_id = _single_averaging_id(scenario)
-    threshold = default_band([cfg.w0 for cfg in adaptive], scenario.w_opt,
-                             MERGE_BAND_FRACTION)
+    threshold = scenario_band(scenario, MERGE_BAND_FRACTION)
     if scenario.iterations < MERGE_START_ITERATION:
         raise ConfigError(f"merge claim needs iterations >= {MERGE_START_ITERATION}, "
                           f"got {scenario.iterations}")

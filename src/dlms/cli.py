@@ -5,10 +5,12 @@ closed stdout, 3 divergence.
 """
 
 import argparse
+import errno
 import gc
 import io
 import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 
 from .claims import CLAIMS, verify_claim
@@ -22,8 +24,8 @@ from .scenarios import (
     builtin_names,
     builtin_summary,
     compute_report,
-    entries,
     read_entries,
+    serialize,
 )
 
 EXIT_OK = 0
@@ -36,9 +38,10 @@ _WRITE_VALUES = 3 << 10
 
 
 def load_scenario(ref):
-    """The config entries of a builtin name or a UTF-8 config file path (BOM skipped)."""
+    """The config entries of a builtin name, read as its serialized config
+    text, or of a UTF-8 config file path (BOM skipped)."""
     if ref in builtin_names():
-        return entries(builtin(ref))
+        return read_entries(serialize(builtin(ref)))
     path = Path(ref)
     if not path.exists():
         raise ConfigError(f"no such builtin or config file: {ref!r}")
@@ -199,13 +202,6 @@ def write_metrics(path, scenario, sums):
         fh.write(summary.getvalue().encode())
 
 
-def _remove_stale(out, written):
-    """Delete the outputs an earlier run left that this outcome does not write."""
-    for path in (out, metrics_path(out), error_path(out)):
-        if path not in written:
-            path.unlink(missing_ok=True)
-
-
 def cmd_run(args):
     if os.path.basename(args.out) in ("", ".", ".."):
         raise ConfigError(f"--out {args.out!r} names no file")
@@ -220,14 +216,18 @@ def _run_to(scenario, out):
     """Run the scenario and write ``out`` and its sibling outputs.
 
     Each group of runs (engine.groups) is added to the report's sums on its
-    way to the writer. The CSV and metrics go to temporary siblings, renamed
-    into place once complete: a failure leaves no partial file and an
-    earlier run's outputs as they were. A DivergenceError is raised once its
-    manifest is written; an OSError is a ConfigError naming the output."""
+    way to the writer. The outputs of the outcome (the CSV and metrics, or
+    the manifest and the CSV of any completed runs) go to temporary siblings.
+    Once all are complete and no output is a directory, one loop renames them
+    into place and removes an earlier run's other outputs, so a failure leaves
+    no partial file and an earlier run's outputs as they were. A
+    DivergenceError is raised after the loop; an OSError is a ConfigError
+    naming the output."""
     from .engine import groups  # numpy loads with the first run, not at import
 
+    metrics, manifest = metrics_path(out), error_path(out)
     parts = {path: path.with_name(f".{path.name}.{os.getpid()}.part")
-             for path in (out, metrics_path(out))}
+             for path in (out, metrics, manifest)}
     sums = EnsembleSums()
 
     def summed(record):  # map holds no record while the next group is simulated
@@ -236,34 +236,35 @@ def _run_to(scenario, out):
     try:
         try:
             write_trajectories(parts[out], scenario, map(summed, groups(scenario)))
+            write_metrics(parts[metrics], scenario, sums)
+            error, kept = None, (out, metrics)
         except DivergenceError as exc:
-            written = [error_path(out)]
-            if exc.run:  # the runs before the divergent one completed
-                os.replace(parts[out], out)
-                written.append(out)
-            _remove_stale(out, written)
             import json
 
-            error_path(out).write_text(json.dumps({
-                "error": "divergence",
-                "message": str(exc),
-                "run": exc.run,
-                "agent": exc.agent,
-                "iteration": exc.iteration,
-                "completed_runs": exc.run,
-            }, indent=2) + "\n", encoding="utf-8")
-            raise
-        write_metrics(parts[metrics_path(out)], scenario, sums)
-        for path, part in parts.items():
-            os.replace(part, path)
-        _remove_stale(out, [out, metrics_path(out)])
+            parts[manifest].write_text(json.dumps(dict(
+                error="divergence", message=str(exc), run=exc.run, agent=exc.agent,
+                iteration=exc.iteration, completed_runs=exc.run), indent=2) + "\n",
+                encoding="utf-8")
+            # the CSV holds the runs before the divergent one, if any completed
+            error, kept = exc, (out, manifest) if exc.run else (manifest,)
+        for path in parts:  # os.replace replaces a symlink, not the directory it names
+            if path.is_dir() and not path.is_symlink():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for path in parts:
+            if path in kept:
+                os.replace(parts[path], path)
+            else:
+                path.unlink(missing_ok=True)
+        if error:
+            raise error
     except OSError as exc:  # name the output, not its temporary sibling
         name = {str(part): path for path, part in parts.items()}.get(
             str(exc.filename), exc.filename)
         raise ConfigError(f"cannot write {name or out}: {exc.strerror}") from None
     finally:
         for part in parts.values():
-            part.unlink(missing_ok=True)
+            with suppress(FileNotFoundError, NotADirectoryError):
+                part.unlink()
 
 
 def cmd_verify(args):

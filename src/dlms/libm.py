@@ -47,10 +47,11 @@ _EXPONENT, _SIGNIFICAND = 0x7FF0000000000000, (1 << 52) - 1
 _SPLIT = 134217729.0  # 2^27 + 1: Veltkamp's split of a double into 26-bit halves
 # values a block of ``logs``: 128 KB of buffers, and 64 KB for numpy's cast
 _LOG_BLOCK = 1 << 12
-# values squared at a time, in temporaries of 64 KB: one block covers a run
-# of table1 at full speed, while a 16,000-value steady-state window squared
-# at once raises long_horizon's peak RSS by 0.1-0.2 MB
-_SQUARE_BLOCK = 1 << 13
+# values squared at a time, in temporaries of 64 KB, and the most that metrics
+# passes to ``square`` at once: one block covers a run of table1 at full speed,
+# while a 16,000-value steady-state window squared at once raises
+# long_horizon's peak RSS by 0.1-0.2 MB
+SQUARE_BLOCK = 1 << 13
 
 
 @cache
@@ -149,7 +150,7 @@ def square(a):
     """Element-wise ``x ** 2`` with the bits of Python's float power (libm's
     ``pow``), as a float64 array; ``inf`` past overflow."""
     with np.errstate(all="ignore"):  # nan, inf and overflow take pow
-        return _blocked(np.asarray(a, np.float64), _SQUARE_BLOCK,
+        return _blocked(np.asarray(a, np.float64), SQUARE_BLOCK,
                         _square_is_xx if _premises()[0] else None, 2.0)
 
 
@@ -167,7 +168,7 @@ def roots(squares, d=None):
     |x| whose ``square`` is s as the array ``d``, that is d on its
     ``root_square_is_abs`` set; only the others call ``squares``."""
     if d is None:
-        return _blocked(squares(), _SQUARE_BLOCK, None, 0.5)
+        return _blocked(squares(), SQUARE_BLOCK, None, 0.5)
     slow = ~root_square_is_abs(d)
     if slow.any():
         d[slow] = _per_value(squares()[slow].tolist(), 0.5)

@@ -74,17 +74,17 @@ class EnsembleRecord:
     def sq_dist(self):
         """Squared distance |w - w_opt|^2 per run, iteration and agent [R, L, A].
 
-        Filled about 2^13 estimates of a run at a time, so the temporaries and
-        the Python floats that ``square`` passes through are that size, not
-        the records' or a long run's. Finite squares that sum past the largest
-        double give ``inf``, silently as an overflowing square does.
+        Filled as many iterations of a run at a time as fit in libm.SQUARE_BLOCK
+        values, at least one, so ``square``'s temporaries and Python floats are
+        that size, not the records' or a long run's. Finite squares that sum
+        past the largest double give ``inf``, as an overflowing square does.
         """
         import numpy as np
 
-        from .libm import square
+        from .libm import SQUARE_BLOCK, square
 
         w_opt, out = np.array(self.w_opt), np.empty(self.ws.shape[:-1])
-        step = 1 + (1 << 13) // max(1, math.prod(self.ws.shape[2:]))  # iterations
+        step = max(1, SQUARE_BLOCK // max(1, math.prod(self.ws.shape[2:])))  # iterations
         with np.errstate(over="ignore"):
             for r, w in enumerate(self.ws):
                 for i in range(0, len(w), step):
@@ -123,17 +123,17 @@ def steady_state_variance(windows):
     window of n iterations (see steady_state_start), one value per run.
 
     For vector weights the per-component sample variances are summed. The
-    window is reduced as many runs at a time as fit in 2^13 values, at least
-    one, so its temporaries are that size and ``square`` is called once per
-    batch; ``cumsum`` along the iterations still adds each run in order.
+    window is reduced as many runs at a time as fit in libm.SQUARE_BLOCK, at
+    least one, so its temporaries are that size and ``square`` is called once
+    per batch; ``cumsum`` along the iterations still adds each run in order.
     """
     import numpy as np
 
-    from .libm import square
+    from .libm import SQUARE_BLOCK, square
 
     n = windows.shape[1]
     var = np.empty((len(windows), windows.shape[-1]))
-    step = max(1, (1 << 13) // max(1, math.prod(windows.shape[1:])))  # runs
+    step = max(1, SQUARE_BLOCK // max(1, math.prod(windows.shape[1:])))  # runs
     for r in range(0, len(windows), step):
         window = windows[r:r + step]
         mean = (0.0 + window.cumsum(axis=1)[:, -1:]) / n

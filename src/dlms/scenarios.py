@@ -15,7 +15,12 @@ from itertools import combinations
 from operator import index
 
 from .errors import ConfigError, ParseError, check_real
-from .metrics import convergence_iteration, crossing_iteration, default_band
+from .metrics import (
+    CONVERGENCE_BAND_FRACTION,
+    convergence_iteration,
+    crossing_iteration,
+    default_band,
+)
 from .network import TrustMatrix
 from .signals import GaussianParams
 
@@ -396,39 +401,32 @@ def parse(config_text):
 
 
 def _text(value):
-    """A field's value as config text; ``str`` of a float is its shortest repr."""
-    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
-
-
-def entries(scenario):
-    """The scenario's config entries, as ``build`` takes them, with no where."""
-    network = {key: (_text(getattr(scenario, key)), None) for key in NETWORK_FIELDS}
-    sections = []
-    for cfg in scenario.agents:
-        values = {"id": cfg.id, "kind": cfg.kind}
-        if cfg.kind == AVERAGING:
-            values["sources"] = cfg.sources
-        else:
-            for key, (name, part, _) in AGENT_FIELDS.items():
-                value = getattr(cfg, name)
-                values[key] = value if part is None else getattr(value, part)
-        sections.append(({key: (_text(value), None) for key, value in values.items()
-                          if value is not None}, None))
-    ids = [cfg.id for cfg in scenario.adaptive_agents()]
-    trust = {(ids[a], ids[b]): (_text(coeff), None)
-             for a, row in enumerate(scenario.trust.rows)
-             for b, coeff in enumerate(row) if coeff != 0.0}
-    return network, sections, trust
+    """A field's value as config text: a sequence's items joined by commas, an
+    integer in decimal, another real as its float's shortest repr."""
+    if isinstance(value, str):
+        return value
+    if hasattr(value, "__iter__"):  # a list, a tuple or a 1-D numpy array
+        return ",".join(map(_text, value))
+    return str(index(value)) if hasattr(value, "__index__") else repr(float(value))
 
 
 def serialize(scenario):
     """Render a Scenario in the config format accepted by parse()."""
-    network, sections, trust = entries(scenario)
-    lines = ["[network]", *(f"{key} = {text}" for key, (text, _) in network.items())]
-    for section, _ in sections:
-        lines += ["", "[agent]", *(f"{key} = {text}" for key, (text, _) in section.items())]
-    lines += ["", "[trust]",
-              *(f"{src} {dst} {text}" for (src, dst), (text, _) in trust.items())]
+    lines = ["[network]", *(f"{key} = {_text(getattr(scenario, key))}" for key in NETWORK_FIELDS)]
+    for cfg in scenario.agents:
+        lines += ["", "[agent]", f"id = {cfg.id}", f"kind = {cfg.kind}"]
+        if cfg.kind == AVERAGING:
+            lines.append(f"sources = {_text(cfg.sources)}")
+            continue
+        for key, (name, part, _) in AGENT_FIELDS.items():
+            value = getattr(cfg, name)
+            value = value if part is None else getattr(value, part)
+            if value is not None:
+                lines.append(f"{key} = {_text(value)}")
+    ids = [cfg.id for cfg in scenario.adaptive_agents()]
+    lines += ["", "[trust]", *(f"{ids[a]} {ids[b]} {_text(coeff)}"
+                               for a, row in enumerate(scenario.trust.rows)
+                               for b, coeff in enumerate(row) if coeff != 0.0)]
     return "\n".join(lines) + "\n"
 
 
@@ -447,10 +445,11 @@ def run(scenario):
     return run_ensemble(scenario)
 
 
-def scenario_band(scenario):
-    """Default convergence band for this scenario's adaptive agents."""
+def scenario_band(scenario, fraction=CONVERGENCE_BAND_FRACTION):
+    """The band of ``fraction`` of the mean initial distance of this scenario's
+    adaptive agents to w_opt (metrics.default_band)."""
     return default_band([cfg.w0 for cfg in scenario.adaptive_agents()],
-                        scenario.w_opt)
+                        scenario.w_opt, fraction)
 
 
 def compute_report(scenario, sums):

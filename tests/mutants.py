@@ -64,6 +64,8 @@ _GOLDEN = "tests/test_golden.py::test_reduced_builtin_digests"
 _LOG_BITS = "tests/test_log_bits.py::"
 _OWNERS = "one owner each for the engine's record and the steady-state window"
 _EXIT = "the program freezes its heap before it exits; windows a batch of runs at a time"
+_PATHS = "one path in and one path out for dlms run"
+_ONCE = "the squaring batch and the merge band, each stated once"
 _PREDICTION = ("a prediction folded from -0.0 or from t0 differs from one folded from 0.0 "
                "only in a zero's sign, and a target y is never -0.0, so y - 0.0 is "
                "y - -0.0 (engine docstring)")
@@ -242,6 +244,35 @@ MUTANTS = [
            ("tests/test_metrics.py::TestSteadyStateVariance::"
             "test_batches_of_runs_are_the_per_run_fold",),
            _EXIT + ": a batch one run short"),
+    Mutant("src/dlms/cli.py", "if path.is_dir() and not path.is_symlink():", "if False:",
+           ("tests/test_cli.py::"
+            "test_a_directory_at_an_output_leaves_earlier_outputs_as_they_were",),
+           _PATHS + ": no check for a directory in the way before the first rename"),
+    Mutant("src/dlms/cli.py", "(out, manifest) if exc.run else (manifest,)", "(out, manifest)",
+           ("tests/test_cli.py::test_divergence_in_the_first_run_removes_earlier_outputs",),
+           _PATHS + ": a divergence in run 0 keeps a CSV of no runs"),
+    Mutant("src/dlms/cli.py", "suppress(FileNotFoundError, NotADirectoryError)",
+           "suppress(FileNotFoundError)",
+           ("tests/test_cli.py::test_unwritable_out_is_usage_error",),
+           _PATHS + ": the cleanup of a sibling under a file raises"),
+    Mutant("src/dlms/scenarios.py", "for b, coeff in enumerate(row) if coeff != 0.0)]",
+           "for b, coeff in enumerate(row) if False)]",
+           ("tests/test_cli.py::test_serialized_table1_is_pinned",),
+           _PATHS + ": serialize drops the [trust] lines"),
+    Mutant("src/dlms/scenarios.py", 'if hasattr(value, "__iter__"):',
+           "if isinstance(value, tuple):",
+           ("tests/test_scenarios.py::TestConfigFormat::"
+            "test_sequence_fields_of_any_type_serialize_as_tuples",),
+           _PATHS + ": _text joins only tuples"),
+    Mutant("src/dlms/metrics.py",
+           "step = max(1, SQUARE_BLOCK // max(1, math.prod(self.ws.shape[2:])))",
+           "step = 1 + SQUARE_BLOCK // max(1, math.prod(self.ws.shape[2:]))",
+           ("tests/test_metrics.py::TestReductionOrder::"
+            "test_square_gets_at_most_a_block_at_a_time",),
+           _ONCE + ": sq_dist's pieces an iteration past the block"),
+    Mutant("src/dlms/claims.py", "scenario_band(scenario, MERGE_BAND_FRACTION)",
+           "scenario_band(scenario)", ("tests/test_pinned_outputs.py::test_claim_summary",),
+           _ONCE + ": the merge threshold at the convergence band"),
 ]
 
 

@@ -634,12 +634,48 @@ def test_divergence_in_the_first_run_removes_earlier_outputs(tmp_path):
 
 
 @pytest.mark.parametrize("out, reason", [("missing/t.csv", "No such file or directory"),
-                                         ("a_dir", "Is a directory")])
+                                         ("a_dir", "Is a directory"),
+                                         ("a_file/t.csv", "Not a directory")])
 def test_unwritable_out_is_usage_error(tmp_path, capsys, out, reason):
     (tmp_path / "a_dir").mkdir()
+    (tmp_path / "a_file").touch()
     out = tmp_path / out
     assert run_cli("run", "table1", *SMALL, "--out", str(out)) == 2
     assert f"error: cannot write {out}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("new_run", [SMALL, DIVERGE_IN_RUN_2], ids=["success", "divergence"])
+@pytest.mark.parametrize("earlier, in_the_way", [(SMALL, error_path),
+                                                 (DIVERGE_IN_RUN_2, metrics_path)],
+                         ids=["success-then-manifest", "divergence-then-metrics"])
+def test_a_directory_at_an_output_leaves_earlier_outputs_as_they_were(
+        tmp_path, capsys, new_run, earlier, in_the_way):
+    """A directory at the output an earlier run did not write fails a later
+    run, whatever its outcome, with one line naming it, before any output
+    is replaced or removed: the earlier files keep their bytes and no
+    temporary sibling is left."""
+    out = tmp_path / "t.csv"
+    assert run_cli("run", "table1", *earlier, "--out", str(out)) in (0, 3)
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    in_the_way(out).mkdir()
+    capsys.readouterr()
+    assert run_cli("run", "table1", *new_run, "--seed", "7", "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write {in_the_way(out)}: Is a directory\n")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()
+            if path != in_the_way(out)} == before
+    assert sorted(tmp_path.iterdir()) == sorted([*before, in_the_way(out)])
+
+
+def test_out_as_a_symlink_to_a_directory_replaces_the_symlink(tmp_path):
+    """os.replace replaces a symlink itself, so an --out that is a symlink to
+    a directory is written as a file and the directory is left alone."""
+    (tmp_path / "a_dir").mkdir()
+    out = tmp_path / "t.csv"
+    out.symlink_to(tmp_path / "a_dir")
+    assert run_cli("run", "table1", *SMALL, "--out", str(out)) == 0
+    assert not out.is_symlink() and out.read_bytes().startswith(b"run,iteration,")
+    assert list((tmp_path / "a_dir").iterdir()) == []
 
 
 @pytest.mark.parametrize("out", ["", ".", "..", "/", "t/"])
@@ -819,6 +855,28 @@ def test_config_file_roundtrip(tmp_path):
     assert run_cli("run", str(cfg), "--iterations", "10", "--ensemble", "1",
                    "--out", str(out)) == 0
     assert out.exists()
+
+
+@pytest.mark.parametrize("name, claim", [("table1", "merge"), ("table2", "speedup"),
+                                         ("table3", "speedup"), ("table4", "speedup"),
+                                         ("table5", "stabilize")])
+def test_a_builtin_runs_as_its_serialized_file(tmp_path, capsys, name, claim):
+    """``dlms run NAME`` writes the bytes of ``dlms run FILE``, FILE holding
+    serialize(builtin(NAME)), and ``dlms verify`` prints the same line."""
+    from dlms.scenarios import serialize
+
+    cfg = tmp_path / f"{name}.cfg"
+    cfg.write_text(serialize(builtin(name)), encoding="utf-8")
+    small = ("--ensemble", "3", "--iterations", "30")
+    outputs = []
+    for i, ref in enumerate((name, str(cfg))):
+        out = tmp_path / f"{i}.csv"
+        assert run_cli("run", ref, *small, "--out", str(out)) == 0
+        assert run_cli("verify", ref, claim, *small) in (0, 1)
+        outputs.append([out.read_bytes(), metrics_path(out).read_bytes(),
+                        capsys.readouterr().out.splitlines()[-1]])
+    assert outputs[0] == outputs[1]
+    assert outputs[0][2].startswith(("PASS", "FAIL"))
 
 
 TABLE1_CONFIG = """\

@@ -1,6 +1,7 @@
 import math
 import sys
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from dlms.claims import DELAY_BAND_FRACTION, merge_iteration
 from dlms.errors import ConfigError
-from dlms.libm import root_square_is_abs, square
+from dlms.libm import SQUARE_BLOCK, root_square_is_abs, square
 from dlms.metrics import (
     EnsembleRecord,
     EnsembleSums,
@@ -116,6 +117,31 @@ class TestReductionOrder:
                              .reshape(d.shape), axis=-1)
         assert record.sq_dist.shape == whole.shape == (runs, 50, 7)
         assert record.sq_dist.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 20000, 7, 4), (2, 3000, 3, 1), (1, 4, 3000, 3)])
+    def test_square_gets_at_most_a_block_at_a_time(self, shape):
+        """sq_dist and steady_state_variance pass ``square`` at most
+        libm.SQUARE_BLOCK values at once, and every value once, unless one
+        iteration (one run's window) alone holds more."""
+        import dlms.libm
+
+        rng = np.random.default_rng(3)
+        record = EnsembleRecord(w_opt=(2.0,) * shape[-1], agents=list(map(str, range(shape[2]))),
+                                ws=rng.standard_normal(shape), es=None)
+        sizes = []
+
+        def counted(a):
+            sizes.append(np.size(a))
+            return square(a)
+        with mock.patch.object(dlms.libm, "square", counted):
+            assert record.sq_dist.shape == shape[:3]
+            per_call = max(SQUARE_BLOCK, shape[2] * shape[3])
+            assert max(sizes) <= per_call and sum(sizes) == record.ws.size
+            sizes.clear()
+            windows = record.ws[:, -1000:, 0]
+            steady_state_variance(windows)
+            assert max(sizes) <= max(SQUARE_BLOCK, windows[0].size)
+            assert sum(sizes) == windows.size
 
 
 # powers of two, the ends of root_square_is_abs's set and their neighbours,

@@ -351,6 +351,29 @@ class TestConfigFormat:
     def test_roundtrip_on_generated_scenarios(self, scenario):
         assert parse(serialize(scenario)) == scenario
 
+    @pytest.mark.parametrize("twin", ["list", "ndarray", "list-sources"])
+    @pytest.mark.parametrize("name", ["table1", "table5"])
+    def test_sequence_fields_of_any_type_serialize_as_tuples(self, name, twin):
+        """A list or 1-D numpy array w_opt or w0, numpy integers in [network]
+        and a list of sources serialize as the tuple scenario does, and parse
+        back to it."""
+        s = builtin(name)
+        if twin == "list-sources":
+            agents = [dataclasses.replace(cfg, sources=list(cfg.sources))
+                      if cfg.sources else cfg for cfg in s.agents]
+            twin = dataclasses.replace(s, agents=tuple(agents))
+        else:
+            vector = list if twin == "list" else np.array
+            agents = [dataclasses.replace(cfg, w0=vector(cfg.w0)) if cfg.is_adaptive() else cfg
+                      for cfg in s.agents]
+            twin = dataclasses.replace(s, agents=agents, w_opt=vector(s.w_opt))
+            if vector is np.array:
+                twin = dataclasses.replace(twin, iterations=np.int64(s.iterations),
+                                           seed=np.uint64(s.seed), ensemble=np.int32(3))
+                s = dataclasses.replace(s, ensemble=3)
+        assert serialize(twin) == serialize(s)
+        assert parse(serialize(twin)) == s
+
     def test_duplicate_network_key(self):
         with pytest.raises(ParseError, match="line 4: duplicate network key 'seed', "
                                              "first given on line 2"):
