@@ -164,17 +164,31 @@ def balanced_variant(scenario):
 
 def pair(scenario, other):
     """``scenario`` and ``other`` (its agents and network, other trust) as one
-    scenario, on one draw of the signals: twins of ``other``'s adaptive
-    agents follow every original, with their stream owners as counterparts
-    and ``other``'s trust rows padded with zeros, so they are bit for bit
-    ``other``'s agents. Returns it and the twins' ids by agent id."""
+    scenario, on one draw of the signals. An adaptive agent whose trust row
+    is the identity in both networks (every standalone agent) is simulated
+    once and serves both. Every other adaptive agent of ``other`` gets a
+    twin after the originals, with its stream owner as counterpart and its
+    trust row over the twins and the shared agents, so the twins are bit for
+    bit ``other``'s agents. A twin's row adds its terms in column order, so
+    an agent is shared only where each row of ``other`` that trusts it
+    trusts no twinned agent before it. Returns the scenario and, by adaptive
+    agent id, that agent's id in the other network: its twin's, or its own."""
     tick = "'" * max(len(cfg.id) for cfg in scenario.agents)  # no id is taken
+    theirs, shared = other.trust.rows, set()
+    for b in range(len(theirs)):
+        if (scenario.trust.is_identity_row(b) and other.trust.is_identity_row(b)
+                and not any(row[b] and any(row[t] for t in range(b) if t not in shared)
+                            for row in theirs)):
+            shared.add(b)
     adaptive = other.adaptive_agents()
-    twins = {cfg.id: cfg.id + tick for cfg in adaptive}
+    twinned = [a for a in range(len(adaptive)) if a not in shared]
+    twins = {cfg.id: cfg.id if a in shared else cfg.id + tick for a, cfg in enumerate(adaptive)}
     agents = [replace(cfg, id=twins[cfg.id], counterpart=cfg.counterpart or cfg.id)
-              for cfg in adaptive]
-    pad = (0.0,) * len(adaptive)
-    rows = [row + pad for row in scenario.trust.rows] + [pad + row for row in other.trust.rows]
+              for cfg in adaptive if twins[cfg.id] != cfg.id]
+    rows = [row + (0.0,) * len(twinned) for row in scenario.trust.rows]
+    for row in (theirs[a] for a in twinned):  # over the shared agents, then the twins
+        rows.append(tuple(s if b in shared else 0.0 for b, s in enumerate(row))
+                    + tuple(row[b] for b in twinned))
     return replace(scenario, agents=(*scenario.agents, *agents),
                    trust=replace(scenario.trust, rows=rows)), twins
 

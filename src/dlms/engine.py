@@ -5,18 +5,19 @@ them) advance side by side on numpy arrays in one pass over the iterations;
 only the iterations are a Python loop, each one set of numpy calls for every
 run. Every floating-point operation is the one the scalar reference
 (``tests/oracle.py``'s ``run_single`` over ``network.cta_iteration``)
-performs, in the same order, so each run's trajectories are bit-identical to
-the reference's:
+performs, in the same order, but for the prediction's first add, so each
+run's trajectories are bit-identical to the reference's:
 
 - combine skips zero trust coefficients, starts from s*w (exactly w when s is
-  1.0) and adds the later terms left to right. Rows with fewer terms than
-  the longest are padded with terms 1.0 * -0.0, which add nothing, bit for
-  bit: x + -0.0 is x for every double, signed zeros, inf and nan included;
-- predictions and targets accumulate as 0.0 + t0 + t1 + ..., like sum().
-  A prediction started from -0.0, or from t0, could differ only in the sign
-  of a zero, and no error would show it: a fold from +0.0 is never -0.0, so
-  neither is a target y, and y - 0.0 is y - -0.0 for every y but -0.0. The
-  0.0 stays because the reference starts there;
+  1.0) and adds the later terms left to right, each with one ``add`` into
+  the first term, in place. Rows with fewer terms than the longest are
+  padded with terms 1.0 * -0.0, which add nothing, bit for bit: x + -0.0 is
+  x for every double, signed zeros, inf and nan included;
+- targets accumulate as 0.0 + t0 + t1 + ..., like sum(); the prediction
+  folds its M products the same way into the first, p0 + p1 + ... (no add
+  at M = 1). It differs from the reference's 0.0 + p0 + p1 + ... only in the
+  sign of a zero, and no error shows it: a fold from +0.0 is never -0.0, so
+  neither is a target y, and y - 0.0 is y - -0.0 for every y but -0.0;
 - the LMS update is psi + (mu*e)*x;
 - an averaging agent takes (w_s0 + w_s1 + ...) / n.
 
@@ -37,14 +38,11 @@ iteration; ``blocks`` hands a claim one block of every run at a time, so its
 memory grows with the ensemble, not the horizon; ``groups`` hands ``dlms
 run`` whole horizons a group of runs at a time.
 
-No matrix products are used, because BLAS may reorder the sums. The combine
-and the prediction are each one ``np.add.reduce`` over their leading axis,
-from an initial -0.0 (-0.0 + t0 is t0 bit for bit) and 0.0 respectively.
-numpy adds such an axis in order unless every other extent is 1; then it adds
-pairwise, so a lone adaptive agent in one run folds its prediction instead.
-The loop looks its ufuncs up once and passes ``out``, ``axis`` and
-``initial`` positionally: on a narrow ensemble numpy's fixed cost per call,
-keyword parsing included, outweighs the arithmetic on a few dozen values.
+No matrix products are used, because BLAS may reorder the sums, and no
+``reduce``: every sum above is a chain of two-operand adds. The loop binds
+its ufuncs and makes every view of its buffers once, and passes ``out``
+positionally: on a narrow ensemble numpy's fixed cost per call, keyword
+parsing included, outweighs the arithmetic on a few dozen values.
 """
 
 from dataclasses import replace
@@ -52,7 +50,7 @@ from dataclasses import replace
 import numpy as np
 
 from .errors import DIVERGENCE_BOUND, DivergenceError
-from .metrics import EnsembleRecord, sum_in_order
+from .metrics import EnsembleRecord
 from .prng import derive_seed, gaussian_block
 
 # Values per block of iterations (the signals' N*R*(M+1) an iteration, the
@@ -207,16 +205,16 @@ def _simulate(scenario, runs, record=None):
     a buffer of M*N + 1 rows of [R] whose last row is the pad, all -0.0 (see
     _combine_terms). A row index [K, M, N] into it and the coefficients
     [K, M, N, R] are built once, so each iteration's combine is one gather of
-    whole rows, one multiply and one reduce over K into arrays allocated
-    once; every ufunc's last axis is the runs. The prediction reduces the
-    products [M, N, R] over M, or folds them one component at a time when
-    N = R = 1, and mu*e and the step (mu*e)*x go into arrays allocated once
-    too. The signals come a block at a time into one pair of buffers,
-    already one column per adaptive agent: the most iterations whose
-    N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2 and even, so each
-    block starts on a Box-Muller pair. Every buffer is allocated before the
-    per-run seeds are derived, so an ensemble too large for memory fails at
-    once.
+    whole rows, one multiply and K - 1 adds into the first term, in arrays
+    allocated once; every ufunc's last axis is the runs. The prediction
+    folds the products [M, N, R] into the first component, where the error
+    then replaces it, and mu*e and the step (mu*e)*x go into arrays
+    allocated once too. The signals come a block at a time into
+    one pair of buffers, already one column per adaptive agent: the most
+    iterations whose N*R*(M+1) values each fit in _CHUNK_DRAWS, at least 2
+    and even, so each block starts on a Box-Muller pair. Every buffer is
+    allocated before the per-run seeds are derived, so an ensemble too large
+    for memory fails at once.
 
     After each block of iterations the loop fills the block's rows of the
     averaging agents and scans it for divergence; a block whose weights' min
@@ -246,16 +244,16 @@ def _simulate(scenario, runs, record=None):
     index = np.ascontiguousarray(slots[:, cols].swapaxes(0, 1))
     coef = np.broadcast_to(coef[:, None, :, None], (*index.shape, r)).copy()
     mu = np.array([cfg.mu for cfg in adaptive], dtype=np.float64)[:, None].repeat(r, axis=1)
-    terms = np.empty(coef.shape)
-    psi, products, step = np.empty(w.shape), np.empty(w.shape), np.empty(w.shape)
-    pred, mu_e = np.empty(mu.shape), np.empty(mu.shape)
-    collapsed = n * r == 1  # numpy would add products [M, 1, 1] pairwise
+    terms, products = np.empty(coef.shape), np.empty(w.shape)
+    mu_e, step = np.empty(mu.shape), np.empty(w.shape)
+    # each sum's first term, which the later ones are added into, in order
+    psi, later_terms = terms[0], list(terms[1:])
+    pred, later_products = products[0], list(products[1:])
     seeds = [[derive_seed(scenario.seed ^ k, owner) for k in runs]
              for owner in _streams(scenario)[0]]
     failed, error = r, None  # the first divergent run so far, r for none
     # bound once and called positionally: numpy's per-call cost rules narrow ensembles
-    multiply, subtract, add, reduce = np.multiply, np.subtract, np.add, np.add.reduce
-    take = buf.take
+    multiply, subtract, add, take = np.multiply, np.subtract, np.add, buf.take
     # divergent runs carry inf/nan through the loop and the averages
     with np.errstate(all="ignore"):
         for start in range(0, length, block):
@@ -270,12 +268,11 @@ def _simulate(scenario, runs, record=None):
             # overhead
             for xi, yi, wi, ei in zip(x, y, wb.transpose(1, 3, 2, 0), eb.transpose(1, 2, 0)):
                 multiply(coef, take(index, 0), terms)
-                reduce(terms, 0, None, psi, False, -0.0)
+                for t in later_terms:
+                    add(psi, t, psi)
                 multiply(psi, xi, products)
-                if collapsed:
-                    pred[...] = sum_in_order(products)
-                else:
-                    reduce(products, 0, None, pred, False, 0.0)
+                for p in later_products:
+                    add(pred, p, pred)
                 ei[...] = subtract(yi, pred, pred)
                 multiply(mu, pred, mu_e)
                 multiply(mu_e, xi, step)

@@ -74,10 +74,12 @@ class EnsembleRecord:
     def sq_dist(self):
         """Squared distance |w - w_opt|^2 per run, iteration and agent [R, L, A].
 
-        Filled as many iterations of a run at a time as fit in libm.SQUARE_BLOCK
-        values, at least one, so ``square``'s temporaries and Python floats are
-        that size, not the records' or a long run's. Finite squares that sum
-        past the largest double give ``inf``, as an overflowing square does.
+        Filled as many whole runs at a time as fit in libm.SQUARE_BLOCK values,
+        or, where one run does not fit, as many iterations of a run, at least
+        one, so ``square`` gets few calls on short runs and its temporaries
+        and Python floats are at most a block, not the records' or a long
+        run's. Finite squares that sum past the largest double give ``inf``,
+        as an overflowing square does.
         """
         import numpy as np
 
@@ -85,10 +87,13 @@ class EnsembleRecord:
 
         w_opt, out = np.array(self.w_opt), np.empty(self.ws.shape[:-1])
         step = max(1, SQUARE_BLOCK // max(1, math.prod(self.ws.shape[2:])))  # iterations
+        runs = max(1, step // max(1, self.iterations))
         with np.errstate(over="ignore"):
-            for r, w in enumerate(self.ws):
-                for i in range(0, len(w), step):
-                    out[r, i:i + step] = sum_in_order(square(w[i:i + step] - w_opt), axis=-1)
+            for r in range(0, len(self), runs):
+                w = self.ws[r:r + runs]
+                for i in range(0, w.shape[1], step):
+                    out[r:r + runs, i:i + step] = sum_in_order(
+                        square(w[:, i:i + step] - w_opt), axis=-1)
         return out
 
     def dist(self, agent):

@@ -56,24 +56,32 @@ def gaussian_block(seeds, count, start=0):
     Output k of a stream is mix(seed + k*gamma), uniform k is
     ((output_k >> 11) + 1) / 2^53 (in (0, 1], so the logarithm is finite),
     and uniforms 2j-1 and 2j give Gaussians 2j-1 and 2j as r*cos(2*pi*u_2j)
-    and r*sin(2*pi*u_2j), with r = sqrt(-2 log u_2j-1). Its temporaries are
-    a few times the output, so callers bound ``len(seeds) * count``. The
-    logarithm has the bits of libm's ``log`` (``libm.logs``), because
-    ``numpy.log`` is not always correctly rounded and then differs from libm
-    in the last bit; numpy's cos, sin and sqrt agree with libm.
+    and r*sin(2*pi*u_2j), with r = sqrt(-2 log u_2j-1). The uniforms are
+    worked in place into the output: each pair's angle takes the second's
+    slot, its cosine the first's, so beside the output only the radii and one
+    copy of the first uniforms are held, and callers bound
+    ``len(seeds) * count``. The logarithm has the bits of libm's ``log``
+    (``libm.logs``), because ``numpy.log`` is not always correctly rounded
+    and then differs from libm in the last bit; numpy's cos, sin and sqrt
+    agree with libm.
     """
     if start % 2:
         raise ValueError(f"gaussian_block start must be even, got start={start}")
     pairs = (count + 1) // 2
-    out = np.empty((len(seeds), 2 * pairs))
     steps = np.arange(start + 1, start + 2 * pairs + 1, dtype=np.uint64) * np.uint64(_GAMMA)
     z = _mix(np.asarray(seeds, dtype=np.uint64)[:, None] + steps)
     z >>= np.uint64(11)
     z += np.uint64(1)
-    u = z.astype(np.float64) * _INV_2_53
-    u1, u2 = u[:, 0::2], u[:, 1::2]
-    r = np.sqrt(-2.0 * logs(u1))
-    theta = _TWO_PI * u2
-    np.multiply(r, np.cos(theta), out=out[:, 0::2])
-    np.multiply(r, np.sin(theta), out=out[:, 1::2])
+    out = z.astype(np.float64)
+    del z  # the draws are not held beside the uniforms
+    out *= _INV_2_53
+    first, second = out[:, 0::2], out[:, 1::2]
+    r = logs(first)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    second *= _TWO_PI
+    np.cos(second, out=first)
+    np.sin(second, out=second)
+    first *= r
+    second *= r
     return out[:, :count]

@@ -7,12 +7,13 @@ Usage, from the root of a source checkout:
     python tests/mutants.py 3 7        # rows 3 and 7 (numbers from --list)
     python tests/mutants.py --list
 
-For each row the script copies ``src/``, ``tests/`` and ``pyproject.toml``
-to a temporary directory, replaces the row's exact text, which must occur
-exactly once in its file, and runs only the row's tests there. A mutant is
-killed when every test it names fails (a parametrized test fails when any
-of its cases does). A row marked equivalent must survive: no test can kill
-it, and its entry says why. The script exits 1 if a mutant survives that
+For each row the script copies ``src/``, ``tests/``, ``perfbench/`` (whose
+config some tests read) and ``pyproject.toml`` to a temporary directory,
+replaces the row's exact text, which must occur exactly once in its file,
+and runs only the row's tests there. A mutant is killed when every test it
+names fails (a parametrized test fails when any of its cases does). A row
+marked equivalent must survive: every test it names passes, and its entry
+says why no test can kill it. The script exits 1 if a mutant survives that
 should be killed, an equivalent one is killed, or a row's text no longer
 occurs once, so that a refactor updates the table instead of dropping a
 mutant. pytest does not collect this file. A test this table names that is
@@ -69,6 +70,12 @@ _ONCE = "the squaring batch and the merge band, each stated once"
 _PREDICTION = ("a prediction folded from -0.0 or from t0 differs from one folded from 0.0 "
                "only in a zero's sign, and a target y is never -0.0, so y - 0.0 is "
                "y - -0.0 (engine docstring)")
+_FOLD = "the CTA loop folds with plain adds, its views made once"
+_SHARE = "the delay pair simulates each agent it shares once"
+_DRAW = "gaussian_block works in place on its output"
+_BATCH = "sq_dist squares a batch of runs per call"
+_DENSE = "tests/test_engine.py::test_dense_trio_with_twins_matches_oracle"
+_PAIR = "tests/test_engine.py::test_pair_shares_the_agents_whose_rows_are_the_identity_in_both"
 
 MUTANTS = [
     Mutant("src/dlms/cli.py", "np.arange((len(str(iterations)) - 1) // 4, -1, -1)",
@@ -141,14 +148,12 @@ MUTANTS = [
     Mutant("src/dlms/engine.py", "multiply(coef, take(index, 0), terms)",
            "multiply(terms, take(index, 0), coef)", (_ORACLE,),
            _CALLS + ": coef and terms swapped"),
-    Mutant("src/dlms/engine.py", "reduce(terms, 0, None, psi, False, -0.0)",
-           "reduce(psi, 0, None, terms, False, -0.0)", (_ORACLE,),
-           _CALLS + ": terms and psi swapped"),
+    Mutant("src/dlms/engine.py", "add(psi, t, psi)", "add(psi, t, t)", (_ORACLE,),
+           _FOLD + ": the combine's sum written into the later term"),
     Mutant("src/dlms/engine.py", "multiply(psi, xi, products)", "multiply(products, xi, psi)",
            (_ORACLE,), _CALLS + ": psi and products swapped"),
-    Mutant("src/dlms/engine.py", "reduce(products, 0, None, pred, False, 0.0)",
-           "reduce(pred, 0, None, products, False, 0.0)", (_ORACLE,),
-           _CALLS + ": products and pred swapped"),
+    Mutant("src/dlms/engine.py", "add(pred, p, pred)", "add(pred, p, p)", (_DENSE,),
+           _FOLD + ": the prediction's sum written into the later product"),
     Mutant("src/dlms/engine.py", "subtract(yi, pred, pred)", "subtract(pred, yi, pred)",
            (_ORACLE,), _CALLS + ": subtract's inputs swapped"),
     Mutant("src/dlms/engine.py", "subtract(yi, pred, pred)", "subtract(yi, pred, yi)",
@@ -161,20 +166,25 @@ MUTANTS = [
            (_ORACLE,), _CALLS + ": xi and step swapped"),
     Mutant("src/dlms/engine.py", "add(psi, step, w)", "add(w, step, psi)", (_ORACLE,),
            _CALLS + ": psi and w swapped"),
-    Mutant("src/dlms/engine.py", "reduce(terms, 0, None, psi, False, -0.0)",
-           "reduce(terms, 0, None, psi, False)", (_SIGNED,),
-           _CALLS + ": the combine's initial dropped"),
-    Mutant("src/dlms/engine.py", "reduce(terms, 0, None, psi, False, -0.0)",
-           "reduce(terms, 0, None, psi, False, 0.0)", (_SIGNED,),
-           _CALLS + ": the combine's initial 0.0"),
-    Mutant("src/dlms/engine.py", "reduce(products, 0, None, pred, False, 0.0)",
-           "reduce(products, 0, None, pred, False)",
+    Mutant("src/dlms/engine.py", "multiply(coef, take(index, 0), terms)\n",
+           "multiply(coef, take(index, 0), terms)\n                add(psi, 0.0, psi)\n",
+           (_SIGNED,), _FOLD + ": the combine folded from +0.0"),
+    Mutant("src/dlms/engine.py", "multiply(coef, take(index, 0), terms)\n",
+           "multiply(coef, take(index, 0), terms)\n                add(psi, -0.0, psi)\n",
+           (_SIGNED, _ORACLE), _FOLD + ": the combine folded from -0.0",
+           equivalent="-0.0 + t0 is t0 bit for bit for every double t0"),
+    Mutant("src/dlms/engine.py", "psi, later_terms = terms[0], list(terms[1:])",
+           "psi, later_terms = terms[0], list(terms[1:-1])", (_ORACLE,),
+           _FOLD + ": the combine drops its last term"),
+    Mutant("src/dlms/engine.py", "multiply(psi, xi, products)\n",
+           "multiply(psi, xi, products)\n                add(pred, 0.0, pred)\n",
            ("tests/test_engine.py", "tests/test_pinned_outputs.py", _GOLDEN),
-           _CALLS + ": the prediction's initial dropped", equivalent=_PREDICTION),
-    Mutant("src/dlms/engine.py", "reduce(products, 0, None, pred, False, 0.0)",
-           "reduce(products, 0, None, pred, False, -0.0)",
+           _FOLD + ": the prediction folded from +0.0, as the reference folds it",
+           equivalent=_PREDICTION),
+    Mutant("src/dlms/engine.py", "multiply(psi, xi, products)\n",
+           "multiply(psi, xi, products)\n                add(pred, -0.0, pred)\n",
            ("tests/test_engine.py", "tests/test_pinned_outputs.py", _GOLDEN),
-           _CALLS + ": the prediction's initial -0.0", equivalent=_PREDICTION),
+           _FOLD + ": the prediction folded from -0.0", equivalent=_PREDICTION),
     Mutant("src/dlms/libm.py", "_square_is_xx if _premises()[0] else None", "_square_is_xx",
            (_LOG_BITS + "test_another_platform_calls_pow_on_every_value",
             _LOG_BITS + "test_another_platform_keeps_the_goldens"),
@@ -186,9 +196,10 @@ MUTANTS = [
            "_square_is_xx if _premises()[1] else None",
            (_LOG_BITS + "test_a_52_bit_long_double_turns_off_only_the_logarithms",),
            _LIBM + ": square keyed on the log premise"),
-    Mutant("src/dlms/prng.py", "np.multiply(r, np.cos(theta), out=out[:, 0::2])",
-           "np.multiply(r, np.sin(theta), out=out[:, 0::2])", (_STREAM, _ORACLE),
-           _ENGINE + ": sin for cos"),
+    Mutant("src/dlms/prng.py", "np.cos(second, out=first)", "np.sin(second, out=first)",
+           (_STREAM, _ORACLE), _ENGINE + ": sin for cos"),
+    Mutant("src/dlms/prng.py", "np.sin(second, out=second)", "np.sin(second, out=first)",
+           (_STREAM, _ORACLE), _DRAW + ": the sine written into the cosine slots"),
     Mutant("src/dlms/prng.py", "    z += np.uint64(1)\n", "", (_STREAM, _ORACLE),
            _ENGINE + ": uniforms in [0, 1), not (0, 1]"),
     Mutant("src/dlms/prng.py", "steps = np.arange(start + 1, start + 2 * pairs + 1,",
@@ -198,7 +209,7 @@ MUTANTS = [
            "return _mix((base + index * _GAMMA) & _MASK64)",
            ("tests/test_prng.py::test_derive_seed_is_the_next_output_of_the_base_stream", _GOLDEN),
            _ENGINE + ": a child seed one output early"),
-    Mutant("src/dlms/prng.py", "r = np.sqrt(-2.0 * logs(u1))", "r = np.sqrt(-(2.0 * logs(u1)))",
+    Mutant("src/dlms/prng.py", "    r *= -2.0\n", "    r *= 2.0\n    np.negative(r, out=r)\n",
            (_STREAM, _GOLDEN), _ENGINE + ": -(2 log u) for -2 log u",
            equivalent="doubling and negation are exact, so both orders give one double"),
     Mutant("src/dlms/engine.py", "derive_seed(scenario.seed ^ k, owner)",
@@ -214,8 +225,7 @@ MUTANTS = [
            "yo += cfg.noise.sd * z[:, :, m]", (_SIGNALS, _TWINS),
            _ENGINE + ": no noise mean"),
     Mutant("src/dlms/engine.py", "block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)) // 2 * 2)",
-           "block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)))",
-           ("tests/test_pinned_outputs.py::test_claim_summary",),
+           "block = max(2, _CHUNK_DRAWS // (n * r * (m + 1)))", (_DENSE,),
            _ENGINE + ": blocks that start inside a Box-Muller pair"),
     Mutant("src/dlms/engine.py", "                if hit[k].any() and k < failed:",
            "                if hit[k].any():",
@@ -270,6 +280,18 @@ MUTANTS = [
            ("tests/test_metrics.py::TestReductionOrder::"
             "test_square_gets_at_most_a_block_at_a_time",),
            _ONCE + ": sq_dist's pieces an iteration past the block"),
+    Mutant("src/dlms/claims.py",
+           "scenario.trust.is_identity_row(b) and other.trust.is_identity_row(b)",
+           "scenario.trust.is_identity_row(b)", (_PAIR,),
+           _SHARE + ": an agent shared whose row is the identity in one network only"),
+    Mutant("src/dlms/claims.py", "row[b] and any(row[t] for t in range(b) if t not in shared)",
+           "False", (_PAIR,),
+           _SHARE + ": an agent shared that a twin's row adds after a twinned agent"),
+    Mutant("src/dlms/metrics.py", "runs = max(1, step // max(1, self.iterations))",
+           "runs = 1 + step // max(1, self.iterations)",
+           ("tests/test_metrics.py::TestReductionOrder::"
+            "test_square_gets_at_most_a_block_at_a_time",),
+           _BATCH + ": a batch one run too large"),
     Mutant("src/dlms/claims.py", "scenario_band(scenario, MERGE_BAND_FRACTION)",
            "scenario_band(scenario)", ("tests/test_pinned_outputs.py::test_claim_summary",),
            _ONCE + ": the merge threshold at the convergence band"),
@@ -284,7 +306,7 @@ def _failed(output):
 def check(mutant, workdir):
     """``(verdict, detail)``: killed, survived or error for one mutant."""
     shutil.rmtree(workdir, ignore_errors=True)
-    for name in ("src", "tests"):
+    for name in ("src", "tests", "perfbench"):
         shutil.copytree(ROOT / name, workdir / name,
                         ignore=shutil.ignore_patterns("__pycache__", ".hypothesis"))
     shutil.copy(ROOT / "pyproject.toml", workdir)
@@ -305,6 +327,8 @@ def check(mutant, workdir):
                          for f in failed)]
     if not passed:
         return "killed", ""
+    if mutant.equivalent and failed:  # an equivalent mutant survives every test it names
+        return "killed", "failing: " + ", ".join(failed)
     return "survived", "passing: " + ", ".join(passed)
 
 

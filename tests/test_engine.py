@@ -10,16 +10,16 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, find, given, settings
 
 import dlms.cli
 import oracle
 from dlms import engine
-from dlms.claims import balanced_variant, verify_delay
+from dlms.claims import balanced_variant, pair, verify_delay
 from dlms.errors import DivergenceError
 from dlms.network import TrustMatrix
 from dlms.prng import derive_seed
-from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run
+from dlms.scenarios import AgentConfig, Scenario, builtin, builtin_names, run, with_trust
 from dlms.signals import GaussianParams
 from strategies import dense_trio_with_twins, scenarios
 
@@ -56,13 +56,15 @@ def _agents(record, ids, names=None):
 def _networks_outcome(scenario, other, run_fn=None):
     """The records of the scenario and of ``other``'s adaptive agents, from
     oracle.run_paired or from separate runs of ``run_fn``; or the first
-    error and the records completed before it."""
+    error and the records completed before it. Each network's record holds
+    its agents in a separate run's order, so an agent the pair shares is
+    compared in both."""
     ids = [cfg.id for cfg in other.adaptive_agents()]
     try:
         if run_fn is None:
             record, twins = oracle.run_paired(scenario, other)
-            originals = [aid for aid in record.agents if aid not in twins.values()]
-            first = _agents(record, originals)
+            first = _agents(record, [cfg.id for cfg in scenario.adaptive_agents()
+                                     + scenario.averaging_agents()])
             second = _agents(record, [twins[aid] for aid in ids], ids)
         else:
             first, second = run_fn(scenario), _agents(run_fn(other), ids)
@@ -114,8 +116,8 @@ def test_signed_zeros_match_oracle():
 @pytest.mark.parametrize("m", [9, 16])
 def test_single_standalone_agent_matches_oracle(m, ensemble):
     """One adaptive agent and one run leave the prediction's products
-    [M, 1, 1, 1], a shape numpy would sum pairwise, not in order; two runs
-    keep an extent of 2 beside the components."""
+    [M, 1, 1], a shape that ``np.add.reduce`` would sum pairwise, not in
+    order; two runs keep an extent of 2 beside the components."""
     agents = (AgentConfig("a", "standalone", mu=0.05,
                           w0=tuple(0.5 * (j % 3) - 0.5 for j in range(m)),
                           input=GaussianParams(0.1, 1.0), noise=GaussianParams(0.0, 0.3)),)
@@ -144,8 +146,8 @@ def test_short_row_between_cooperative_rows_matches_oracle_and_separate_runs():
                  iterations=30, ensemble=3)
     balanced = balanced_variant(s)
     record, twins = oracle.run_paired(s, balanced)
-    assert all(np.signbit(record.w(aid)).all() and not record.w(aid).any()
-               for aid in ("s", twins["s"]))
+    assert twins["s"] == "s"  # one column serves both networks
+    assert np.signbit(record.w("s")).all() and not record.w("s").any()
     paired = _networks_outcome(s, balanced)
     assert paired[1] is None
     assert paired == _networks_outcome(s, balanced, _oracle_ensemble)
@@ -239,8 +241,9 @@ def test_chunks_of_two_runs_match_oracle(monkeypatch, scenario):
 
 
 # 6 adaptive agents x 3 runs x 5 values = 90 values per iteration, so 9000
-# makes three blocks of 100 iterations
-@pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 9000])
+# makes three blocks of 100 iterations, and 8910 blocks of 98 (99 rounded
+# down to even, so that each block starts on a Box-Muller pair)
+@pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 9000, 8910])
 def test_dense_trio_with_twins_matches_oracle(monkeypatch, chunk_draws):
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
     s = dense_trio_with_twins(iterations=300, ensemble=3)
@@ -377,19 +380,90 @@ def test_paired_variants_match_separate_runs(chunk_draws, scenario):
 
 
 @pytest.mark.parametrize("chunk_draws", [engine._CHUNK_DRAWS, 1200, 2400])
-@pytest.mark.parametrize("scenario", [
-    _selfish(dataclasses.replace(builtin("table1"), iterations=300, ensemble=5), 0.9),
+@pytest.mark.parametrize("scenario, blocks", [
+    (_selfish(dataclasses.replace(builtin("table1"), iterations=300, ensemble=5), 0.9),
+     {1200: 20, 2400: 40}),
     # selfish: run 0 at agent b; balanced: run 2 at the standalone agent c
-    _selfish(_unstable(200, 4, 1.0), 0.9),
+    (_selfish(_unstable(200, 4, 1.0), 0.9), {1200: 24, 2400: 50}),
 ], ids=["table1", "divergent"])
-def test_paired_table1_matches_separate_runs(monkeypatch, chunk_draws, scenario):
-    # the pair fills 8 adaptive agents x 2 values per iteration and run: 1200
-    # values make blocks of 14 iterations of 5 runs, and of 18 of 4 runs;
-    # 2400 makes blocks of 30 and of 36 (37 rounded down to even)
+def test_paired_table1_matches_separate_runs(monkeypatch, chunk_draws, scenario, blocks):
+    """The pair simulates 6 adaptive agents: a, b, their twins, and c and d
+    once. At 2 values per iteration and run, 1200 values make blocks of 20
+    iterations of 5 runs and of 24 of 4 runs, and 2400 blocks of 40 and of
+    50: each horizon ends inside a block once and on a block's end once."""
     monkeypatch.setattr(engine, "_CHUNK_DRAWS", chunk_draws)
+    drawn = _drawn_blocks(monkeypatch)
     balanced = balanced_variant(scenario)
+    assert len(pair(scenario, balanced)[0].adaptive_agents()) == 6
     paired = _networks_outcome(scenario, balanced)
+    assert drawn[0] == (0, blocks.get(chunk_draws, scenario.iterations))
     assert paired == _networks_outcome(scenario, balanced, run)
+
+
+def _three_cooperative(rows):
+    """Cooperative agents z, x and y with the given trust rows, and a
+    standalone twin t of x."""
+    inp, noise = GaussianParams(0.1, 1.0), GaussianParams(0.0, 0.2)
+    agents = tuple(AgentConfig(aid, "cooperative", mu=mu, w0=(w0,), input=inp, noise=noise)
+                   for aid, mu, w0 in (("z", 0.05, 2.9), ("x", 0.07, -1.3), ("y", 0.11, 0.4)))
+    twin = AgentConfig("t", "standalone", mu=0.05, w0=(0.0,), input=inp, noise=noise,
+                       counterpart="x")
+    rows = tuple(row + (0.0,) for row in rows) + ((0.0,) * 3 + (1.0,),)
+    return Scenario(agents=(*agents, twin), trust=TrustMatrix(rows), w_opt=(1.7,),
+                    iterations=60, ensemble=3)
+
+
+@pytest.mark.parametrize("mine, theirs, twins", [
+    # z trusts itself alone in both networks, and x and y trust it before
+    # any twinned agent: z is simulated once, as t is
+    (((1.0, 0.0, 0.0), (0.4, 0.3, 0.3), (0.4, 0.0, 0.6)),
+     ((1.0, 0.0, 0.0), (0.2, 0.5, 0.3), (0.5, 0.0, 0.5)), "z x' y' t"),
+    # z trusts itself alone in one network only
+    (((1.0, 0.0, 0.0), (0.4, 0.3, 0.3), (0.4, 0.0, 0.6)),
+     ((0.5, 0.5, 0.0), (0.2, 0.5, 0.3), (0.5, 0.0, 0.5)), "z' x' y' t"),
+    # y trusts itself alone in both, but x's twin would add y after itself:
+    # a shared y would come before x's twin in that row, so y is twinned
+    (((1.0, 0.0, 0.0), (0.4, 0.3, 0.3), (0.0, 0.0, 1.0)),
+     ((1.0, 0.0, 0.0), (0.2, 0.5, 0.3), (0.0, 0.0, 1.0)), "z x' y' t"),
+], ids=["identity-in-both", "identity-in-one", "trusted-after-a-twin"])
+def test_pair_shares_the_agents_whose_rows_are_the_identity_in_both(mine, theirs, twins):
+    s = _three_cooperative(mine)
+    other = with_trust(s, _three_cooperative(theirs).trust.rows)
+    joint, got = pair(s, other)
+    assert " ".join(got.values()) == twins
+    assert [cfg.id for cfg in joint.agents] == ["z", "x", "y", "t",
+                                                *(i for i in twins.split() if "'" in i)]
+    assert _networks_outcome(s, other) == _networks_outcome(s, other, run)
+
+
+def test_pair_shares_table1s_standalone_agents():
+    """The selfish table1 and its balanced variant as one network of 7
+    agents: a and b twinned, the standalone c and d shared."""
+    s = _selfish(builtin("table1"), 0.9)
+    joint, twins = pair(s, balanced_variant(s))
+    assert [cfg.id for cfg in joint.agents] == ["a", "b", "c", "d", "e", "a'", "b'"]
+    assert twins == {"a": "a'", "b": "b'", "c": "c", "d": "d"}
+
+
+def _shares(scenario, twinned):
+    """The ids of the scenario's adaptive agents with an identity trust row,
+    cooperative or trusted by another agent, that its pair with its
+    balanced variant twins (``twinned``) or shares."""
+    adaptive = scenario.adaptive_agents()
+    twins = pair(scenario, balanced_variant(scenario))[1]
+    rows = scenario.trust.rows
+    return [cfg.id for a, cfg in enumerate(adaptive)
+            if scenario.trust.is_identity_row(a) and (twins[cfg.id] != cfg.id) == twinned
+            and (cfg.kind == "cooperative" or any(row[a] for b, row in enumerate(rows) if b != a))]
+
+
+@pytest.mark.parametrize("twinned", [False, True], ids=["shared", "twinned"])
+def test_generated_scenarios_pair_identity_rows_both_ways(twinned):
+    """test_paired_variants_match_separate_runs draws pairs that share an
+    identity-row agent that is cooperative or trusted, and pairs that must
+    twin one, since a twinned row trusts it after a twinned agent."""
+    find(scenarios(), lambda s: bool(_shares(s, twinned)),
+         settings=settings(database=None, phases=[Phase.generate]))
 
 
 def _one_unstable_agent(s_self):
@@ -440,8 +514,9 @@ def test_divergence_is_that_of_separate_runs_in_variant_order(
 
 
 def test_verify_delay_draws_the_signals_of_one_network():
-    """The balanced network runs as twins of the selfish one's agents, in
-    the same simulation, on the signals that one run of the scenario draws."""
+    """The balanced network runs as twins of the selfish one's cooperative
+    agents, beside the standalone agents both share, in the same
+    simulation, on the signals that one run of the scenario draws."""
     s = _selfish(dataclasses.replace(builtin("table1"), iterations=300, ensemble=5), 0.9)
 
     def simulations_and_values(fn):

@@ -3,12 +3,12 @@
 tracemalloc sees numpy's array buffers as well as Python objects, so a
 traced peak is a deterministic stand-in for the peak resident size of the
 matching command, without timing noise or interpreter start-up. Measured
-peaks with numpy 2.4.6, in the order of the tests: 1.71 MB, 2.05 MB,
-2.32 MB and 2.47 MB; the horizon pairs 2.06/2.07 MB, 2.38/2.39 MB,
-1.67/1.67 MB and 2.12/2.31 MB; then 9.41 MB, 10.65 MB, 8.14 MB, 12.40 MB,
-4.23 MB, 4.43 MB, 0.82 MB, 1.87 MB, 7.09 MB, 2.24 MB, 3.92 MB, 12.40 MB,
-0.49 MB, 0.55 MB, 0.66 MB and 0.52 MB. The claims stream a block of every
-run at a time. The writers' 0.82 MB and 1.87 MB and the steady-state
+peaks with numpy 2.4.6, in the order of the tests: 1.66 MB, 1.79 MB,
+2.15 MB and 2.12 MB; the horizon pairs 1.80/1.80 MB, 2.12/2.13 MB,
+1.62/1.62 MB and 1.86/2.05 MB; then 9.15 MB, 10.07 MB, 8.12 MB, 12.22 MB,
+4.23 MB, 4.45 MB, 0.79 MB, 1.83 MB, 7.09 MB, 1.98 MB, 3.81 MB, 12.24 MB,
+0.49 MB, 0.37 MB, 0.48 MB and 0.46 MB. The claims stream a block of every
+run at a time. The writers' 0.79 MB and 1.83 MB and the steady-state
 windows' 0.49 MB are transients above records that are already held. Each
 block's targets are built beside its draws, one owner at a time, before
 they are copied into the engine's signal buffers. Squares, 8,192 at a
@@ -59,10 +59,11 @@ def _traced_peak(fn, *args):
 
 
 def test_verify_delay_peak():
-    """Both 100-run networks of the selfish table1 as one network of 9
-    agents, streamed in blocks of 40 iterations: one block's records and
-    signals (1.1 MB) and the merge detection's temporaries, with no room for
-    a record of every iteration (16.2 MB at 1000)."""
+    """Both 100-run networks of the selfish table1 as one network of 7
+    agents (the standalone c and d serve both), streamed in blocks of 54
+    iterations: one block's records and signals (1.1 MB) and the merge
+    detection's temporaries, with no room for a record of every iteration
+    (11.2 MB at 1000)."""
     assert _traced_peak(verify_delay, _selfish_table1()) <= 1.75 * MB
 
 
@@ -82,8 +83,9 @@ def test_verify_stabilize_long_horizon_peak():
 
 
 def test_verify_speedup_peak():
-    """table2's 100 runs streamed: each block's distances to the target, one
-    run's squaring temporaries at a time, beside one block's buffers."""
+    """table2's 100 runs streamed: each block's distances to the target,
+    squared as many whole runs at a time as fit in 8,192 values, beside one
+    block's buffers."""
     assert _traced_peak(verify_speedup, builtin("table2")) <= 2.7 * MB
 
 
@@ -92,8 +94,9 @@ def test_verify_speedup_peak():
     ("stabilize", "table1")])
 def test_claim_memory_does_not_grow_with_the_horizon(claim, name):
     """20 runs, so that 4000 iterations trace in seconds: a record of the
-    3000 further iterations of 9 agents would be 8.6 MB. Only stabilize
-    holds per iteration, its two agents' rows of the final window."""
+    3000 further iterations of the delay pair's 7 agents would be 6.7 MB,
+    and of table1's 5 agents 4.8 MB. Only stabilize holds per iteration,
+    its two agents' rows of the final window."""
     s = _selfish_table1() if name == "selfish" else builtin(name)
     peaks = [_traced_peak(verify_claim, dataclasses.replace(
         s, iterations=length, ensemble=20), claim) for length in (1000, 4000)]
@@ -236,13 +239,15 @@ def test_steady_state_variance_transient(long_horizon):
 
 def test_gaussian_block_peak():
     """One call at long_horizon's block shape, 2 seeds x 1,092 iterations x
-    5 draws: the output (0.09 MB), the uint64 steps and draws and the
-    uniforms (0.22 MB), the logarithms' output (0.04 MB; their input is a
-    view of the uniforms), and one block of 4,096 logarithms: its buffers
-    (0.13 MB) and numpy's buffer for the long-double cast (0.06 MB). 0.55
-    MB in all; the bound leaves less than a second block's buffers."""
+    5 draws: the output, which the uniforms converted from the draws and
+    then the Gaussians are worked into in place (0.09 MB; the draws are let
+    go once converted), the uint64 steps (0.04 MB), a contiguous copy
+    of the first uniforms and their logarithms (0.04 MB each), and one block
+    of 4,096 logarithms: its buffers (0.13 MB) and numpy's buffer for the
+    long-double cast. 0.37 MB in all; the bound leaves less than a second
+    block's buffers."""
     seeds = [derive_seed(42, k) for k in range(2)]
-    assert _traced_peak(gaussian_block, seeds, 1092 * 5, 1092 * 5) <= 0.65 * MB
+    assert _traced_peak(gaussian_block, seeds, 1092 * 5, 1092 * 5) <= 0.45 * MB
 
 
 def _signals_peak(scenario, length):
@@ -263,17 +268,17 @@ def test_signals_long_horizon_block_peak():
     owners into 6 columns: the x and y buffers (0.42 and 0.10 MB) are the
     caller's. Each owner's draws (0.09 MB) are scaled in place and its
     targets (0.02 MB) built beside them, so the peak is the third owner's
-    gaussian_block call (0.55 MB) beside the second's draws and targets:
-    0.66 MB. The bound leaves less than one more owner's draws."""
+    gaussian_block call (0.37 MB) beside the second's draws and targets:
+    0.48 MB. The bound leaves less than one more owner's draws."""
     s = dense_trio_with_twins(iterations=20000, ensemble=2)
-    assert _signals_peak(s, 1092) <= 0.74 * MB
+    assert _signals_peak(s, 1092) <= 0.55 * MB
 
 
 def test_signals_verify_delay_block_peak():
-    """One block of the delay claim's joint network, 100 runs x 40
-    iterations of 2 owners into 8 columns: the x and y buffers (0.26 MB
-    each) are the caller's. The second owner's gaussian_block call (0.42
-    MB) beside the first's draws (0.06 MB) and targets (0.03 MB) peak at
-    0.52 MB; the bound leaves less than one more owner's draws."""
+    """One block of the delay claim's joint network, 100 runs x 54
+    iterations of 2 owners into 6 columns: the x and y buffers (0.26 MB
+    each) are the caller's. The second owner's gaussian_block call (0.33
+    MB) beside the first's draws (0.09 MB) and targets (0.04 MB) peak at
+    0.46 MB; the bound leaves less than one more owner's draws."""
     s = _selfish_table1()
-    assert _signals_peak(pair(s, balanced_variant(s))[0], 40) <= 0.57 * MB
+    assert _signals_peak(pair(s, balanced_variant(s))[0], 54) <= 0.52 * MB

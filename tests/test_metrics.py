@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from itertools import combinations
@@ -118,11 +119,14 @@ class TestReductionOrder:
         assert record.sq_dist.shape == whole.shape == (runs, 50, 7)
         assert record.sq_dist.tobytes() == whole.tobytes()
 
-    @pytest.mark.parametrize("shape", [(1, 20000, 7, 4), (2, 3000, 3, 1), (1, 4, 3000, 3)])
+    @pytest.mark.parametrize("shape", [(1, 20000, 7, 4), (2, 3000, 3, 1), (1, 4, 3000, 3),
+                                       (100, 80, 5, 1)])
     def test_square_gets_at_most_a_block_at_a_time(self, shape):
         """sq_dist and steady_state_variance pass ``square`` at most
         libm.SQUARE_BLOCK values at once, and every value once, unless one
-        iteration (one run's window) alone holds more."""
+        iteration (one run's window) alone holds more. Where whole runs fit,
+        sq_dist squares as many at a time as fit, and its rows are those of
+        each run squared alone, bit for bit."""
         import dlms.libm
 
         rng = np.random.default_rng(3)
@@ -137,6 +141,12 @@ class TestReductionOrder:
             assert record.sq_dist.shape == shape[:3]
             per_call = max(SQUARE_BLOCK, shape[2] * shape[3])
             assert max(sizes) <= per_call and sum(sizes) == record.ws.size
+            runs = SQUARE_BLOCK // math.prod(shape[1:])  # per call, where whole runs fit
+            if runs:
+                assert len(sizes) == -(-shape[0] // runs)
+            for r in range(shape[0]):
+                alone = dataclasses.replace(record, ws=record.ws[r:r + 1]).sq_dist
+                assert alone.tobytes() == record.sq_dist[r:r + 1].tobytes()
             sizes.clear()
             windows = record.ws[:, -1000:, 0]
             steady_state_variance(windows)
